@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -41,26 +42,23 @@ def psnr(reference, test, data_max=None):
     return float(10.0 * np.log10(data_max**2 / mse))
 
 
-def _gaussian_window(size=11, sigma=1.5):
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
+def _gaussian_kernel(size, sigma):
+    """Normalised 1-D Gaussian; its outer product is the 2-D SSIM window."""
+    coords = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(coords**2) / (2.0 * sigma**2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _window_stack(img, size):
-    """All valid size x size windows as a (ny, nx, size, size) view."""
-    h, w = img.shape
-    shape = (h - size + 1, w - size + 1, size, size)
-    strides = img.strides + img.strides
-    return np.lib.stride_tricks.as_strided(img, shape=shape, strides=strides)
+def _filter_valid(img, g):
+    """Weighted sums over every valid window, one axis at a time."""
+    rows = sliding_window_view(img, g.size, axis=0) @ g
+    return sliding_window_view(rows, g.size, axis=1) @ g
 
 
 def ssim(reference, test, k1=0.01, k2=0.03, window_size=11, sigma=1.5, data_range=None):
     """Mean single-scale SSIM over all valid Gaussian-weighted windows."""
-    ref = np.ascontiguousarray(_as_real(reference))
-    tst = np.ascontiguousarray(_as_real(test))
+    ref = _as_real(reference)
+    tst = _as_real(test)
     if ref.shape != tst.shape:
         raise ValueError("ssim inputs must share a shape")
     if min(ref.shape) < window_size:
@@ -69,16 +67,14 @@ def ssim(reference, test, k1=0.01, k2=0.03, window_size=11, sigma=1.5, data_rang
         data_range = float(ref.max() - ref.min())
     if data_range <= 0:
         raise ValueError("data_range must be positive")
-    w = _gaussian_window(window_size, sigma)
+    g = _gaussian_kernel(window_size, sigma)
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
-    wr = _window_stack(ref, window_size)
-    wt = _window_stack(tst, window_size)
-    mu_r = np.einsum("ijkl,kl->ij", wr, w)
-    mu_t = np.einsum("ijkl,kl->ij", wt, w)
-    rr = np.einsum("ijkl,kl->ij", wr * wr, w)
-    tt = np.einsum("ijkl,kl->ij", wt * wt, w)
-    rt = np.einsum("ijkl,kl->ij", wr * wt, w)
+    mu_r = _filter_valid(ref, g)
+    mu_t = _filter_valid(tst, g)
+    rr = _filter_valid(ref * ref, g)
+    tt = _filter_valid(tst * tst, g)
+    rt = _filter_valid(ref * tst, g)
     var_r = rr - mu_r**2
     var_t = tt - mu_t**2
     cov = rt - mu_r * mu_t

@@ -68,8 +68,10 @@ class KSpaceData:
 class SamplingMask:
     """Boolean k-space sampling pattern (True = acquired).
 
-    ``acs_lines`` central columns are always fully sampled; the nominal
-    acceleration is kept for bookkeeping only.
+    Every column is either fully sampled or not sampled at all; a pattern
+    that samples part of a column is rejected.  ``acs_lines`` central
+    columns are always sampled; the nominal acceleration is kept for
+    bookkeeping only.
     """
 
     pattern: np.ndarray
@@ -80,13 +82,15 @@ class SamplingMask:
         self.pattern = np.asarray(self.pattern, dtype=bool)
         if self.pattern.ndim != 2 or not self.pattern.any():
             raise ValueError("mask must be 2-D with at least one sampled entry")
+        if not (self.pattern == self.pattern[:1]).all():
+            raise ValueError("mask must sample whole columns")
         if self.acceleration <= 0:
             raise ValueError("acceleration must be positive")
         if self.acs_lines < 0:
             raise ValueError("acs_lines must be non-negative")
 
     def sampled_columns(self):
-        return np.flatnonzero(self.pattern.all(axis=0))
+        return np.flatnonzero(self.pattern[0])
 
 
 @dataclass
@@ -208,13 +212,12 @@ class EncodingOperator:
 
     mask: SamplingMask
     sens: CoilSensitivities
-    fft_normalization: str = field(default="unitary")
+    _gram_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.fft_normalization != "unitary":
-            raise ValueError("only unitary FFT normalization is supported")
         if self.mask.pattern.shape != self.sens.maps.shape[1:]:
             raise ValueError("mask and sensitivity shapes disagree")
+        self._gram_mask = np.fft.ifftshift(self.mask.pattern[0])
 
     @property
     def shape(self):
@@ -248,10 +251,28 @@ class EncodingOperator:
 
     def normal_array(self, img):
         """E^H E on a raw 2-D array, no validation; lets optimization loops
-        pass transient non-finite values through to their own checks."""
-        k = fft2c(self.sens.maps * img[None, :, :])
-        k[:, ~self.mask.pattern] = 0.0
-        return np.sum(np.conj(self.sens.maps) * ifft2c(k), axis=0)
+        pass transient non-finite values through to their own checks.
+
+        The mask repeats in every row (whole columns are sampled), so the
+        FFT along the row axis cancels and
+
+            E^H E x = sum_c conj(s_c) * ifft1(m' * fft1(s_c * x))
+
+        with 1-D FFTs along the column (phase-encode) axis and m' the column
+        mask in unshifted order.  The centring shifts of fft2c/ifft2c cancel
+        too: the masked 1-D filter is circulant and commutes with them.
+        """
+        maps = self.sens.maps
+        z = np.multiply(maps, img)
+        np.fft.fft(z, axis=-1, out=z)
+        z *= self._gram_mask
+        np.fft.ifft(z, axis=-1, out=z)
+        # conj(s) * z == conj(s * conj(z)): stays in the one buffer without
+        # a second map-sized array.
+        np.conj(z, out=z)
+        z *= maps
+        out = z.sum(axis=0)
+        return np.conj(out, out=out)
 
 
 def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask | None = None):

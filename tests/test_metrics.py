@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teunroll import metrics
 
@@ -60,6 +62,15 @@ def test_ssim_matches_double_loop_oracle():
     mine = metrics.ssim(ref, test)
     oracle = ssim_reference(ref, test)
     assert mine == pytest.approx(oracle, abs=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(h=st.integers(11, 30), w=st.integers(11, 30), seed=st.integers(0, 10_000))
+def test_ssim_matches_oracle_on_any_shape(h, w, seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.random((h, w))
+    test = ref + 0.1 * rng.standard_normal((h, w))
+    assert metrics.ssim(ref, test) == pytest.approx(ssim_reference(ref, test), abs=1e-10)
 
 
 def test_ssim_symmetric_with_fixed_range():

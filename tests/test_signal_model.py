@@ -72,20 +72,51 @@ def test_adjoint_identity_and_zero():
     assert np.all(E.adjoint(zero).data == 0)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_adjoint_identity_property(seed):
-    rng = np.random.default_rng(seed)
-    h, w = int(rng.integers(8, 17)), int(rng.integers(8, 17))
-    coils = int(rng.integers(1, 4))
-    mask = sm.make_random_mask(h, w, int(rng.integers(1, 4)), 2, seed=seed)
+@st.composite
+def _operators(draw):
+    """Odd, even and non-square shapes, 1-5 coils, random column masks."""
+    h = draw(st.integers(8, 33))
+    w = draw(st.integers(8, 33))
+    coils = draw(st.integers(1, 5))
+    R = draw(st.integers(1, 4))
+    acs = draw(st.integers(0, int(round(w / R))))
+    seed = draw(st.integers(0, 10_000))
+    mask = sm.make_random_mask(h, w, R, acs, seed=seed)
     sens = sm.make_smooth_sensitivities(h, w, coils, seed=seed + 1)
-    E = sm.EncodingOperator(mask, sens)
+    return sm.EncodingOperator(mask, sens), np.random.default_rng(seed + 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=_operators())
+def test_adjoint_identity_property(op):
+    E, rng = op
+    h, w = E.shape
     x = _random_image(rng, h, w)
-    y = _random_kspace(rng, coils, h, w)
+    y = _random_kspace(rng, E.num_coils, h, w)
     lhs = np.vdot(E.forward(x).data, y.data)
     rhs = np.vdot(x.data, E.adjoint(y).data)
     assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=_operators())
+def test_normal_array_matches_adjoint_of_forward(op):
+    E, rng = op
+    x = _random_image(rng, *E.shape)
+    direct = E.adjoint(E.forward(x)).data
+    gram = E.normal_array(x.data)
+    assert np.linalg.norm(gram - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=st.integers(2, 33), w=st.integers(1, 33), data=st.data())
+def test_partly_sampled_column_is_rejected(h, w, data):
+    cols = np.array(data.draw(st.lists(st.booleans(), min_size=w, max_size=w)))
+    pattern = np.tile(cols, (h, 1))
+    i, j = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+    pattern[i, j] = not pattern[i, j]
+    with pytest.raises(ValueError, match="whole columns"):
+        sm.SamplingMask(pattern, 2.0, 0)
 
 
 def test_mask_idempotence_and_zero_fill():
