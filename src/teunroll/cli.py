@@ -113,6 +113,11 @@ def _reconstruct(cfg, E, y, reference=None):
     un = cfg["unroll"]
     learned = cfg["model"]["prox"] in ("resnet", "unet")
     if un["algorithm"] == "vamp":
+        if learned:
+            raise ConfigError(
+                "unroll.algorithm: vamp needs an analytic model.prox "
+                "(identity, soft_threshold or tikhonov), not a network"
+            )
         vcfg = VampConfig(
             max_iters=un["max_iters"],
             damping=un["damping"],
@@ -120,11 +125,7 @@ def _reconstruct(cfg, E, y, reference=None):
             mu_floor=un["mu_floor"],
             cg_iters=max(un["cg_iters"], 50),
         )
-        if learned:
-            p = _load_engine(cfg, cfg["model"]["checkpoint"]).networks[0]
-        else:
-            p = _analytic_prox(cfg)
-        x, diags = run_vamp(E, y, p, vcfg, reference=reference)
+        x, diags = run_vamp(E, y, _analytic_prox(cfg), vcfg, reference=reference)
         return ComplexImage(x), diags
     ucfg = UnrollConfig(un["algorithm"], T=un["t"], cg_iters=un["cg_iters"],
                         sharing=un["sharing"])

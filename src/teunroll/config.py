@@ -12,9 +12,11 @@ from __future__ import annotations
 import configparser
 import os
 
-ALGORITHM_CHOICES = ("vsqp", "admm", "alg1", "vsqp_te", "admm_te", "vamp")
+from .unroll import ALGORITHMS, SHARING_MODES
+
+ALGORITHM_CHOICES = ALGORITHMS + ("vamp",)
 PROX_CHOICES = ("identity", "soft_threshold", "tikhonov", "resnet", "unet")
-SHARING_CHOICES = ("shared", "unshared", "time_embedded")
+SHARING_CHOICES = SHARING_MODES
 MASK_CHOICES = ("equispaced", "random")
 
 
@@ -135,6 +137,11 @@ def load_config(path):
             if is_path and value:
                 value = os.path.normpath(os.path.join(base, value))
             out[section][key] = value
+    if 0 < out["eval"]["crop"] < 11:
+        raise ConfigError(
+            f"eval.crop: {out['eval']['crop']} is below the 11-pixel SSIM window "
+            "(use 0 for no crop)"
+        )
     if out["unroll"]["mu"] <= 0:
         out["unroll"]["mu"] = default_mu(out["unroll"]["algorithm"])
     return out

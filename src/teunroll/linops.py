@@ -133,13 +133,6 @@ def estimate_trace_inverse(A: LinearMap, mu, num_probes, seed, cg_iters=100, cg_
     return float(total / (num_probes * A.dim))
 
 
-def exact_trace_inverse(A: LinearMap, mu):
-    """(1/N) Tr[(A + mu I)^{-1}] from a dense materialization; test/desk-scale
-    oracle, O(dim^3)."""
-    dense = to_dense(shifted(A, mu))
-    return float(np.trace(np.linalg.inv(dense)).real) / A.dim
-
-
 def power_iteration_norm(A: LinearMap, iters, seed):
     """Rayleigh-quotient estimate of the largest eigenvalue of self-adjoint A."""
     if iters < 1:

@@ -6,17 +6,8 @@ as-is.  The data range defaults to the reference image's range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-
-@dataclass
-class MetricReport:
-    psnr_db: float
-    ssim: float
-    nmse: float
 
 
 def _as_real(img):
@@ -93,11 +84,3 @@ def nmse(reference, test):
     if denom == 0.0:
         raise ValueError("nmse is undefined for a zero reference")
     return float(np.vdot(tst - ref, tst - ref).real) / denom
-
-
-def report(reference, test, data_max=None):
-    return MetricReport(
-        psnr_db=psnr(reference, test, data_max=data_max),
-        ssim=ssim(reference, test),
-        nmse=nmse(reference, test),
-    )

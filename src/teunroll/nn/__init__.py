@@ -1,6 +1,6 @@
 """Minimal autodiff engine and time-embedded proximal networks."""
 
-from .engine import Tape, Tensor, backward
+from .engine import Tape, Tensor
 from .layers import (
     TimeEmbedder,
     film_modulate,
@@ -14,7 +14,6 @@ from .networks import (
     build_network,
     channels_to_complex,
     complex_to_channels,
-    forward_prox,
     load_checkpoint,
     resnet_full,
     save_checkpoint,
@@ -32,14 +31,12 @@ __all__ = [
     "TrainableEngine",
     "TrainingError",
     "UNetProx",
-    "backward",
     "build_network",
     "cg_tape",
     "channels_to_complex",
     "complex_to_channels",
     "film_modulate",
     "film_residual_modulate",
-    "forward_prox",
     "load_checkpoint",
     "resnet_full",
     "save_checkpoint",

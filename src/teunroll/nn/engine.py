@@ -1,7 +1,7 @@
 """Reverse-mode autodiff over double-precision numpy arrays.
 
 Ops executed inside a ``Tape`` context record themselves in creation order
-(which is a topological order); ``backward`` sweeps the list once in
+(which is a topological order); ``Tape.backward`` sweeps the list once in
 reverse, accumulating gradients into every reachable tensor.  Outside a
 tape the same ops run eagerly with no graph.
 
@@ -20,6 +20,8 @@ _ACTIVE_TAPE = None
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule")
+    # mixed ndarray/Tensor arithmetic raises instead of building object arrays
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -38,6 +40,15 @@ class Tensor:
 
     def tracked(self):
         return self.requires_grad or self.backward_rule is not None
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __mul__(self, other):
+        return mul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -74,10 +85,6 @@ class Tape:
             if node.grad is None or node.backward_rule is None:
                 continue
             node.backward_rule(node.grad)
-
-
-def backward(tape: Tape, loss: Tensor):
-    tape.backward(loss)
 
 
 def _as_tensor(v):

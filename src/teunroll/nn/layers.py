@@ -30,23 +30,6 @@ class ParamStore:
     def count(self):
         return sum(int(t.data.size) for t in self.params.values())
 
-    def zero_grads(self):
-        for t in self.params.values():
-            t.grad = None
-
-    def state(self):
-        return {k: t.data.copy() for k, t in self.params.items()}
-
-    def load_state(self, state):
-        for k, t in self.params.items():
-            if k not in state:
-                raise KeyError(f"checkpoint is missing parameter {k!r}")
-            if state[k].shape != t.data.shape:
-                raise ValueError(
-                    f"parameter {k!r} shape {state[k].shape} != expected {t.data.shape}"
-                )
-            t.data = np.asarray(state[k], dtype=np.float64).copy()
-
 
 class Linear:
     def __init__(self, store: ParamStore, name, in_dim, out_dim, rng, zero_init=False):

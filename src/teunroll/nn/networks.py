@@ -211,13 +211,6 @@ def unet_full(time_embedded=False, seed=0):
     return UNetProx(base_channels=32, res_blocks=2, time_embedded=time_embedded, seed=seed)
 
 
-def forward_prox(net, image_2ch, t=None):
-    """Run a proximal network on a 2-channel real image (array or Tensor)."""
-    if isinstance(image_2ch, Tensor):
-        return net.forward(image_2ch, t)
-    return net.forward(Tensor(np.asarray(image_2ch)), t).data
-
-
 def build_network(arch, time_embedded=False, seed=0, **kwargs):
     if arch == "resnet":
         return ResNetProx(time_embedded=time_embedded, seed=seed, **kwargs)

@@ -1,18 +1,20 @@
 """End-to-end training of unrolled reconstruction networks.
 
-The unrolled forward pass is rebuilt here on tape tensors: complex images
-travel as (2, H, W) real tensors, the encoding physics enters through a
-self-adjoint linear-op hook, and the CG data-fidelity solve is unrolled
-onto the tape for its fixed iteration budget so gradients reach both the
-proximal networks and the per-unroll scalars.
+The unrolled forward pass runs the inference recursion (``unroll_steps``)
+on tape tensors: complex images travel as (2, H, W) real tensors, the
+encoding physics enters through a self-adjoint linear-op hook, and the CG
+data-fidelity solve is unrolled onto the tape for its fixed iteration
+budget so gradients reach both the proximal networks and the per-unroll
+scalars.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..config import default_mu
 from ..signal_model import EncodingOperator, KSpaceData, ComplexImage
-from ..unroll import ScalarSchedule, UnrollConfig
+from ..unroll import ScalarSchedule, UnrollConfig, unroll_steps
 from . import engine as en
 from .engine import Tape, Tensor
 from .networks import build_network, complex_to_channels, channels_to_complex
@@ -82,7 +84,7 @@ class TrainableEngine:
             for i in range(n_nets)
         ]
         if mu_init is None:
-            mu_init = 5e-2 if algorithm == "vsqp" else 1.5e-2
+            mu_init = default_mu(algorithm)
         per_unroll_mu = self.config.algorithm in ("alg1", "vsqp_te", "admm_te")
         n_mu = T if per_unroll_mu else 1
         self.mu = [Tensor(np.float64(mu_init), requires_grad=True) for _ in range(n_mu)]
@@ -142,56 +144,32 @@ class TrainableEngine:
         return net.forward(x, t if self.config.sharing == "time_embedded" else None)
 
     # -- forward -------------------------------------------------------------
-    def forward(self, E: EncodingOperator, y: KSpaceData, record=None):
+    def forward(self, E: EncodingOperator, y: KSpaceData):
         """Unrolled reconstruction as a (2, H, W) tape tensor.
 
-        The returned estimate is the final CG output, so the last unroll's
-        prox (and Onsager extrapolation) cannot influence it; that dead
-        tail is skipped rather than taped.  ``record``, when a list,
-        receives one diagnostics dict per unroll.
+        Runs ``unroll_steps`` with a taped CG solve.  The returned estimate
+        is the final CG output, so the last unroll's prox cannot influence
+        it; that network call is skipped rather than taped.
         """
         fn = normal_fn(E)
         rhs0 = Tensor(complex_to_channels(E.adjoint(y).data))
-        family = self.config.family
-        x = rhs0
-        z = rhs0
-        r = rhs0
-        u = Tensor(np.zeros_like(rhs0.data))
-        for t in range(self.config.T):
-            mu = self._mu_at(t)
-            last = t == self.config.T - 1
+        T = self.config.T
+        mu = [self._mu_at(t) for t in range(T)]
 
-            def apply_A(v, mu=mu):
-                return en.add(en.linear_selfadjoint(v, fn), en.mul(mu, v))
+        def solve(t, b):
+            def apply_A(v):
+                return en.add(en.linear_selfadjoint(v, fn), en.mul(mu[t], v))
 
-            gap = None
-            if family == "vsqp":
-                b = en.add(rhs0, en.mul(mu, z))
-                x = cg_tape(apply_A, b, self.config.cg_iters)
-                if not last:
-                    z = self._prox(x, t)
-            elif family == "admm":
-                b = en.add(rhs0, en.mul(mu, en.sub(z, u)))
-                x = cg_tape(apply_A, b, self.config.cg_iters)
-                if not last:
-                    z = self._prox(en.add(x, u), t)
-                    u = en.add(u, en.mul(self.lam[0], en.sub(x, z)))
-            else:
-                b = en.add(rhs0, en.mul(mu, r))
-                x = cg_tape(apply_A, b, self.config.cg_iters)
-                rho = float(self.rho[t].data)
-                u_np = x.data + rho * (x.data - r.data)
-                gap = float(np.sum((x.data - u_np) ** 2) / max(np.sum(x.data**2), 1e-300))
-                if not last:
-                    u = en.add(x, en.mul(self.rho[t], en.sub(x, r)))
-                    r = self._prox(u, t)
-            if record is not None:
-                record.append({
-                    "unroll_index": t,
-                    "mu_t": float(mu.data),
-                    "rho_t": float(self.rho[t].data) if self.rho else None,
-                    "x_u_nmse": gap,
-                })
+            return cg_tape(apply_A, b, self.config.cg_iters), None
+
+        def prox(v, t):
+            return v if t == T - 1 else self._prox(v, t)
+
+        # the ADMM family shares one dual step across unrolls
+        for _, x, _, _ in unroll_steps(self.config.family, T, rhs0,
+                                       Tensor(np.zeros_like(rhs0.data)), solve, prox,
+                                       mu, self.rho, self.lam * T):
+            pass
         return x
 
     def reconstruct(self, E, y):

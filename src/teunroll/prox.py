@@ -117,14 +117,6 @@ class ScaledSoftThreshold:
         return soft_threshold_divergence(u, self.c / np.sqrt(noise_precision))
 
 
-def apply(p, u, noise_precision=1.0):
-    return p.apply(u, noise_precision)
-
-
-def divergence(p, u, noise_precision=1.0):
-    return p.divergence(u, noise_precision)
-
-
 def mc_divergence(p, u, noise_precision, epsilon, seed):
     """Monte Carlo divergence probe for arbitrary (e.g. learned) proximal
     maps: <eta, (p(u + eps*eta) - p(u)) / eps> averaged over the real

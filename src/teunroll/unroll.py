@@ -12,11 +12,13 @@ vsqp_te / admm_te are the same recursions with per-unroll mu_t and a
 t-aware prox; they run through the identical code path, so constant
 schedules reduce to the static baselines bit for bit.  Initialization is
 x0 = r0 = z0 = E^H y and u0 = 0.
+
+The recursion is written once, in ``unroll_steps``: ``run_unrolled`` runs
+it on complex ndarrays and ``nn.TrainableEngine.forward`` on tape Tensors.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,115 +82,68 @@ class ScalarSchedule:
         return self
 
 
-@dataclass
-class UnrollState:
-    x: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    r: np.ndarray
-    t: int = 0
-
-
-def _wrap_prox(p):
-    """Uniform (flat complex vector, t) -> vector view of a proximal map."""
+def _wrap_prox(p, shape):
+    """Uniform (flat complex vector, t) -> flat vector view of a proximal map."""
     if hasattr(p, "apply_complex"):
-        return lambda v, t, shape: p.apply_complex(v.reshape(shape), t).ravel()
+        return lambda v, t: p.apply_complex(v.reshape(shape), t).ravel()
     if hasattr(p, "apply"):
-        return lambda v, t, shape: p.apply(v, 1.0)
+        return lambda v, t: p.apply(v, 1.0)
     if callable(p):
-        return lambda v, t, shape: np.asarray(p(v.reshape(shape), t)).ravel()
+        return lambda v, t: np.asarray(p(v.reshape(shape), t)).ravel()
     raise TypeError(f"cannot use {type(p).__name__} as a proximal operator")
 
 
-def _fidelity_solve(gram, rhs0, mu, v, cg_iters):
-    b = rhs0 + mu * v
-    return cg_solve(shifted(gram, mu), b, max_iters=cg_iters, tol=1e-12)
+def unroll_steps(family, T, rhs0, zero, solve, prox, mu, rho, lam):
+    """The vsqp / admm / alg1 recursion, one step per yield.
+
+    Only +, - and * touch the iterates, so the same code runs on complex
+    ndarrays (inference) and on tape Tensors (training).  rhs0 = E^H y
+    starts z and r, zero starts u.  solve(t, b) returns (x, info) for
+    (E^H E + mu_t I) x = b; prox(v, t) is the unroll-t proximal map; mu,
+    rho and lam are indexed by t.  Yields (t, x, u, info) after each unroll.
+    """
+    z = r = rhs0
+    u = zero
+    for t in range(T):
+        if family == "vsqp":
+            x, info = solve(t, rhs0 + mu[t] * z)
+            z = prox(x, t)
+        elif family == "admm":
+            x, info = solve(t, rhs0 + mu[t] * (z - u))
+            z = prox(x + u, t)
+            u = u + lam[t] * (x - z)
+        else:
+            x, info = solve(t, rhs0 + mu[t] * r)
+            u = x + rho[t] * (x - r)
+            r = prox(u, t)
+        yield t, x, u, info
 
 
-def vsqp_iteration(E, y, z_t, mu, prox, cg_iters=15, t=0):
-    """One VSQP step; returns (x_t, z_next) as images."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    gram = normal_map_of(E)
-    rhs0 = E.adjoint(y).data.ravel()
-    shape = E.shape
-    z = np.asarray(z_t.data if isinstance(z_t, ComplexImage) else z_t).ravel()
-    x, _ = _fidelity_solve(gram, rhs0, mu, z, cg_iters)
-    z_next = _wrap_prox(prox)(x, t, shape)
-    return ComplexImage(x.reshape(shape)), ComplexImage(z_next.reshape(shape))
-
-
-def admm_iteration(E, y, state: UnrollState, mu, lam, prox, cg_iters=15, t=0):
-    """One ADMM step with the scaled dual update."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    gram = normal_map_of(E)
-    rhs0 = E.adjoint(y).data.ravel()
-    shape = E.shape
-    z, u = state.z.ravel(), state.u.ravel()
-    x, _ = _fidelity_solve(gram, rhs0, mu, z - u, cg_iters)
-    z_new = _wrap_prox(prox)(x + u, t, shape)
-    u_new = u + lam * (x - z_new)
-    return UnrollState(
-        x=x.reshape(shape),
-        z=z_new.reshape(shape),
-        u=u_new.reshape(shape),
-        r=state.r,
-        t=state.t + 1,
-    )
-
-
-def alg1_iteration(E, y, state: UnrollState, mu_t, rho_t, prox_te, t, cg_iters=15):
-    """One time-embedded step: CG fidelity, Onsager extrapolation, t-aware prox."""
-    if mu_t <= 0:
-        raise ValueError("mu_t must be positive")
-    gram = normal_map_of(E)
-    rhs0 = E.adjoint(y).data.ravel()
-    shape = E.shape
-    r = state.r.ravel()
-    x, _ = _fidelity_solve(gram, rhs0, mu_t, r, cg_iters)
-    u = x + rho_t * (x - r)
-    r_new = _wrap_prox(prox_te)(u, t, shape)
-    return UnrollState(
-        x=x.reshape(shape),
-        z=state.z,
-        u=u.reshape(shape),
-        r=r_new.reshape(shape),
-        t=state.t + 1,
-    )
+def _csv_field(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
 
 
 @dataclass
-class UnrollDiagnostics:
+class Diagnostics:
+    """Per-step rows over a fixed column order, written out as CSV."""
+
+    columns: tuple
     rows: list = field(default_factory=list)
 
-    def record(self, t, mu_t, rho_t, cg_residual, x_u_nmse, nmse_vs_ref):
-        self.rows.append(
-            {
-                "unroll_index": t,
-                "mu_t": mu_t,
-                "rho_t": rho_t,
-                "cg_residual": cg_residual,
-                "x_u_nmse": x_u_nmse,
-                "nmse_vs_ref": nmse_vs_ref,
-            }
-        )
+    def record(self, *values):
+        self.rows.append(dict(zip(self.columns, values)))
 
     def to_csv(self):
-        buf = io.StringIO()
-        cols = ["unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref"]
-        buf.write(",".join(cols) + "\n")
-        for row in self.rows:
-            buf.write(
-                ",".join(
-                    ""
-                    if row[c] is None
-                    else repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
-                    for c in cols
-                )
-                + "\n"
-            )
-        return buf.getvalue()
+        lines = [",".join(self.columns)]
+        lines += [",".join(_csv_field(row[c]) for c in self.columns) for row in self.rows]
+        return "\n".join(lines) + "\n"
+
+
+UNROLL_COLUMNS = ("unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref")
 
 
 def run_unrolled(
@@ -205,22 +160,22 @@ def run_unrolled(
     alg1 and 'lam' for the ADMM family.  prox_bank holds one prox for
     shared/time_embedded sharing or T proxes for unshared.
 
-    Returns (ComplexImage, UnrollDiagnostics).  The diagnostics carry the
+    Returns (ComplexImage, Diagnostics).  The diagnostics carry the
     per-unroll CG residual, the normalized gap ||x - u||^2 / ||x||^2 of the
     Onsager-corrected estimate (alg1 only) and NMSE against an optional
     reference.
     """
-    mu_sched = schedules["mu"]
-    if len(mu_sched.values) != config.T:
+    T = config.T
+    if len(schedules["mu"].values) != T:
         raise ValueError("mu schedule length must equal T")
     if config.sharing == "unshared":
-        if len(prox_bank) != config.T:
+        if len(prox_bank) != T:
             raise ValueError("unshared mode needs T proximal operators")
     elif len(prox_bank) != 1:
         raise ValueError("shared/time-embedded modes use a single proximal operator")
-    proxes = [_wrap_prox(p) for p in prox_bank]
-
     shape = E.shape
+    proxes = [_wrap_prox(p, shape) for p in prox_bank] * (T // len(prox_bank))
+
     gram = normal_map_of(E)
     rhs0 = E.adjoint(y).data.ravel()
     ref = None
@@ -229,32 +184,20 @@ def run_unrolled(
             reference.data if isinstance(reference, ComplexImage) else reference
         ).ravel()
 
-    x = rhs0.copy()
-    z = rhs0.copy()
-    r = rhs0.copy()
-    u = np.zeros_like(rhs0)
-    diags = UnrollDiagnostics()
     family = config.family
+    mu = [float(v) for v in schedules["mu"].values]
+    # alg1's Onsager weight or the ADMM dual step; both fill the rho_t column
+    step = {"alg1": "rho", "admm": "lam"}.get(family)
+    steps = [float(v) for v in schedules[step].values] if step else None
 
-    for t in range(config.T):
-        prox = proxes[t] if config.sharing == "unshared" else proxes[0]
-        mu_t = float(mu_sched.values[t])
-        rho_t = None
+    def solve(t, b):
+        return cg_solve(shifted(gram, mu[t]), b, max_iters=config.cg_iters, tol=1e-12)
+
+    diags = Diagnostics(UNROLL_COLUMNS)
+    for t, x, u, rep in unroll_steps(family, T, rhs0, np.zeros_like(rhs0), solve,
+                                     lambda v, t: proxes[t](v, t), mu, steps, steps):
         x_u_nmse = None
-        if family == "vsqp":
-            x, rep = _fidelity_solve(gram, rhs0, mu_t, z, config.cg_iters)
-            z = prox(x, t, shape)
-        elif family == "admm":
-            lam_t = float(schedules["lam"].values[t])
-            rho_t = lam_t
-            x, rep = _fidelity_solve(gram, rhs0, mu_t, z - u, config.cg_iters)
-            z = prox(x + u, t, shape)
-            u = u + lam_t * (x - z)
-        else:
-            rho_t = float(schedules["rho"].values[t])
-            x, rep = _fidelity_solve(gram, rhs0, mu_t, r, config.cg_iters)
-            u = x + rho_t * (x - r)
-            r = prox(u, t, shape)
+        if family == "alg1":
             x_u_nmse = float(
                 np.linalg.norm(x - u) ** 2 / max(np.linalg.norm(x) ** 2, 1e-300)
             )
@@ -263,6 +206,7 @@ def run_unrolled(
             nmse_vs_ref = float(
                 np.linalg.norm(x - ref) ** 2 / np.linalg.norm(ref) ** 2
             )
-        diags.record(t, mu_t, rho_t, rep.final_residual_norm, x_u_nmse, nmse_vs_ref)
+        diags.record(t, mu[t], steps[t] if steps else None, rep.final_residual_norm,
+                     x_u_nmse, nmse_vs_ref)
 
     return ComplexImage(x.reshape(shape)), diags

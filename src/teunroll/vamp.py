@@ -10,14 +10,14 @@ aborting; clamp events are counted in the diagnostics.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linops import LinearMap, cg_solve, estimate_trace_inverse, shifted, to_dense
 from .prox import mc_divergence
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
+from .unroll import Diagnostics
 
 EXACT_TRACE_LIMIT = 4096
 
@@ -84,10 +84,6 @@ class VampOperator:
         if gram.dim <= EXACT_TRACE_LIMIT:
             op._eigvals = np.linalg.eigvalsh(to_dense(gram))
         return op
-
-    @property
-    def exact_trace(self):
-        return self._eigvals is not None
 
     def trace_inverse_mean(self, mu, config: VampConfig, seed=0):
         if self._eigvals is not None:
@@ -180,38 +176,7 @@ def denoise_step(prox, state: VampState, config: VampConfig | None = None, seed=
     )
 
 
-@dataclass
-class VampDiagnostics:
-    rows: list = field(default_factory=list)
-
-    def record(self, iteration, state: VampState, nmse, mu_x=None):
-        self.rows.append(
-            {
-                "iteration": iteration,
-                "mu_x": state.mu_x if mu_x is None else mu_x,
-                "mu_z": state.mu_z,
-                "upsilon_x": state.upsilon_x,
-                "upsilon_z": state.upsilon_z,
-                "nmse": nmse,
-                "clamps": state.clamps,
-            }
-        )
-
-    def to_csv(self):
-        buf = io.StringIO()
-        cols = ["iteration", "mu_x", "mu_z", "upsilon_x", "upsilon_z", "nmse", "clamps"]
-        buf.write(",".join(cols) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-        return buf.getvalue()
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
+VAMP_COLUMNS = ("iteration", "mu_x", "mu_z", "upsilon_x", "upsilon_z", "nmse", "clamps")
 
 
 def run_vamp(E, y, prox, config: VampConfig | None = None, init=None, reference=None):
@@ -232,7 +197,7 @@ def run_vamp(E, y, prox, config: VampConfig | None = None, init=None, reference=
         ref_vec = np.asarray(
             reference.data if isinstance(reference, ComplexImage) else reference
         ).ravel()
-    diags = VampDiagnostics()
+    diags = Diagnostics(VAMP_COLUMNS)
     x = state.r
     for it in range(config.max_iters):
         mu_x_used = state.mu_x
@@ -246,7 +211,8 @@ def run_vamp(E, y, prox, config: VampConfig | None = None, init=None, reference=
             )
         # the row reports the mu_x the LMMSE half-step consumed, so the
         # precision identity 1/v_x = mu_x + mu_z reads off directly
-        diags.record(it, state, nmse, mu_x=mu_x_used)
+        diags.record(it, mu_x_used, state.mu_z, state.upsilon_x, state.upsilon_z, nmse,
+                     state.clamps)
         if not np.all(np.isfinite(x)):
             break
     if op.domain_shape is not None:

@@ -130,6 +130,26 @@ def test_invalid_algorithm_exit_code_and_message(tmp_path, dataset, capsys):
     assert "unroll.algorithm" in capsys.readouterr().err
 
 
+def test_recon_vamp_with_network_prox_is_config_error(tmp_path, dataset, capsys):
+    for net in ("resnet", "unet"):
+        cfg = write_cfg(tmp_path, f"[data]\ndir = data\n[model]\nprox = {net}\n"
+                                  "[unroll]\nalgorithm = vamp\n")
+        assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unroll.algorithm" in err and "model.prox" in err
+
+
+def test_eval_crop_below_ssim_window_is_config_error(tmp_path, dataset, capsys):
+    for crop in (1, 10):
+        cfg = write_cfg(tmp_path, f"[data]\ndir = data\n[eval]\ncrop = {crop}\n")
+        assert run_cli("eval", "--config", cfg) == cli.EXIT_CONFIG
+        assert "eval.crop" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[eval]\ncrop = 11\n")
+    assert run_cli("eval", "--config", cfg) == cli.EXIT_OK
+    mean = (tmp_path / "runs" / "eval" / "metrics.csv").read_text().split("\n")[-3]
+    assert mean.startswith("mean,") and np.isfinite(float(mean.split(",")[2]))
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "[unroll]\nwarp_speed = 9\n")
     with pytest.raises(ConfigError, match="unroll.warp_speed"):

@@ -102,12 +102,3 @@ def test_shape_mismatch_errors():
         metrics.psnr(np.ones((4, 4)), np.ones((3, 3)))
     with pytest.raises(ValueError):
         metrics.nmse(np.ones(4), np.ones(5))
-
-
-def test_report_bundle():
-    rng = np.random.default_rng(9)
-    ref = rng.random((16, 16))
-    rep = metrics.report(ref, ref + 0.01)
-    assert rep.psnr_db > 30
-    assert 0 <= rep.ssim <= 1
-    assert rep.nmse > 0

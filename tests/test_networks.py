@@ -14,7 +14,6 @@ from teunroll.nn.networks import (
     UNetProx,
     complex_to_channels,
     channels_to_complex,
-    forward_prox,
     resnet_full,
     unet_full,
 )
@@ -160,15 +159,6 @@ def test_unet_requires_divisible_dims():
     net = UNetProx(base_channels=4, res_blocks=1, seed=0)
     with pytest.raises(ValueError):
         net.forward(Tensor(np.zeros((2, 10, 10))))
-
-
-def test_forward_prox_array_and_tensor():
-    net = ResNetProx(blocks=1, channels=4, seed=3)
-    x = np.random.default_rng(7).standard_normal((2, 8, 8))
-    out_arr = forward_prox(net, x)
-    assert isinstance(out_arr, np.ndarray)
-    out_t = forward_prox(net, Tensor(x))
-    np.testing.assert_array_equal(out_arr, out_t.data)
 
 
 def test_complex_channel_bridge_round_trip():

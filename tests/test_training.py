@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teunroll import signal_model as sm
 from teunroll.linops import cg_solve, from_dense
@@ -8,7 +9,7 @@ from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
 from teunroll.nn.training import cg_tape
-from teunroll.unroll import UnrollConfig, run_unrolled
+from teunroll.unroll import ALGORITHMS, SHARING_MODES, UnrollConfig, run_unrolled
 
 from oracles import spd_with_clusters
 
@@ -41,6 +42,39 @@ def test_tape_engine_agrees_with_inference_engine():
     img, _ = run_unrolled(cfg, E, y, eng.schedules(), [eng.networks[0]])
     gap = np.linalg.norm(out.data - img.data) / np.linalg.norm(img.data)
     assert gap <= 1e-12
+
+
+class _CountingNet:
+    """Forwards to a network's complex bridge and counts the calls."""
+
+    def __init__(self, net):
+        self.net = net
+        self.calls = 0
+
+    def apply_complex(self, img, t=None):
+        self.calls += 1
+        return self.net.apply_complex(img, t)
+
+
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=8, deadline=None)
+@given(T=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed):
+    E, y, truth = _toy_problem()
+    eng = TrainableEngine(algorithm, T=T, cg_iters=15, sharing=sharing,
+                          arch="resnet", seed=seed, blocks=1, channels=4)
+    rng = np.random.default_rng(seed)
+    for t in eng.mu:
+        t.data = np.float64(rng.uniform(0.01, 0.2))
+    for t in eng.rho + eng.lam:
+        t.data = np.float64(rng.uniform(-0.2, 0.5))
+    out = eng.reconstruct(E, y)
+    bank = [_CountingNet(net) for net in eng.networks]
+    cfg = UnrollConfig(algorithm, T=T, cg_iters=15, sharing=sharing)
+    img, _ = run_unrolled(cfg, E, y, eng.schedules(), bank)
+    assert np.linalg.norm(out.data - img.data) <= 1e-12 * np.linalg.norm(img.data)
+    assert sum(net.calls for net in bank) == T
 
 
 def test_zero_epoch_training_is_identity():

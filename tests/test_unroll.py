@@ -25,24 +25,31 @@ def _dense_ridge(E, y, lam_eff):
 
 
 class CapturingProx:
-    """Wraps an analytic prox and records every input it sees."""
+    """Wraps an analytic prox and records every input it sees and every
+    output it returns."""
 
     def __init__(self, inner):
         self.inner = inner
         self.seen = []
+        self.out = []
 
     def apply(self, u, noise_precision=1.0):
         self.seen.append(np.array(u, copy=True))
-        return self.inner.apply(u, noise_precision)
+        self.out.append(self.inner.apply(u, noise_precision))
+        return self.out[-1]
+
+
+def _constant_schedules(T, **values):
+    return {k: unroll.ScalarSchedule.constant(v, T) for k, v in values.items()}
 
 
 # -- single iterations ---------------------------------------------------
 
 def test_vsqp_identity_prox_reaches_normal_equations():
     E, truth, y = _problem()
-    z = E.adjoint(y)
-    for _ in range(50):
-        x, z = unroll.vsqp_iteration(E, y, z, 0.05, prox.identity_prox(), cg_iters=15)
+    cfg = unroll.UnrollConfig("vsqp", T=50, cg_iters=15, sharing="shared")
+    x, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(50, mu=0.05),
+                               [prox.identity_prox()])
     gram = normal_map_of(E)
     rhs = E.adjoint(y).data.ravel()
     residual = np.linalg.norm(gram.apply(x.data.ravel()) - rhs)
@@ -62,7 +69,10 @@ def test_vsqp_tikhonov_fixed_point_effective_lambda():
 
 def test_vsqp_huge_mu_pins_to_prior():
     E, truth, y = _problem()
-    x, _ = unroll.vsqp_iteration(E, y, truth, 1e6, prox.identity_prox(), cg_iters=40)
+    # the prox hands the prior image to unroll 1, whose solve must return it
+    cfg = unroll.UnrollConfig("vsqp", T=2, cg_iters=40, sharing="shared")
+    x, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(2, mu=1e6),
+                               [lambda img, t: truth.data])
     assert np.linalg.norm(x.data - truth.data) <= 1e-3 * np.linalg.norm(truth.data)
 
 
@@ -96,36 +106,38 @@ def test_admm_general_mu_fixed_point_is_mu_gamma():
 
 def test_admm_lambda_zero_reduces_to_vsqp():
     E, truth, y = _problem()
-    zf = E.adjoint(y).data
-    state = unroll.UnrollState(x=zf, z=zf, u=np.zeros_like(zf), r=zf)
-    p = prox.tikhonov_prox(1.0)
-    zs_admm = []
-    zs_vsqp = []
-    z_v = sm.ComplexImage(zf)
-    for t in range(5):
-        state = unroll.admm_iteration(E, y, state, 0.5, 0.0, p, cg_iters=15)
-        zs_admm.append(state.z.copy())
-        _, z_v = unroll.vsqp_iteration(E, y, z_v, 0.5, p, cg_iters=15)
-        zs_vsqp.append(z_v.data.copy())
-    for a, b in zip(zs_admm, zs_vsqp):
+    T = 5
+    p_admm = CapturingProx(prox.tikhonov_prox(1.0))
+    p_vsqp = CapturingProx(prox.tikhonov_prox(1.0))
+    cfg_admm = unroll.UnrollConfig("admm", T=T, cg_iters=15, sharing="shared")
+    cfg_vsqp = unroll.UnrollConfig("vsqp", T=T, cg_iters=15, sharing="shared")
+    unroll.run_unrolled(cfg_admm, E, y, _constant_schedules(T, mu=0.5, lam=0.0), [p_admm])
+    unroll.run_unrolled(cfg_vsqp, E, y, _constant_schedules(T, mu=0.5), [p_vsqp])
+    assert len(p_admm.out) == len(p_vsqp.out) == T
+    for a, b in zip(p_admm.out, p_vsqp.out):
         np.testing.assert_array_equal(a, b)
 
 
 def test_admm_identity_prox_freezes_dual():
     E, truth, y = _problem()
-    zf = E.adjoint(y).data
-    state = unroll.UnrollState(x=zf, z=zf, u=np.zeros_like(zf), r=zf)
-    p = prox.identity_prox()
-    state = unroll.admm_iteration(E, y, state, 0.5, 0.3, p, cg_iters=15)
-    np.testing.assert_array_equal(state.x, state.z)  # z+ = prox(x+u) = x+u with u=0
-    u_after_one = state.u.copy()
-    state = unroll.admm_iteration(E, y, state, 0.5, 0.3, p, cg_iters=15)
-    np.testing.assert_array_equal(state.u, u_after_one)
+    mu = 0.5
+    p = CapturingProx(prox.identity_prox())
+    cfg = unroll.UnrollConfig("admm", T=3, cg_iters=15, sharing="shared")
+    img, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(3, mu=mu, lam=0.3), [p])
+    A = shifted(normal_map_of(E), mu)
+    rhs0 = E.adjoint(y).data.ravel()
+    x0, _ = cg_solve(A, rhs0 + mu * rhs0, max_iters=15, tol=1e-12)
+    # unroll 0 sees x0 + u0 with u0 = 0, so z0 = prox(x0 + u0) = x0
+    np.testing.assert_array_equal(p.seen[0], x0)
+    np.testing.assert_array_equal(p.out[0], x0)
+    x1, _ = cg_solve(A, rhs0 + mu * p.out[0], max_iters=15, tol=1e-12)
+    u_after_one = p.seen[1] - x1  # unroll 1 sees x1 + u1
+    u_after_two = p.seen[2] - img.data.ravel()  # unroll 2 sees x2 + u2
+    np.testing.assert_array_equal(u_after_two, u_after_one)
 
 
 def test_alg1_matches_vamp_messages_with_exact_onsager_weight():
     E, truth, y = _problem(coils=2, seeds=(3, 4, 5))
-    n = E.shape[0] * E.shape[1]
     mu_x = 0.8
     op = vamp.VampOperator.from_encoding(E, y)
     vstate = vamp.VampState(r=E.adjoint(y).data.ravel(), mu_x=mu_x)
@@ -133,12 +145,12 @@ def test_alg1_matches_vamp_messages_with_exact_onsager_weight():
     vstate = vamp.lmmse_step(op, y, vstate, vcfg)
     rho = mu_x / (1.0 / vstate.upsilon_x - mu_x)
 
-    zf = E.adjoint(y).data
-    state = unroll.UnrollState(x=zf, z=zf, u=np.zeros_like(zf), r=zf)
-    state = unroll.alg1_iteration(E, y, state, mu_x, rho, prox.identity_prox(), t=0,
-                                  cg_iters=200)
+    # the prox of the single unroll sees the Onsager-corrected u
+    p = CapturingProx(prox.identity_prox())
+    cfg = unroll.UnrollConfig("alg1", T=1, cg_iters=200, sharing="shared")
+    unroll.run_unrolled(cfg, E, y, _constant_schedules(1, mu=mu_x, rho=rho), [p])
     scale = np.linalg.norm(vstate.u)
-    assert np.linalg.norm(state.u.ravel() - vstate.u) <= 1e-10 * scale
+    assert np.linalg.norm(p.seen[0] - vstate.u) <= 1e-10 * scale
 
 
 # -- run_unrolled ---------------------------------------------------------
