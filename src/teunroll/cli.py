@@ -54,6 +54,16 @@ def _load_dataset(dirpath):
     return images, sens
 
 
+def _check_ssim_window(images, dirpath):
+    """recon and eval score every slice with SSIM, which needs the whole window."""
+    side = min(min(img.data.shape) for img in images)
+    if side < metrics.SSIM_WINDOW:
+        raise ConfigError(
+            f"data.dir: images in {dirpath} are {side} pixels on their short side, "
+            f"below the {metrics.SSIM_WINDOW}-pixel SSIM window"
+        )
+
+
 def _build_mask(cfg, shape):
     mask_cfg = cfg["mask"]
     rows, cols = shape
@@ -152,7 +162,7 @@ def _metric_row(reference, test, crop):
         tst = _center_crop(tst, crop)
     return (
         metrics.psnr(ref, tst),
-        metrics.ssim(ref, tst) if min(ref.shape) >= 11 else float("nan"),
+        metrics.ssim(ref, tst),
         metrics.nmse(ref, tst),
     )
 
@@ -203,6 +213,7 @@ def cmd_recon(args):
     if args.seed is not None:
         cfg["data"]["noise_seed"] = args.seed
     images, sens = _load_dataset(cfg["data"]["dir"])
+    _check_ssim_window(images, cfg["data"]["dir"])
     index = cfg["data"]["index"]
     if not 0 <= index < len(images):
         raise ConfigError(f"data.index: {index} out of range (0..{len(images) - 1})")
@@ -247,9 +258,7 @@ def cmd_train(args):
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     dataset = [(E, _measure(E, img, cfg, i), img) for i, img in enumerate(images)]
-    engine = _build_engine(cfg)
-    if cfg["model"]["checkpoint"]:
-        engine = _load_engine(cfg, cfg["model"]["checkpoint"])
+    engine = _load_engine(cfg, cfg["model"]["checkpoint"])
     curve = train(engine, dataset, cfg["train"]["epochs"], cfg["train"]["lr"],
                   seed=cfg["train"]["seed"])
     out = cfg["train"]["out"]
@@ -271,6 +280,7 @@ def cmd_eval(args):
     if args.checkpoint:
         cfg["model"]["checkpoint"] = os.path.abspath(args.checkpoint)
     images, sens = _load_dataset(cfg["data"]["dir"])
+    _check_ssim_window(images, cfg["data"]["dir"])
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     crop = cfg["eval"]["crop"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import os
 
+from .metrics import SSIM_WINDOW
 from .unroll import ALGORITHMS, SHARING_MODES
 
 ALGORITHM_CHOICES = ALGORITHMS + ("vamp",)
@@ -137,9 +138,9 @@ def load_config(path):
             if is_path and value:
                 value = os.path.normpath(os.path.join(base, value))
             out[section][key] = value
-    if 0 < out["eval"]["crop"] < 11:
+    if 0 < out["eval"]["crop"] < SSIM_WINDOW:
         raise ConfigError(
-            f"eval.crop: {out['eval']['crop']} is below the 11-pixel SSIM window "
+            f"eval.crop: {out['eval']['crop']} is below the {SSIM_WINDOW}-pixel SSIM window "
             "(use 0 for no crop)"
         )
     if out["unroll"]["mu"] <= 0:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+SSIM_WINDOW = 11  # pixels per side of the SSIM window; smaller images have no SSIM
+
 
 def _as_real(img):
     img = np.asarray(img)
@@ -46,7 +48,7 @@ def _filter_valid(img, g):
     return sliding_window_view(rows, g.size, axis=1) @ g
 
 
-def ssim(reference, test, k1=0.01, k2=0.03, window_size=11, sigma=1.5, data_range=None):
+def ssim(reference, test, k1=0.01, k2=0.03, window_size=SSIM_WINDOW, sigma=1.5, data_range=None):
     """Mean single-scale SSIM over all valid Gaussian-weighted windows."""
     ref = _as_real(reference)
     tst = _as_real(test)

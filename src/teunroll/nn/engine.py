@@ -291,11 +291,18 @@ def concat(tensors, axis=0):
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), rule)
 
 
+def _tap_slices(offset, n):
+    """Destination and source slices along one axis for a tap at ``offset``:
+    out[dst] reads in[src] under zero padding."""
+    return slice(max(0, -offset), n - max(0, offset)), slice(max(0, offset), n + min(0, offset))
+
+
 def conv2d(x, w, b=None, kernel=3):
     """2-D convolution, stride 1, zero padding to keep the spatial shape.
 
     x: (C_in, H, W), w: (C_out, C_in, k, k), optional b: (C_out,).
-    Kernel sizes 1 and 3 are supported.
+    Kernel sizes 1 and 3 are supported.  One GEMM against an unpadded
+    (C_in k^2, H W) patch matrix; out-of-image taps stay zero.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -304,34 +311,40 @@ def conv2d(x, w, b=None, kernel=3):
     if w.shape[2] != kernel or w.shape[3] != kernel:
         raise ValueError("weight shape disagrees with kernel size")
     cin, h, wd = x.shape
+    cout = w.shape[0]
     pad = (kernel - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((cin, kernel, kernel, h, wd))
-    for di in range(kernel):
-        for dj in range(kernel):
-            cols[:, di, dj] = xp[:, di : di + h, dj : dj + wd]
-    val = np.tensordot(w.data, cols, axes=([1, 2, 3], [0, 1, 2]))
+    taps = [(di, dj, _tap_slices(di - pad, h), _tap_slices(dj - pad, wd))
+            for di in range(kernel) for dj in range(kernel)]
+    if kernel == 1:
+        cols = x.data.reshape(cin, h * wd)
+    else:
+        patches = np.zeros((cin, kernel, kernel, h, wd))
+        for di, dj, (ri, si), (rj, sj) in taps:
+            patches[:, di, dj, ri, rj] = x.data[:, si, sj]
+        cols = patches.reshape(cin * kernel * kernel, h * wd)
+    w2 = w.data.reshape(cout, cin * kernel * kernel)
+    val = (w2 @ cols).reshape(cout, h, wd)
     parents = [x, w]
     if b is not None:
         b = _as_tensor(b)
-        val = val + b.data[:, None, None]
+        val += b.data[:, None, None]
         parents.append(b)
 
     def rule(out):
         def run(g):
+            g2 = g.reshape(cout, h * wd)
             if b is not None:
                 _accumulate(b, g.sum(axis=(1, 2)))
-            _accumulate(w, np.tensordot(g, cols, axes=([1, 2], [3, 4])))
-            gxp = np.zeros_like(xp)
-            for di in range(kernel):
-                for dj in range(kernel):
-                    gxp[:, di : di + h, dj : dj + wd] += np.tensordot(
-                        w.data[:, :, di, dj], g, axes=([0], [0])
-                    )
-            if pad:
-                _accumulate(x, gxp[:, pad:-pad, pad:-pad])
-            else:
-                _accumulate(x, gxp)
+            _accumulate(w, (g2 @ cols.T).reshape(w.shape))
+            gcols = w2.T @ g2
+            if kernel == 1:
+                _accumulate(x, gcols.reshape(cin, h, wd))
+                return
+            gcols = gcols.reshape(cin, kernel, kernel, h, wd)
+            gx = np.zeros((cin, h, wd))
+            for di, dj, (ri, si), (rj, sj) in taps:
+                gx[:, si, sj] += gcols[:, di, dj, ri, rj]
+            _accumulate(x, gx)
 
         return run
 

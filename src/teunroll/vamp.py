@@ -55,7 +55,9 @@ class VampOperator:
     """Adapter giving VAMP a uniform view of a measurement operator: the
     Gram map, the adjoint-applied data, and the mean trace of the shifted
     resolvent (exact via eigenvalues up to EXACT_TRACE_LIMIT unknowns,
-    Hutchinson probes beyond)."""
+    Hutchinson probes beyond).  For an encoding operator the eigenvalues
+    come from the H diagonal W x W row blocks of the Gram, which are all
+    of it: whole-column masks leave image rows uncoupled."""
 
     def __init__(self, gram: LinearMap, rhs: np.ndarray, domain_shape=None):
         self.gram = gram
@@ -82,7 +84,12 @@ class VampOperator:
         rhs = E.adjoint(y).data.ravel()
         op = cls(gram, rhs, domain_shape=E.shape)
         if gram.dim <= EXACT_TRACE_LIMIT:
-            op._eigvals = np.linalg.eigvalsh(to_dense(gram))
+            # E^H E couples pixels only within an image row (see normal_array),
+            # so its dense matrix is block diagonal: H blocks of size W x W.
+            h, w = E.shape
+            rows = np.arange(h)
+            blocks = to_dense(gram).reshape(h, w, h, w)[rows, :, rows, :]
+            op._eigvals = np.linalg.eigvalsh(blocks).ravel()
         return op
 
     def trace_inverse_mean(self, mu, config: VampConfig, seed=0):

@@ -116,3 +116,32 @@ def group_norm_reference(x, groups, eps=1e-5):
         v = ((chunk - m) ** 2).mean()
         out[g * per : (g + 1) * per] = (chunk - m) / np.sqrt(v + eps)
     return out
+
+
+def conv2d_reference(x, w, b, g):
+    """Zero-padded stride-1 2-D convolution by direct loops over output
+    pixels and taps, plus its VJPs for cotangent ``g``.
+
+    x: (C_in, H, W), w: (C_out, C_in, k, k), b: (C_out,), g: (C_out, H, W).
+    Returns (out, grad_x, grad_w, grad_b).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    cout, cin, k, _ = w.shape
+    _, h, wd = x.shape
+    pad = (k - 1) // 2
+    out = np.zeros((cout, h, wd))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for i in range(h):
+        for j in range(wd):
+            out[:, i, j] = b
+            for di in range(k):
+                for dj in range(k):
+                    p, q = i + di - pad, j + dj - pad
+                    if not (0 <= p < h and 0 <= q < wd):
+                        continue
+                    out[:, i, j] += w[:, :, di, dj] @ x[:, p, q]
+                    gx[:, p, q] += w[:, :, di, dj].T @ g[:, i, j]
+                    gw[:, :, di, dj] += np.outer(g[:, i, j], x[:, p, q])
+    return out, gx, gw, g.sum(axis=(1, 2))

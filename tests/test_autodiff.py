@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tape, Tensor
 from teunroll.nn.networks import ResNetProx, complex_to_channels
+
+from oracles import conv2d_reference
 
 
 RNG = np.random.default_rng(1234)
@@ -113,6 +117,33 @@ def test_conv2d_weight_and_bias_gradients():
             num = (fp - fm) / (2 * h)
             scale = max(abs(num), abs(tensor.grad[ix]), 1e-4)
             assert abs(num - tensor.grad[ix]) / scale <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    cin=st.integers(1, 5),
+    cout=st.integers(1, 5),
+    kernel=st.sampled_from([1, 3]),
+    seed=st.integers(0, 10_000),
+)
+def test_conv2d_matches_direct_loop_oracle(h, w, cin, cout, kernel, seed):
+    rng = np.random.default_rng(seed)
+    if h == w:
+        w += 1
+    x = Tensor(rng.standard_normal((cin, h, w)), requires_grad=True)
+    wt = Tensor(rng.standard_normal((cout, cin, kernel, kernel)), requires_grad=True)
+    b = Tensor(rng.standard_normal(cout), requires_grad=True)
+    g = rng.standard_normal((cout, h, w))
+    with Tape() as tape:
+        out = en.conv2d(x, wt, b, kernel=kernel)
+        loss = en.sum_all(en.mul(out, Tensor(g)))
+    tape.backward(loss)
+    expected = conv2d_reference(x.data, wt.data, b.data, g)
+    for got, want in zip((out.data, x.grad, wt.grad, b.grad), expected):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_matmul_parameter_gradient():

@@ -150,6 +150,17 @@ def test_eval_crop_below_ssim_window_is_config_error(tmp_path, dataset, capsys):
     assert mean.startswith("mean,") and np.isfinite(float(mean.split(",")[2]))
 
 
+def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
+    assert run_cli("phantom", "--out", tmp_path / "data", "--size", "8") == 0
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[model]\nprox = tikhonov\n"
+                              "[unroll]\nalgorithm = vsqp\n")
+    for command in ("eval", "recon"):
+        assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "data.dir" in err and "11-pixel SSIM window" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "[unroll]\nwarp_speed = 9\n")
     with pytest.raises(ConfigError, match="unroll.warp_speed"):

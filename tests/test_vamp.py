@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teunroll import prox, vamp
 from teunroll import signal_model as sm
+from teunroll.linops import normal_map_of, to_dense
 
 from oracles import dense_from_probes
 
@@ -151,6 +154,42 @@ def test_run_vamp_on_encoding_operator_matches_ridge():
     assert xh.shape == (16, 16)
     assert np.linalg.norm(xh.ravel() - ridge) <= 1e-6 * np.linalg.norm(ridge)
     assert diags.rows[-1]["nmse"] is not None
+
+
+@st.composite
+def _encodings(draw):
+    """Odd, even and non-square shapes, 1-5 coils, equispaced or random masks."""
+    h = draw(st.integers(8, 33))
+    w = draw(st.integers(8, 33))
+    coils = draw(st.integers(1, 5))
+    R = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        mask = sm.make_equispaced_mask(h, w, R, draw(st.integers(0, w)))
+    else:
+        mask = sm.make_random_mask(h, w, R, draw(st.integers(0, int(round(w / R)))), seed)
+    sens = sm.make_smooth_sensitivities(h, w, coils, seed=seed + 1)
+    return sm.EncodingOperator(mask, sens)
+
+
+@settings(max_examples=12, deadline=None)
+@given(E=_encodings())
+def test_exact_trace_from_row_blocks_matches_dense(E):
+    h, w = E.shape
+    gram = to_dense(normal_map_of(E))
+    off_block = gram.reshape(h, w, h, w).copy()
+    off_block[np.arange(h), :, np.arange(h), :] = 0.0
+    assert np.all(off_block == 0.0)
+
+    y = sm.KSpaceData(np.zeros((E.num_coils, h, w), dtype=complex))
+    op = vamp.VampOperator.from_encoding(E, y)
+    dense_eigs = np.linalg.eigvalsh(dense_from_probes(normal_map_of(E).apply, h * w))
+    assert np.max(np.abs(np.sort(op._eigvals) - dense_eigs)) <= 1e-12
+    # below mu ~ 1e-6 near-null eigenvalues make both traces rounding-sensitive
+    for mu in np.logspace(-3, 1, 9):
+        exact = np.mean(1.0 / (dense_eigs + mu))
+        got = op.trace_inverse_mean(mu, vamp.VampConfig())
+        assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_diagnostics_csv_shape():
