@@ -301,8 +301,7 @@ def conv2d(x, w, b=None, kernel=3):
     """2-D convolution, stride 1, zero padding to keep the spatial shape.
 
     x: (C_in, H, W), w: (C_out, C_in, k, k), optional b: (C_out,).
-    Kernel sizes 1 and 3 are supported.  One GEMM against an unpadded
-    (C_in k^2, H W) patch matrix; out-of-image taps stay zero.
+    Kernel sizes 1 and 3; one GEMM against an unpadded patch matrix.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -311,19 +310,15 @@ def conv2d(x, w, b=None, kernel=3):
     if w.shape[2] != kernel or w.shape[3] != kernel:
         raise ValueError("weight shape disagrees with kernel size")
     cin, h, wd = x.shape
-    cout = w.shape[0]
     pad = (kernel - 1) // 2
     taps = [(di, dj, _tap_slices(di - pad, h), _tap_slices(dj - pad, wd))
             for di in range(kernel) for dj in range(kernel)]
-    if kernel == 1:
-        cols = x.data.reshape(cin, h * wd)
-    else:
-        patches = np.zeros((cin, kernel, kernel, h, wd))
-        for di, dj, (ri, si), (rj, sj) in taps:
-            patches[:, di, dj, ri, rj] = x.data[:, si, sj]
-        cols = patches.reshape(cin * kernel * kernel, h * wd)
-    w2 = w.data.reshape(cout, cin * kernel * kernel)
-    val = (w2 @ cols).reshape(cout, h, wd)
+    cols = np.zeros((cin, kernel, kernel, h, wd))
+    for di, dj, (ri, si), (rj, sj) in taps:
+        cols[:, di, dj, ri, rj] = x.data[:, si, sj]
+    cols = cols.reshape(cin * kernel * kernel, h * wd)
+    w2 = w.data.reshape(w.shape[0], -1)
+    val = (w2 @ cols).reshape(-1, h, wd)
     parents = [x, w]
     if b is not None:
         b = _as_tensor(b)
@@ -332,15 +327,11 @@ def conv2d(x, w, b=None, kernel=3):
 
     def rule(out):
         def run(g):
-            g2 = g.reshape(cout, h * wd)
+            g2 = g.reshape(-1, h * wd)
             if b is not None:
                 _accumulate(b, g.sum(axis=(1, 2)))
             _accumulate(w, (g2 @ cols.T).reshape(w.shape))
-            gcols = w2.T @ g2
-            if kernel == 1:
-                _accumulate(x, gcols.reshape(cin, h, wd))
-                return
-            gcols = gcols.reshape(cin, kernel, kernel, h, wd)
+            gcols = (w2.T @ g2).reshape(cin, kernel, kernel, h, wd)
             gx = np.zeros((cin, h, wd))
             for di, dj, (ri, si), (rj, sj) in taps:
                 gx[:, si, sj] += gcols[:, di, dj, ri, rj]

@@ -55,9 +55,7 @@ class VampOperator:
     """Adapter giving VAMP a uniform view of a measurement operator: the
     Gram map, the adjoint-applied data, and the mean trace of the shifted
     resolvent (exact via eigenvalues up to EXACT_TRACE_LIMIT unknowns,
-    Hutchinson probes beyond).  For an encoding operator the eigenvalues
-    come from the H diagonal W x W row blocks of the Gram, which are all
-    of it: whole-column masks leave image rows uncoupled."""
+    Hutchinson probes beyond)."""
 
     def __init__(self, gram: LinearMap, rhs: np.ndarray, domain_shape=None):
         self.gram = gram
@@ -84,8 +82,9 @@ class VampOperator:
         rhs = E.adjoint(y).data.ravel()
         op = cls(gram, rhs, domain_shape=E.shape)
         if gram.dim <= EXACT_TRACE_LIMIT:
-            # E^H E couples pixels only within an image row (see normal_array),
-            # so its dense matrix is block diagonal: H blocks of size W x W.
+            # Masks sample whole columns (checked in SamplingMask), so E^H E
+            # couples pixels only within an image row: its row-major dense
+            # matrix is block diagonal, H blocks of size W x W.
             h, w = E.shape
             rows = np.arange(h)
             blocks = to_dense(gram).reshape(h, w, h, w)[rows, :, rows, :]
