@@ -11,7 +11,6 @@ import argparse
 import glob
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -285,17 +284,10 @@ def cmd_eval(args):
     E = EncodingOperator(mask, sens)
     crop = cfg["eval"]["crop"]
 
-    def one(i):
-        truth = images[i]
-        y = _measure(E, truth, cfg, i)
-        recon, _ = _reconstruct(cfg, E, y)
-        return _metric_row(truth, recon, crop)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, range(len(images))))
-    else:
-        rows = [one(i) for i in range(len(images))]
+    rows = []
+    for i, truth in enumerate(images):
+        recon, _ = _reconstruct(cfg, E, _measure(E, truth, cfg, i))
+        rows.append(_metric_row(truth, recon, crop))
 
     out = cfg["eval"]["out"]
     os.makedirs(out, exist_ok=True)
@@ -328,7 +320,6 @@ def build_parser():
         description="Time-embedded algorithm unrolling experiment runner.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override run seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for eval")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,5 +1,5 @@
 """Linear-operator plumbing: conjugate gradients on the regularized normal
-equations, Hutchinson trace estimation and power-iteration norm bounds.
+equations and Hutchinson trace estimation.
 
 All inner products are conjugate-linear in the first argument.  LinearMap
 closures must be immutable; every routine here is pure.
@@ -32,10 +32,6 @@ class CgReport:
     converged: bool
 
 
-def identity_map(dim):
-    return LinearMap(lambda v: v.copy(), dim, self_adjoint=True)
-
-
 def from_dense(matrix):
     m = np.asarray(matrix)
     if m.shape[0] != m.shape[1]:
@@ -51,13 +47,13 @@ def shifted(A: LinearMap, mu):
 
 def to_dense(A: LinearMap):
     """Materialize the matrix by probing with unit basis vectors."""
+    out = np.empty((A.dim, A.dim), dtype=np.complex128)
     probe = np.zeros(A.dim, dtype=np.complex128)
-    cols = []
     for i in range(A.dim):
         probe[i] = 1.0
-        cols.append(A.apply(probe.copy()))
+        out[:, i] = A.apply(probe.copy())
         probe[i] = 0.0
-    return np.stack(cols, axis=1)
+    return out
 
 
 def normal_map_of(E):
@@ -132,20 +128,3 @@ def estimate_trace_inverse(A: LinearMap, mu, num_probes, seed, cg_iters=100, cg_
         total += np.vdot(v, sol).real
     return float(total / (num_probes * A.dim))
 
-
-def power_iteration_norm(A: LinearMap, iters, seed):
-    """Rayleigh-quotient estimate of the largest eigenvalue of self-adjoint A."""
-    if iters < 1:
-        raise ValueError("need at least one iteration")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = A.apply(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        lam = np.vdot(v, w).real
-        v = w / norm
-    return float(lam)

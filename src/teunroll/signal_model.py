@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Largest dense Gram row-block array (H x W x W complex) an EncodingOperator
+# caches; above it the Gram runs as 1-D FFTs.  64x64 images fit exactly.
+GRAM_BLOCK_BYTES = 4 * 2**20
+
 
 def fft2c(x):
     """Centered unitary 2-D FFT (DC in the middle of the array)."""
@@ -213,11 +217,21 @@ class EncodingOperator:
     mask: SamplingMask
     sens: CoilSensitivities
     _gram_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_blocks: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mask.pattern.shape != self.sens.maps.shape[1:]:
             raise ValueError("mask and sensitivity shapes disagree")
         self._gram_mask = np.fft.ifftshift(self.mask.pattern[0])
+        h, w = self.shape
+        self._gram_blocks = None
+        if h * w * w * 16 <= GRAM_BLOCK_BYTES:
+            # The H diagonal W x W blocks of E^H E (see normal_array):
+            # A[h, j, k] = P[j, k] * sum_c conj(s[c, h, j]) * s[c, h, k] with
+            # P = ifft1(diag(m') fft1(I)) the masked 1-D filter as a matrix.
+            filt = np.fft.ifft(self._gram_mask[:, None] * np.fft.fft(np.eye(w), axis=0), axis=0)
+            s = self.sens.maps.transpose(1, 0, 2)
+            self._gram_blocks = (np.conj(s).transpose(0, 2, 1) @ s) * filt
 
     @property
     def shape(self):
@@ -261,7 +275,13 @@ class EncodingOperator:
         with 1-D FFTs along the column (phase-encode) axis and m' the column
         mask in unshifted order.  The centring shifts of fft2c/ifft2c cancel
         too: the masked 1-D filter is circulant and commutes with them.
+
+        Each image row is thus mapped by its own W x W matrix.  When those
+        row blocks fit under GRAM_BLOCK_BYTES they are cached at
+        construction and the Gram is one batched matrix-vector product.
         """
+        if self._gram_blocks is not None:
+            return np.matmul(self._gram_blocks, img[:, :, None])[:, :, 0]
         maps = self.sens.maps
         z = np.multiply(maps, img)
         np.fft.fft(z, axis=-1, out=z)

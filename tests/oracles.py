@@ -6,6 +6,8 @@ first-order methods) and never calls the code paths it is used to check.
 
 import numpy as np
 
+from teunroll.linops import LinearMap
+
 
 def dense_from_probes(apply_fn, n, dtype=np.complex128):
     """Materialize a linear map column by column with unit basis vectors."""
@@ -16,6 +18,28 @@ def dense_from_probes(apply_fn, n, dtype=np.complex128):
         cols.append(np.asarray(apply_fn(probe.copy())))
         probe[i] = 0.0
     return np.stack(cols, axis=1)
+
+
+def identity_map(dim):
+    return LinearMap(lambda v: v.copy(), dim, self_adjoint=True)
+
+
+def power_iteration_norm(A, iters, seed):
+    """Rayleigh-quotient estimate of the largest eigenvalue of self-adjoint A."""
+    if iters < 1:
+        raise ValueError("need at least one iteration")
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = A.apply(v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        lam = np.vdot(v, w).real
+        v = w / norm
+    return float(lam)
 
 
 def haar_orthogonal(n, rng):

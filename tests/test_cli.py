@@ -247,7 +247,7 @@ sharing = shared
 [eval]
 out = out_eval2
 """)
-    assert run_cli("--threads", "2", "eval", "--config", cfg) == 0
+    assert run_cli("eval", "--config", cfg) == 0
     lines = (tmp_path / "out_eval2" / "metrics.csv").read_text().strip().split("\n")
     rows = [list(map(float, l.split(",")[1:])) for l in lines[1:] if l.split(",")[0].isdigit()]
     arr = np.array(rows)

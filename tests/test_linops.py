@@ -4,13 +4,13 @@ import pytest
 from teunroll import linops
 from teunroll import signal_model as sm
 
-from oracles import dense_from_probes, spd_with_clusters
+from oracles import dense_from_probes, identity_map, power_iteration_norm, spd_with_clusters
 
 
 def test_cg_identity_one_iteration():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x, report = linops.cg_solve(linops.identity_map(6), b)
+    x, report = linops.cg_solve(identity_map(6), b)
     np.testing.assert_allclose(x, b, atol=1e-14)
     assert report.iterations_run == 1
     assert report.converged
@@ -43,7 +43,7 @@ def test_cg_matches_dense_solve_on_mri_normal_system():
 
 def test_cg_rejects_bad_rhs_and_indefinite_operator():
     with pytest.raises(ValueError):
-        linops.cg_solve(linops.identity_map(4), np.ones(3, dtype=complex))
+        linops.cg_solve(identity_map(4), np.ones(3, dtype=complex))
     indefinite = linops.from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(FloatingPointError):
         linops.cg_solve(indefinite, np.array([0.1, 1.0], dtype=complex), max_iters=5)
@@ -80,6 +80,12 @@ def test_cg_exactness_within_n_iterations():
         assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
+def test_to_dense_recovers_a_non_hermitian_matrix():
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    np.testing.assert_array_equal(linops.to_dense(linops.from_dense(M)), M)
+
+
 def test_trace_inverse_scalar_identity():
     zero = linops.LinearMap(lambda v: np.zeros_like(v), 10, self_adjoint=True)
     assert linops.estimate_trace_inverse(zero, 2.0, 10, seed=0) == pytest.approx(0.5, abs=1e-12)
@@ -108,17 +114,17 @@ def test_trace_inverse_unbiased_against_dense_oracle():
 
 
 def test_power_iteration_examples():
-    assert linops.power_iteration_norm(
+    assert power_iteration_norm(
         linops.from_dense(3.0 * np.eye(5)), 5, seed=0
     ) == pytest.approx(3.0, abs=1e-10)
-    assert linops.power_iteration_norm(
+    assert power_iteration_norm(
         linops.from_dense(np.diag([1.0, 5.0, 2.0])), 100, seed=1
     ) == pytest.approx(5.0, abs=1e-6)
     E = sm.EncodingOperator(
         sm.make_equispaced_mask(12, 12, 1, 0),
         sm.make_smooth_sensitivities(12, 12, 3, seed=2),
     )
-    norm = linops.power_iteration_norm(linops.normal_map_of(E), 100, seed=3)
+    norm = power_iteration_norm(linops.normal_map_of(E), 100, seed=3)
     assert norm == pytest.approx(1.0, abs=1e-6)
 
 

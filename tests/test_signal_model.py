@@ -1,12 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teunroll import signal_model as sm
-from teunroll.linops import normal_map_of, power_iteration_norm
+from teunroll.linops import normal_map_of
 
-from oracles import dense_from_probes
+from oracles import dense_from_probes, power_iteration_norm
 
 
 def _random_image(rng, h, w):
@@ -73,15 +75,18 @@ def test_adjoint_identity_and_zero():
 
 
 @st.composite
-def _operators(draw):
-    """Odd, even and non-square shapes, 1-5 coils, random column masks."""
-    h = draw(st.integers(8, 33))
-    w = draw(st.integers(8, 33))
+def _operators(draw, heights=st.integers(8, 33), widths=st.integers(8, 33)):
+    """Odd, even and non-square shapes, 1-5 coils, equispaced or random
+    column masks."""
+    h = draw(heights)
+    w = draw(widths)
     coils = draw(st.integers(1, 5))
     R = draw(st.integers(1, 4))
-    acs = draw(st.integers(0, int(round(w / R))))
     seed = draw(st.integers(0, 10_000))
-    mask = sm.make_random_mask(h, w, R, acs, seed=seed)
+    if draw(st.booleans()):
+        mask = sm.make_equispaced_mask(h, w, R, draw(st.integers(0, w)))
+    else:
+        mask = sm.make_random_mask(h, w, R, draw(st.integers(0, int(round(w / R)))), seed)
     sens = sm.make_smooth_sensitivities(h, w, coils, seed=seed + 1)
     return sm.EncodingOperator(mask, sens), np.random.default_rng(seed + 2)
 
@@ -98,14 +103,38 @@ def test_adjoint_identity_property(op):
     assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
 
 
+# 17 or more rows of width 128 exceed GRAM_BLOCK_BYTES: the FFT path.
 @settings(max_examples=40, deadline=None)
-@given(op=_operators())
+@given(op=st.one_of(_operators(), _operators(st.integers(17, 24), st.just(128))))
 def test_normal_array_matches_adjoint_of_forward(op):
     E, rng = op
-    x = _random_image(rng, *E.shape)
+    h, w = E.shape
+    assert (E._gram_blocks is None) == (h * w * w * 16 > sm.GRAM_BLOCK_BYTES)
+    x = _random_image(rng, h, w)
     direct = E.adjoint(E.forward(x)).data
     gram = E.normal_array(x.data)
     assert np.linalg.norm(gram - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=_operators())
+def test_row_block_gram_matches_fft_gram(op):
+    E, rng = op
+    with mock.patch.object(sm, "GRAM_BLOCK_BYTES", 0):
+        E_fft = sm.EncodingOperator(E.mask, E.sens)
+    assert E._gram_blocks is not None and E_fft._gram_blocks is None
+    x = _random_image(rng, *E.shape).data
+    fft = E_fft.normal_array(x)
+    assert np.linalg.norm(E.normal_array(x) - fft) <= 1e-12 * np.linalg.norm(fft)
+
+
+def test_row_blocks_cached_only_under_the_cap():
+    def operator(n, coils):
+        mask = sm.make_equispaced_mask(n, n, 4, 8)
+        return sm.EncodingOperator(mask, sm.make_smooth_sensitivities(n, n, coils, seed=0))
+
+    assert operator(64, 4)._gram_blocks.nbytes == sm.GRAM_BLOCK_BYTES
+    assert operator(128, 8)._gram_blocks is None
 
 
 @settings(max_examples=25, deadline=None)
