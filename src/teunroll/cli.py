@@ -16,8 +16,7 @@ import numpy as np
 
 from . import ktn, metrics
 from .config import ConfigError, echo_config, load_config
-from .nn import TrainableEngine, save_checkpoint, load_checkpoint, train
-from .nn.training import TrainingError
+from .nn import TrainableEngine, TrainingError, save_checkpoint, load_checkpoint, train
 from .pngout import write_png
 from .prox import identity_prox, soft_threshold_prox, tikhonov_prox
 from .signal_model import (
@@ -31,12 +30,14 @@ from .signal_model import (
     make_random_mask,
     make_smooth_sensitivities,
 )
-from .unroll import ScalarSchedule, UnrollConfig, run_unrolled
+from .unroll import Diagnostics, ScalarSchedule, UnrollConfig, run_unrolled
 from .vamp import VampConfig, run_vamp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+METRIC_COLUMNS = ("psnr_db", "ssim", "nmse")
 
 
 # -- dataset helpers ---------------------------------------------------------
@@ -166,6 +167,11 @@ def _metric_row(reference, test, crop):
     )
 
 
+def _write_csv(path, table):
+    with open(path, "w") as fh:
+        fh.write(table.to_csv())
+
+
 def _center_crop(arr, size):
     h, w = arr.shape
     size = min(size, h, w)
@@ -228,19 +234,15 @@ def cmd_recon(args):
     os.makedirs(out, exist_ok=True)
     ktn.write_ktn(os.path.join(out, "recon.ktn"), recon.data)
     write_png(os.path.join(out, "recon.png"), np.abs(recon.data))
-    with open(os.path.join(out, "diagnostics.csv"), "w") as fh:
-        fh.write(diags.to_csv())
-    zf = E.adjoint(y)
-    with open(os.path.join(out, "metrics.csv"), "w") as fh:
-        crop = cfg["eval"]["crop"]
-        fh.write("which,psnr_db,ssim,nmse\n")
-        for which, img in (("recon", recon), ("zero_filled", zf)):
-            p, s, n = _metric_row(truth, img, crop)
-            fh.write(f"{which},{p!r},{s!r},{n!r}\n")
+    _write_csv(os.path.join(out, "diagnostics.csv"), diags)
+    table = Diagnostics(("which",) + METRIC_COLUMNS)
+    for which, img in (("recon", recon), ("zero_filled", E.adjoint(y))):
+        table.record(which, *_metric_row(truth, img, cfg["eval"]["crop"]))
+    _write_csv(os.path.join(out, "metrics.csv"), table)
     echo_config(cfg, os.path.join(out, "config.echo.ini"))
     if args.verbose:
-        p, _, n = _metric_row(truth, recon, cfg["eval"]["crop"])
-        print(f"recon written to {out} (psnr {p:.2f} dB, nmse {n:.3e})")
+        row = table.rows[0]
+        print(f"recon written to {out} (psnr {row['psnr_db']:.2f} dB, nmse {row['nmse']:.3e})")
     return EXIT_OK
 
 
@@ -263,10 +265,10 @@ def cmd_train(args):
     out = cfg["train"]["out"]
     os.makedirs(out, exist_ok=True)
     save_checkpoint(os.path.join(out, "checkpoint"), engine.parameters())
-    with open(os.path.join(out, "loss.csv"), "w") as fh:
-        fh.write("epoch,train_mse\n")
-        for i, v in enumerate(curve):
-            fh.write(f"{i},{v!r}\n")
+    loss = Diagnostics(("epoch", "train_mse"))
+    for i, v in enumerate(curve):
+        loss.record(i, v)
+    _write_csv(os.path.join(out, "loss.csv"), loss)
     echo_config(cfg, os.path.join(out, "config.echo.ini"))
     if args.verbose:
         tail = f"final loss {curve[-1]:.4e}" if curve else "no epochs run"
@@ -292,20 +294,16 @@ def cmd_eval(args):
     out = cfg["eval"]["out"]
     os.makedirs(out, exist_ok=True)
     arr = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(arr[:, 0])
+    table = Diagnostics(("slice",) + METRIC_COLUMNS)
+    for i, row in enumerate(rows):
+        table.record(i, *row)
+    table.record("mean", float(np.mean(arr[finite, 0])) if finite.any() else float("inf"),
+                 float(np.mean(arr[:, 1])), float(np.mean(arr[:, 2])))
+    table.record("std", float(np.std(arr[finite, 0])) if finite.any() else 0.0,
+                 float(np.std(arr[:, 1])), float(np.std(arr[:, 2])))
     csv_path = os.path.join(out, "metrics.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("slice,psnr_db,ssim,nmse\n")
-        for i, (p, s, n) in enumerate(rows):
-            fh.write(f"{i},{p!r},{s!r},{n!r}\n")
-        finite = np.isfinite(arr[:, 0])
-        mean_psnr = float(np.mean(arr[finite, 0])) if finite.any() else float("inf")
-        std_psnr = float(np.std(arr[finite, 0])) if finite.any() else 0.0
-        fh.write(
-            f"mean,{mean_psnr!r},{float(np.mean(arr[:, 1]))!r},{float(np.mean(arr[:, 2]))!r}\n"
-        )
-        fh.write(
-            f"std,{std_psnr!r},{float(np.std(arr[:, 1]))!r},{float(np.std(arr[:, 2]))!r}\n"
-        )
+    _write_csv(csv_path, table)
     echo_config(cfg, os.path.join(out, "config.echo.ini"))
     if args.verbose:
         print(f"metrics for {len(rows)} slice(s) written to {csv_path}")
@@ -362,10 +360,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, FloatingPointError) as exc:

@@ -19,10 +19,6 @@ class LinearMap:
 
     apply: Callable[[np.ndarray], np.ndarray]
     dim: int
-    self_adjoint: bool = False
-
-    def __call__(self, v):
-        return self.apply(v)
 
 
 @dataclass
@@ -36,13 +32,12 @@ def from_dense(matrix):
     m = np.asarray(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError("from_dense needs a square matrix")
-    herm = np.allclose(m, m.conj().T, atol=1e-12)
-    return LinearMap(lambda v: m @ v, m.shape[0], self_adjoint=herm)
+    return LinearMap(lambda v: m @ v, m.shape[0])
 
 
 def shifted(A: LinearMap, mu):
     """The map v -> A v + mu v."""
-    return LinearMap(lambda v: A.apply(v) + mu * v, A.dim, A.self_adjoint)
+    return LinearMap(lambda v: A.apply(v) + mu * v, A.dim)
 
 
 def to_dense(A: LinearMap):
@@ -67,12 +62,12 @@ def normal_map_of(E):
         img = ComplexImage(v.reshape(h, w))
         return E.normal(img).data.ravel()
 
-    return LinearMap(apply, h * w, self_adjoint=True)
+    return LinearMap(apply, h * w)
 
 
-def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12, x0=None):
-    """Conjugate gradients for self-adjoint PSD A, zero initial guess by
-    default.  Stops early once ||r|| <= tol * ||b||.
+def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):
+    """Conjugate gradients for self-adjoint PSD A from a zero initial
+    guess.  Stops early once ||r|| <= tol * ||b||.
 
     Returns (x, CgReport).  Raises on non-finite values, which signal an
     indefinite or broken operator.
@@ -80,12 +75,8 @@ def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12, x0=None):
     b = np.asarray(b)
     if b.shape != (A.dim,):
         raise ValueError(f"rhs length {b.shape} != operator dim {A.dim}")
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.asarray(x0).copy()
-        r = b - A.apply(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return x, CgReport(0, 0.0, True)
@@ -114,7 +105,7 @@ def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12, x0=None):
     return x, CgReport(it, resid, resid <= tol * b_norm or resid == 0.0)
 
 
-def estimate_trace_inverse(A: LinearMap, mu, num_probes, seed, cg_iters=100, cg_tol=1e-12):
+def estimate_trace_inverse(A: LinearMap, mu, num_probes, seed, cg_iters=100):
     """Hutchinson estimate of (1/N) Tr[(A + mu I)^{-1}] with Rademacher
     probes, each solved by CG.  Deterministic given the seed."""
     if num_probes < 1:
@@ -124,7 +115,7 @@ def estimate_trace_inverse(A: LinearMap, mu, num_probes, seed, cg_iters=100, cg_
     total = 0.0
     for _ in range(num_probes):
         v = rng.integers(0, 2, size=A.dim).astype(np.float64) * 2.0 - 1.0
-        sol, _ = cg_solve(shifted_A, v.astype(np.complex128), max_iters=cg_iters, tol=cg_tol)
+        sol, _ = cg_solve(shifted_A, v.astype(np.complex128), max_iters=cg_iters)
         total += np.vdot(v, sol).real
     return float(total / (num_probes * A.dim))
 

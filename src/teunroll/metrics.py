@@ -10,6 +10,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 SSIM_WINDOW = 11  # pixels per side of the SSIM window; smaller images have no SSIM
+SSIM_SIGMA = 1.5  # standard deviation of the Gaussian window weights
+SSIM_K1, SSIM_K2 = 0.01, 0.03  # stabilizers, as fractions of the data range
 
 
 def _as_real(img):
@@ -48,21 +50,21 @@ def _filter_valid(img, g):
     return sliding_window_view(rows, g.size, axis=1) @ g
 
 
-def ssim(reference, test, k1=0.01, k2=0.03, window_size=SSIM_WINDOW, sigma=1.5, data_range=None):
+def ssim(reference, test, data_range=None):
     """Mean single-scale SSIM over all valid Gaussian-weighted windows."""
     ref = _as_real(reference)
     tst = _as_real(test)
     if ref.shape != tst.shape:
         raise ValueError("ssim inputs must share a shape")
-    if min(ref.shape) < window_size:
-        raise ValueError(f"images must be at least {window_size} pixels per side")
+    if min(ref.shape) < SSIM_WINDOW:
+        raise ValueError(f"images must be at least {SSIM_WINDOW} pixels per side")
     if data_range is None:
         data_range = float(ref.max() - ref.min())
     if data_range <= 0:
         raise ValueError("data_range must be positive")
-    g = _gaussian_kernel(window_size, sigma)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    g = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
     mu_r = _filter_valid(ref, g)
     mu_t = _filter_valid(tst, g)
     rr = _filter_valid(ref * ref, g)

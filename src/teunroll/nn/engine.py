@@ -143,18 +143,6 @@ def sub(a, b):
     return _make(a.data - b.data, (a, b), rule)
 
 
-def neg(a):
-    a = _as_tensor(a)
-
-    def rule(out):
-        def run(g):
-            _accumulate(a, -g)
-
-        return run
-
-    return _make(-a.data, (a,), rule)
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data

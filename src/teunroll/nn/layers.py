@@ -8,6 +8,10 @@ import numpy as np
 from . import engine as en
 from .engine import Tensor
 
+EMBED_DIM = 32  # length of the sinusoidal code of the unroll index
+PERIOD = 10000.0  # longest wavelength of that code
+HIDDEN = 128  # width of the time MLP and input of every FiLM head
+
 
 def kaiming_uniform(rng, shape, fan_in):
     bound = np.sqrt(6.0 / fan_in)
@@ -45,13 +49,9 @@ class Linear:
 
 
 class Conv2d:
-    def __init__(self, store: ParamStore, name, in_ch, out_ch, rng, kernel=3, zero_init=False):
+    def __init__(self, store: ParamStore, name, in_ch, out_ch, rng, kernel=3):
         self.kernel = kernel
-        fan_in = in_ch * kernel * kernel
-        if zero_init:
-            w = np.zeros((out_ch, in_ch, kernel, kernel))
-        else:
-            w = kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), fan_in)
+        w = kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel)
         self.w = store.create(f"{name}.w", w)
         self.b = store.create(f"{name}.b", np.zeros(out_ch))
 
@@ -59,7 +59,7 @@ class Conv2d:
         return en.conv2d(x, self.w, self.b, kernel=self.kernel)
 
 
-def sinusoidal_encode(t, embed_dim=32, period=10000.0):
+def sinusoidal_encode(t, embed_dim=EMBED_DIM, period=PERIOD):
     """Sinusoidal position code of the unroll index: the first half holds
     sin(t / period^(2k/dim)), the second half the matching cosines."""
     if embed_dim % 2 != 0:
@@ -74,15 +74,12 @@ class TimeEmbedder:
     """Sinusoidal encoder followed by a two-layer SiLU MLP; per-block FiLM
     heads hang off the shared feature vector."""
 
-    def __init__(self, store: ParamStore, rng, embed_dim=32, period=10000.0, hidden=128):
-        self.embed_dim = embed_dim
-        self.period = period
-        self.hidden = hidden
-        self.fc1 = Linear(store, "time.fc1", embed_dim, hidden, rng)
-        self.fc2 = Linear(store, "time.fc2", hidden, hidden, rng)
+    def __init__(self, store: ParamStore, rng):
+        self.fc1 = Linear(store, "time.fc1", EMBED_DIM, HIDDEN, rng)
+        self.fc2 = Linear(store, "time.fc2", HIDDEN, HIDDEN, rng)
 
     def features(self, t):
-        code = Tensor(sinusoidal_encode(t, self.embed_dim, self.period))
+        code = Tensor(sinusoidal_encode(t))
         return self.fc2(en.silu(self.fc1(code)))
 
 
@@ -90,9 +87,9 @@ class FilmHead:
     """The pair of affine heads producing a block's (alpha, beta); both are
     zero-initialized so modulation starts as an identity perturbation."""
 
-    def __init__(self, store: ParamStore, name, hidden, channels, rng):
-        self.alpha = Linear(store, f"{name}.alpha", hidden, channels, rng, zero_init=True)
-        self.beta = Linear(store, f"{name}.beta", hidden, channels, rng, zero_init=True)
+    def __init__(self, store: ParamStore, name, channels, rng):
+        self.alpha = Linear(store, f"{name}.alpha", HIDDEN, channels, rng, zero_init=True)
+        self.beta = Linear(store, f"{name}.beta", HIDDEN, channels, rng, zero_init=True)
 
     def __call__(self, feat):
         return self.alpha(feat), self.beta(feat)

@@ -24,6 +24,9 @@ from .layers import (
     film_residual_modulate,
 )
 
+RESIDUAL_SCALE = 0.1  # weight of each residual block's body in ResNetProx
+FILM_TAU = 0.1  # strength of the scaled FiLM perturbation in ResNetProx
+
 
 def complex_to_channels(img):
     img = np.asarray(img, dtype=np.complex128)
@@ -36,8 +39,8 @@ def channels_to_complex(arr):
 
 class ProxNetworkBase:
     """Shared surface of the proximal networks: a flat parameter store plus
-    bridges between flat complex vectors, complex images and the 2-channel
-    real tensors the forward pass consumes."""
+    a bridge from complex images to the 2-channel real tensors the forward
+    pass consumes."""
 
     store: ParamStore
 
@@ -51,16 +54,6 @@ class ProxNetworkBase:
         out = self.forward(Tensor(complex_to_channels(img)), t)
         return channels_to_complex(out.data)
 
-    def apply(self, u, noise_precision=1.0, t=None):
-        """Proximal-map duck type; flat complex vectors in and out."""
-        u = np.asarray(u)
-        if u.ndim == 2:
-            return self.apply_complex(u, t)
-        side = int(round(np.sqrt(u.size)))
-        if u.ndim != 1 or side * side != u.size:
-            raise ValueError("flat inputs must come from square images")
-        return self.apply_complex(u.reshape(side, side), t).ravel()
-
 
 class ResNetProx(ProxNetworkBase):
     """Input conv, a stack of conv-ReLU-conv residual blocks with a 0.1
@@ -68,12 +61,7 @@ class ResNetProx(ProxNetworkBase):
     Time-embedded blocks first perturb their input with the scaled FiLM
     modulation before the convolutions."""
 
-    def __init__(self, blocks=3, channels=16, scale=0.1, time_embedded=False,
-                 tau=0.1, seed=0, embed_dim=32, period=10000.0, hidden=128):
-        self.blocks = blocks
-        self.channels = channels
-        self.scale = scale
-        self.tau = tau
+    def __init__(self, blocks=3, channels=16, time_embedded=False, seed=0):
         self.time_embedded = time_embedded
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
@@ -85,9 +73,9 @@ class ResNetProx(ProxNetworkBase):
             self.block_convs.append((c1, c2))
         self.conv_out = Conv2d(self.store, "conv_out", channels, 2, rng)
         if time_embedded:
-            self.time = TimeEmbedder(self.store, rng, embed_dim, period, hidden)
+            self.time = TimeEmbedder(self.store, rng)
             self.heads = [
-                FilmHead(self.store, f"block{i}.film", hidden, channels, rng)
+                FilmHead(self.store, f"block{i}.film", channels, rng)
                 for i in range(blocks)
             ]
         self.groups = default_groups(channels)
@@ -103,9 +91,9 @@ class ResNetProx(ProxNetworkBase):
             f = h
             if self.time_embedded:
                 alpha, beta = self.heads[i](feat)
-                f = film_residual_modulate(f, alpha, beta, self.tau, self.groups)
+                f = film_residual_modulate(f, alpha, beta, FILM_TAU, self.groups)
             body = c2(en.relu(c1(f)))
-            h = en.add(h, en.mul(Tensor(self.scale), body))
+            h = en.add(h, en.mul(Tensor(RESIDUAL_SCALE), body))
         return en.add(x, self.conv_out(h))
 
 
@@ -113,8 +101,7 @@ class _ResBlock:
     """U-Net residual block: GN, SiLU, conv, (FiLM | GN), SiLU, conv with a
     1x1 skip when the channel count changes."""
 
-    def __init__(self, store, name, cin, cout, rng, time_embedded, hidden):
-        self.cin, self.cout = cin, cout
+    def __init__(self, store, name, cin, cout, rng, time_embedded):
         self.gin = default_groups(cin)
         self.gmid = default_groups(cout)
         self.conv1 = Conv2d(store, f"{name}.conv1", cin, cout, rng)
@@ -124,7 +111,7 @@ class _ResBlock:
             self.skip = Conv2d(store, f"{name}.skip", cin, cout, rng, kernel=1)
         self.head = None
         if time_embedded:
-            self.head = FilmHead(store, f"{name}.film", hidden, cout, rng)
+            self.head = FilmHead(store, f"{name}.film", cout, rng)
 
     def __call__(self, x, feat):
         h = self.conv1(en.silu(en.group_norm(x, self.gin)))
@@ -142,24 +129,21 @@ class UNetProx(ProxNetworkBase):
     """Two downsampling stages, a bottleneck and two upsampling stages with
     skip concatenation; channels double on the way down."""
 
-    def __init__(self, base_channels=16, res_blocks=1, time_embedded=False,
-                 seed=0, embed_dim=32, period=10000.0, hidden=128):
-        self.base_channels = base_channels
-        self.res_blocks = res_blocks
+    def __init__(self, base_channels=16, res_blocks=1, time_embedded=False, seed=0):
         self.time_embedded = time_embedded
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
         c = base_channels
         self.conv_in = Conv2d(self.store, "conv_in", 2, c, rng)
         if time_embedded:
-            self.time = TimeEmbedder(self.store, rng, embed_dim, period, hidden)
+            self.time = TimeEmbedder(self.store, rng)
 
         def stage(name, cin, cout):
             blocks = []
             for i in range(res_blocks):
                 blocks.append(
                     _ResBlock(self.store, f"{name}.rb{i}", cin if i == 0 else cout,
-                              cout, rng, time_embedded, hidden)
+                              cout, rng, time_embedded)
                 )
             return blocks
 

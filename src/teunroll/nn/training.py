@@ -74,9 +74,6 @@ class TrainableEngine:
                  seed=0, mu_init=None, rho_init=0.1, lam_init=0.1, **arch_kwargs):
         self.config = UnrollConfig(algorithm=algorithm, T=T, cg_iters=cg_iters,
                                    sharing=sharing)
-        self.arch = arch
-        self.arch_kwargs = dict(arch_kwargs)
-        self.seed = seed
         time_embedded = sharing == "time_embedded"
         n_nets = T if sharing == "unshared" else 1
         self.networks = [
@@ -114,12 +111,15 @@ class TrainableEngine:
         return sum(int(t.data.size) for t in self.parameters().values())
 
     def load_state(self, state):
-        """Install a checkpoint's arrays; shapes are checked against the
-        engine's architecture."""
+        """Install a checkpoint's arrays.  Its parameter names must be
+        exactly the engine's and each shape must match."""
         params = self.parameters()
         missing = sorted(set(params) - set(state))
         if missing:
             raise KeyError(f"checkpoint is missing parameters: {missing[:4]}...")
+        unknown = sorted(set(state) - set(params))
+        if unknown:
+            raise KeyError(f"checkpoint has parameters this engine lacks: {unknown[:4]}...")
         for name, t in params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:
@@ -181,23 +181,22 @@ class TrainableEngine:
         """Trained scalars as inference-side schedules."""
         T = self.config.T
         mu = np.array([float(self._mu_at(t).data) for t in range(T)])
-        out = {"mu": ScalarSchedule(mu, learnable=True, floor=MU_FLOOR)}
+        out = {"mu": ScalarSchedule(mu)}
         if self.rho:
-            out["rho"] = ScalarSchedule(np.array([float(r.data) for r in self.rho]),
-                                        learnable=True)
+            out["rho"] = ScalarSchedule(np.array([float(r.data) for r in self.rho]))
         if self.lam:
-            out["lam"] = ScalarSchedule(np.full(T, float(self.lam[0].data)),
-                                        learnable=True)
+            out["lam"] = ScalarSchedule(np.full(T, float(self.lam[0].data)))
         return out
 
 
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.t = 0
@@ -208,17 +207,18 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1, b2 = self.BETA1, self.BETA2
+        b1c = 1.0 - b1**self.t
+        b2c = 1.0 - b2**self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def train(engine: TrainableEngine, dataset, epochs, lr, seed=0, shuffle=True):

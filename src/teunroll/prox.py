@@ -89,34 +89,6 @@ def tikhonov_prox(gamma):
     return AnalyticProx("tikhonov", gamma=gamma)
 
 
-@dataclass(frozen=True)
-class L1Prox:
-    """L1 regularizer of weight lam: under noise precision mu the prox is a
-    soft threshold at lam/mu, so fixed points match the LASSO at lam."""
-
-    lam: float
-
-    def apply(self, u, noise_precision):
-        return soft_threshold(np.asarray(u), self.lam / noise_precision)
-
-    def divergence(self, u, noise_precision):
-        return soft_threshold_divergence(u, self.lam / noise_precision)
-
-
-@dataclass(frozen=True)
-class ScaledSoftThreshold:
-    """Soft threshold at c * sqrt(1/mu), i.e. proportional to the current
-    effective noise level, the classic message-passing schedule."""
-
-    c: float
-
-    def apply(self, u, noise_precision):
-        return soft_threshold(np.asarray(u), self.c / np.sqrt(noise_precision))
-
-    def divergence(self, u, noise_precision):
-        return soft_threshold_divergence(u, self.c / np.sqrt(noise_precision))
-
-
 def mc_divergence(p, u, noise_precision, epsilon, seed):
     """Monte Carlo divergence probe for arbitrary (e.g. learned) proximal
     maps: <eta, (p(u + eps*eta) - p(u)) / eps> averaged over the real

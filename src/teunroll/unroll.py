@@ -58,12 +58,9 @@ class UnrollConfig:
 
 @dataclass
 class ScalarSchedule:
-    """One scalar per unroll.  mu schedules carry a positivity floor that
-    training projects onto; rho and lambda are unconstrained."""
+    """One scalar per unroll (mu_t, rho_t or lambda_t)."""
 
     values: np.ndarray
-    learnable: bool = False
-    floor: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -73,13 +70,8 @@ class ScalarSchedule:
             raise ValueError("schedule contains non-finite values")
 
     @classmethod
-    def constant(cls, value, T, learnable=False, floor=0.0):
-        return cls(np.full(T, float(value)), learnable=learnable, floor=floor)
-
-    def project(self):
-        if self.floor > 0.0:
-            np.maximum(self.values, self.floor, out=self.values)
-        return self
+    def constant(cls, value, T):
+        return cls(np.full(T, float(value)))
 
 
 def _wrap_prox(p, shape):
@@ -88,8 +80,6 @@ def _wrap_prox(p, shape):
         return lambda v, t: p.apply_complex(v.reshape(shape), t).ravel()
     if hasattr(p, "apply"):
         return lambda v, t: p.apply(v, 1.0)
-    if callable(p):
-        return lambda v, t: np.asarray(p(v.reshape(shape), t)).ravel()
     raise TypeError(f"cannot use {type(p).__name__} as a proximal operator")
 
 

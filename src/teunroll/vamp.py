@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearMap, cg_solve, estimate_trace_inverse, shifted, to_dense
+from .linops import LinearMap, cg_solve, estimate_trace_inverse, from_dense, shifted, to_dense
 from .prox import mc_divergence
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 from .unroll import Diagnostics
@@ -68,8 +68,7 @@ class VampOperator:
     def from_dense(cls, E, y):
         E = np.asarray(E)
         g = E.conj().T @ E
-        gram = LinearMap(lambda v: g @ v, E.shape[1], self_adjoint=True)
-        op = cls(gram, E.conj().T @ np.asarray(y))
+        op = cls(from_dense(g), E.conj().T @ np.asarray(y))
         if E.shape[1] <= EXACT_TRACE_LIMIT:
             op._eigvals = np.linalg.eigvalsh(g)
         return op

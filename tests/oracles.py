@@ -4,9 +4,12 @@ Everything here is deliberately naive (dense probes, double loops, long
 first-order methods) and never calls the code paths it is used to check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from teunroll.linops import LinearMap
+from teunroll.prox import soft_threshold, soft_threshold_divergence
 
 
 def dense_from_probes(apply_fn, n, dtype=np.complex128):
@@ -21,7 +24,21 @@ def dense_from_probes(apply_fn, n, dtype=np.complex128):
 
 
 def identity_map(dim):
-    return LinearMap(lambda v: v.copy(), dim, self_adjoint=True)
+    return LinearMap(lambda v: v.copy(), dim)
+
+
+@dataclass(frozen=True)
+class ScaledSoftThreshold:
+    """Soft threshold at c * sqrt(1/mu), i.e. proportional to the current
+    effective noise level, the classic message-passing schedule."""
+
+    c: float
+
+    def apply(self, u, noise_precision):
+        return soft_threshold(np.asarray(u), self.c / np.sqrt(noise_precision))
+
+    def divergence(self, u, noise_precision):
+        return soft_threshold_divergence(u, self.c / np.sqrt(noise_precision))
 
 
 def power_iteration_norm(A, iters, seed):

@@ -19,7 +19,7 @@ from teunroll.nn.layers import film_modulate, film_residual_modulate, sinusoidal
 from teunroll.nn.networks import ResNetProx, complex_to_channels, resnet_full, unet_full
 from teunroll.unroll import ScalarSchedule, UnrollConfig, run_unrolled
 
-from oracles import dense_from_probes, fista_lasso, spd_with_clusters
+from oracles import ScaledSoftThreshold, dense_from_probes, fista_lasso, spd_with_clusters
 
 
 def report(criterion, detail):
@@ -132,7 +132,7 @@ def test_criterion_4_vamp_sparse_recovery():
     cfg = vamp.VampConfig(max_iters=50, damping=1.0)
     best = None
     for c in (0.5, 1.0, 2.0):
-        xh, diags = vamp.run_vamp(Ew, yw, prox.ScaledSoftThreshold(c), cfg)
+        xh, diags = vamp.run_vamp(Ew, yw, ScaledSoftThreshold(c), cfg)
         db = 10 * np.log10(np.linalg.norm(xh - x0) ** 2 / np.linalg.norm(x0) ** 2)
         if best is None or db < best[1]:
             best = (c, db, diags.rows[-1]["mu_z"])

@@ -67,7 +67,6 @@ OPS = {
     "add": (lambda x: en.add(x, Tensor(RNG_CONST := 2.5)), (4, 5)),
     "add_broadcast": (lambda x: en.add(x, Tensor(np.arange(5.0))), (4, 5)),
     "sub": (lambda x: en.sub(Tensor(np.ones((4, 5))), x), (4, 5)),
-    "neg": (lambda x: en.neg(x), (4, 5)),
     "mul": (lambda x: en.mul(x, Tensor(D_CONST)), (4, 5)),
     "mul_scalar_broadcast": (lambda x: en.mul(Tensor(np.float64(1.7)), x), (4, 5)),
     "div": (lambda x: en.div(x, Tensor(D_CONST)), (4, 5)),

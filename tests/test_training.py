@@ -59,9 +59,10 @@ class _CountingNet:
 @pytest.mark.parametrize("sharing", SHARING_MODES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @settings(max_examples=8, deadline=None)
-@given(T=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed):
-    E, y, truth = _toy_problem()
+@given(T=st.integers(1, 3), seed=st.integers(0, 2**16),
+       shape=st.sampled_from([(16, 16), (16, 24), (24, 16)]))
+def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed, shape):
+    E, y, truth = _toy_problem(*shape)
     eng = TrainableEngine(algorithm, T=T, cg_iters=15, sharing=sharing,
                           arch="resnet", seed=seed, blocks=1, channels=4)
     rng = np.random.default_rng(seed)
@@ -167,6 +168,14 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
                             seed=0, blocks=1, channels=8)
     with pytest.raises((KeyError, ValueError)):
         wrong.load_state(state)
+    # names the engine lacks are rejected too: alg1's rho_t in a vsqp_te
+    # engine, time and FiLM weights in a static network
+    for algorithm, sharing, extra in (("vsqp_te", "time_embedded", "rho.0000"),
+                                      ("alg1", "shared", "net.block0.film")):
+        narrower = TrainableEngine(algorithm, T=2, sharing=sharing, arch="resnet",
+                                   seed=0, blocks=1, channels=4)
+        with pytest.raises(KeyError, match=extra):
+            narrower.load_state(state)
 
 
 def test_unshared_engine_has_t_networks():

@@ -39,6 +39,16 @@ class CapturingProx:
         return self.out[-1]
 
 
+class FixedProx:
+    """Returns one fixed image whatever it is given."""
+
+    def __init__(self, image):
+        self.image = image
+
+    def apply(self, u, noise_precision=1.0):
+        return self.image.ravel()
+
+
 def _constant_schedules(T, **values):
     return {k: unroll.ScalarSchedule.constant(v, T) for k, v in values.items()}
 
@@ -72,7 +82,7 @@ def test_vsqp_huge_mu_pins_to_prior():
     # the prox hands the prior image to unroll 1, whose solve must return it
     cfg = unroll.UnrollConfig("vsqp", T=2, cg_iters=40, sharing="shared")
     x, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(2, mu=1e6),
-                               [lambda img, t: truth.data])
+                               [FixedProx(truth.data)])
     assert np.linalg.norm(x.data - truth.data) <= 1e-3 * np.linalg.norm(truth.data)
 
 
