@@ -113,7 +113,7 @@ def _load_engine(cfg, checkpoint):
     if checkpoint:
         try:
             engine.load_state(load_checkpoint(checkpoint))
-        except (KeyError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise ConfigError(f"model.checkpoint: {exc}") from None
     return engine
 

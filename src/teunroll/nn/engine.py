@@ -9,9 +9,18 @@ The op set is deliberately small: arithmetic with broadcasting, matmul,
 3x3/1x1 convolution, ReLU/SiLU, GroupNorm, reductions, concat, 2x pooling
 and nearest-neighbor upsampling, plus a hook for self-adjoint linear
 operators (used to push encoding-operator physics through the tape).
+Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
+``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
+
+Gradients are never written in place: every backward rule and every
+caller rebinds ``.grad`` to a new array.  A gradient may therefore alias
+another node's gradient (the first one a tensor receives is stored
+without a copy), and code that needs to modify one must copy it first.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,9 +46,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def tracked(self):
-        return self.requires_grad or self.backward_rule is not None
 
     def __add__(self, other):
         return add(self, other)
@@ -93,22 +99,31 @@ def _as_tensor(v):
 
 def _make(data, parents, rule):
     out = Tensor(data)
-    if _ACTIVE_TAPE is not None and any(p.tracked() for p in parents):
-        out.parents = tuple(parents)
-        out.backward_rule = rule(out)
-        _ACTIVE_TAPE.nodes.append(out)
+    if _ACTIVE_TAPE is None:
+        return out
+    for p in parents:
+        if p.requires_grad or p.backward_rule is not None:
+            out.parents = tuple(parents)
+            out.backward_rule = rule(out)
+            _ACTIVE_TAPE.nodes.append(out)
+            break
     return out
 
 
 def _accumulate(t: Tensor, g):
+    # no copy: gradients are never written in place (see the module docstring)
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g
     else:
         t.grad = t.grad + g
 
 
 def _unbroadcast(grad, shape):
     """Reduce a broadcasted gradient back to ``shape``."""
+    if grad.shape == shape:
+        return grad
+    if not shape:
+        return grad.sum()
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, dim in enumerate(shape):
@@ -169,6 +184,44 @@ def div(a, b):
         return run
 
     return _make(ad / bd, (a, b), rule)
+
+
+def dot(a, b):
+    """``sum(a * b)`` over two tensors of one shape, as a single node."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dot needs equal shapes, got {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
+
+    def rule(out):
+        def run(g):
+            _accumulate(a, g * bd)
+            _accumulate(b, g * ad)
+
+        return run
+
+    return _make((ad * bd).sum(), (a, b), rule)
+
+
+def axpy(alpha, x, y):
+    """``alpha * x + y`` for a scalar ``alpha`` and equal-shaped ``x`` and
+    ``y``, as a single node."""
+    alpha, x, y = _as_tensor(alpha), _as_tensor(x), _as_tensor(y)
+    if alpha.data.ndim != 0:
+        raise ValueError("axpy needs a scalar alpha")
+    if x.shape != y.shape:
+        raise ValueError(f"axpy needs equal shapes, got {x.shape} and {y.shape}")
+    ad, xd = alpha.data, x.data
+
+    def rule(out):
+        def run(g):
+            _accumulate(alpha, (g * xd).sum())
+            _accumulate(x, ad * g)
+            _accumulate(y, g)
+
+        return run
+
+    return _make(ad * xd + y.data, (alpha, x, y), rule)
 
 
 def matmul(a, b):
@@ -285,11 +338,29 @@ def _tap_slices(offset, n):
     return slice(max(0, -offset), n - max(0, offset)), slice(max(0, offset), n + min(0, offset))
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(kernel, h, w):
+    pad = (kernel - 1) // 2
+    return tuple((di, dj, _tap_slices(di - pad, h), _tap_slices(dj - pad, w))
+                 for di in range(kernel) for dj in range(kernel))
+
+
+def _patches(data, kernel):
+    """The (C*k*k, H*W) patch matrix (im2col) of a (C, H, W) array for a
+    stride-1 k x k stencil under shape-preserving zero padding."""
+    c, h, w = data.shape
+    cols = np.zeros((c, kernel, kernel, h, w))
+    for di, dj, (ri, si), (rj, sj) in _taps(kernel, h, w):
+        cols[:, di, dj, ri, rj] = data[:, si, sj]
+    return cols.reshape(c * kernel * kernel, h * w)
+
+
 def conv2d(x, w, b=None, kernel=3):
     """2-D convolution, stride 1, zero padding to keep the spatial shape.
 
     x: (C_in, H, W), w: (C_out, C_in, k, k), optional b: (C_out,).
-    Kernel sizes 1 and 3; one GEMM against an unpadded patch matrix.
+    Kernel sizes 1 and 3; one GEMM against an unpadded patch matrix, and
+    the input gradient is the transposed convolution, one more.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -298,15 +369,9 @@ def conv2d(x, w, b=None, kernel=3):
     if w.shape[2] != kernel or w.shape[3] != kernel:
         raise ValueError("weight shape disagrees with kernel size")
     cin, h, wd = x.shape
-    pad = (kernel - 1) // 2
-    taps = [(di, dj, _tap_slices(di - pad, h), _tap_slices(dj - pad, wd))
-            for di in range(kernel) for dj in range(kernel)]
-    cols = np.zeros((cin, kernel, kernel, h, wd))
-    for di, dj, (ri, si), (rj, sj) in taps:
-        cols[:, di, dj, ri, rj] = x.data[:, si, sj]
-    cols = cols.reshape(cin * kernel * kernel, h * wd)
-    w2 = w.data.reshape(w.shape[0], -1)
-    val = (w2 @ cols).reshape(-1, h, wd)
+    cols = _patches(x.data, kernel)
+    wdata = w.data
+    val = (wdata.reshape(w.shape[0], -1) @ cols).reshape(-1, h, wd)
     parents = [x, w]
     if b is not None:
         b = _as_tensor(b)
@@ -315,15 +380,12 @@ def conv2d(x, w, b=None, kernel=3):
 
     def rule(out):
         def run(g):
-            g2 = g.reshape(-1, h * wd)
             if b is not None:
                 _accumulate(b, g.sum(axis=(1, 2)))
-            _accumulate(w, (g2 @ cols.T).reshape(w.shape))
-            gcols = (w2.T @ g2).reshape(cin, kernel, kernel, h, wd)
-            gx = np.zeros((cin, h, wd))
-            for di, dj, (ri, si), (rj, sj) in taps:
-                gx[:, si, sj] += gcols[:, di, dj, ri, rj]
-            _accumulate(x, gx)
+            _accumulate(w, (g.reshape(-1, h * wd) @ cols.T).reshape(w.shape))
+            # same-padded convolution of g with the flipped, channel-swapped kernel
+            w_flip = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            _accumulate(x, (w_flip @ _patches(g, kernel)).reshape(cin, h, wd))
 
         return run
 

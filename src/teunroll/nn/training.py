@@ -39,23 +39,30 @@ def normal_fn(E: EncodingOperator):
 def cg_tape(apply_A, b, iters):
     """Differentiable CG with a fixed iteration budget and zero start.
 
-    apply_A maps Tensor -> Tensor and must be self-adjoint PSD.  The tiny
-    denominator guard only matters once the residual is at round-off.
+    apply_A maps Tensor -> Tensor and must be self-adjoint PSD.  The inner
+    products and the x and p updates are single ``dot``/``axpy`` nodes.
+    The tiny denominator guard only matters once the residual is at
+    round-off.
     """
     x = Tensor(np.zeros_like(b.data))
     r = b
     p = r
-    rs = en.sum_all(en.mul(r, r))
+    rs = en.dot(r, r)
     for _ in range(iters):
         Ap = apply_A(p)
-        alpha = en.div(rs, en.add(en.sum_all(en.mul(p, Ap)), Tensor(_DENOM_GUARD)))
-        x = en.add(x, en.mul(alpha, p))
+        alpha = en.div(rs, en.add(en.dot(p, Ap), Tensor(_DENOM_GUARD)))
+        x = en.axpy(alpha, p, x)
         r = en.sub(r, en.mul(alpha, Ap))
-        rs_new = en.sum_all(en.mul(r, r))
+        rs_new = en.dot(r, r)
         beta = en.div(rs_new, en.add(rs, Tensor(_DENOM_GUARD)))
-        p = en.add(r, en.mul(beta, p))
+        p = en.axpy(beta, p, r)
         rs = rs_new
     return x
+
+
+def _name_list(names):
+    """The first four names, plainly, with "..." only when more were cut."""
+    return ", ".join(names[:4]) + (", ..." if len(names) > 4 else "")
 
 
 class TrainableEngine:
@@ -116,10 +123,11 @@ class TrainableEngine:
         params = self.parameters()
         missing = sorted(set(params) - set(state))
         if missing:
-            raise KeyError(f"checkpoint is missing parameters: {missing[:4]}...")
+            raise ValueError(f"checkpoint is missing parameters: {_name_list(missing)}")
         unknown = sorted(set(state) - set(params))
         if unknown:
-            raise KeyError(f"checkpoint has parameters this engine lacks: {unknown[:4]}...")
+            raise ValueError(
+                f"checkpoint has parameters this engine lacks: {_name_list(unknown)}")
         for name, t in params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:
@@ -158,7 +166,7 @@ class TrainableEngine:
 
         def solve(t, b):
             def apply_A(v):
-                return en.add(en.linear_selfadjoint(v, fn), en.mul(mu[t], v))
+                return en.axpy(mu[t], v, en.linear_selfadjoint(v, fn))
 
             return cg_tape(apply_A, b, self.config.cg_iters), None
 

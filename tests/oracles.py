@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from teunroll.linops import LinearMap
+from teunroll.nn import engine as en
+from teunroll.nn.engine import Tensor
 from teunroll.prox import soft_threshold, soft_threshold_divergence
 
 
@@ -186,3 +188,23 @@ def conv2d_reference(x, w, b, g):
                     gx[:, p, q] += w[:, :, di, dj].T @ g[:, i, j]
                     gw[:, :, di, dj] += np.outer(g[:, i, j], x[:, p, q])
     return out, gx, gw, g.sum(axis=(1, 2))
+
+
+def cg_tape_reference(apply_A, b, iters):
+    """The taped fixed-budget CG composed from elementwise and reduction
+    primitives only (no fused ``dot``/``axpy`` nodes)."""
+    guard = 1e-30
+    x = Tensor(np.zeros_like(b.data))
+    r = b
+    p = r
+    rs = en.sum_all(en.mul(r, r))
+    for _ in range(iters):
+        Ap = apply_A(p)
+        alpha = en.div(rs, en.add(en.sum_all(en.mul(p, Ap)), Tensor(guard)))
+        x = en.add(x, en.mul(alpha, p))
+        r = en.sub(r, en.mul(alpha, Ap))
+        rs_new = en.sum_all(en.mul(r, r))
+        beta = en.div(rs_new, en.add(rs, Tensor(guard)))
+        p = en.add(r, en.mul(beta, p))
+        rs = rs_new
+    return x

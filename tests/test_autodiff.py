@@ -85,6 +85,11 @@ OPS = {
     "avg_pool2": (lambda x: en.avg_pool2(x), (3, 8, 8)),
     "upsample_nearest2": (lambda x: en.upsample_nearest2(x), (3, 4, 4)),
     "linear_selfadjoint": (lambda x: en.linear_selfadjoint(x, lambda v: SYM @ v), (7,)),
+    "dot": (lambda x: en.dot(x, Tensor(D_CONST)), (4, 5)),
+    "dot_self": (lambda x: en.dot(x, x), (4, 5)),
+    "axpy_alpha": (lambda a: en.axpy(a, Tensor(D_CONST), Tensor(np.ones((4, 5)))), ()),
+    "axpy_x": (lambda x: en.axpy(Tensor(np.float64(1.7)), x, Tensor(D_CONST)), (4, 5)),
+    "axpy_y": (lambda y: en.axpy(Tensor(np.float64(-0.6)), Tensor(D_CONST), y), (4, 5)),
 }
 
 
@@ -226,3 +231,39 @@ def test_gradient_accumulates_across_reuse():
         loss = en.add(en.mul(x, x), en.mul(Tensor(3.0), x))  # x^2 + 3x
     tape.backward(loss)
     assert x.grad == pytest.approx(7.0)
+
+
+def test_reused_tensor_gets_summed_gradient():
+    # the first gradient a tensor receives is stored without a copy; a
+    # second contribution must still add to it, not overwrite or alias it
+    # (in either order, so that some gradient is shared by two nodes when
+    # the second contribution arrives)
+    x0 = RNG.standard_normal((3, 4))
+    for first, second in ((en.add, en.mul), (en.mul, en.add)):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = en.sum_all(en.add(first(x, x), second(x, x)))  # sum(2x + x^2)
+        tape.backward(loss)
+        np.testing.assert_allclose(x.grad, 2.0 + 2.0 * x0, rtol=1e-15)
+
+
+def test_backward_passes_on_fresh_tapes_agree():
+    net = ResNetProx(blocks=2, channels=8, time_embedded=True, seed=0)
+    rng = np.random.default_rng(3)
+    x2 = rng.standard_normal((2, 8, 8))
+    target = rng.standard_normal((2, 8, 8))
+    params = net.parameters()
+    passes = []
+    for _ in range(2):
+        for t in params.values():
+            t.grad = None
+        with Tape() as tape:
+            loss = en.mse(net.forward(Tensor(x2), t=2), Tensor(target))
+        tape.backward(loss)
+        # kept without a copy: a later pass must not write into them
+        passes.append({k: t.grad for k, t in params.items()})
+    first, second = passes
+    assert all(first[k] is not None for k in params)
+    for k in params:
+        assert first[k] is not second[k]
+        np.testing.assert_array_equal(first[k], second[k])

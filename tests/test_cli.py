@@ -370,7 +370,10 @@ out = eval_mismatch
     # loaded into a static network: every one is a config error
     assert run_cli("recon", "--config", cfg("b.ini", channels=8)) == cli.EXIT_CONFIG
     assert run_cli("eval", "--config", cfg("c.ini", algorithm="vsqp_te")) == cli.EXIT_CONFIG
-    assert "rho.0000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # both extra names are listed, plainly and without a trailing "..."
+    assert "rho.0000, rho.0001" in err and "\\'" not in err
+    assert not err.rstrip().endswith("...")
     assert run_cli("recon", "--config", cfg("d.ini", sharing="shared")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "model.checkpoint" in err and "net.block0.film.alpha.b" in err

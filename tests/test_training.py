@@ -11,7 +11,7 @@ from teunroll.nn.networks import load_checkpoint, save_checkpoint
 from teunroll.nn.training import cg_tape
 from teunroll.unroll import ALGORITHMS, SHARING_MODES, UnrollConfig, run_unrolled
 
-from oracles import spd_with_clusters
+from oracles import cg_tape_reference, spd_with_clusters
 
 
 def _toy_problem(h=16, w=16, coils=2, seeds=(0, 1, 2)):
@@ -31,6 +31,44 @@ def test_cg_tape_matches_plain_cg():
                      Tensor(b), iters=20)
     x_ref, _ = cg_solve(from_dense(A), b.astype(complex), max_iters=20, tol=0.0)
     assert np.linalg.norm(x_tape.data - x_ref.real) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    mu=st.floats(1e-3, 10.0),
+    iters=st.integers(1, 15),
+    seed=st.integers(0, 10_000),
+)
+def test_cg_tape_matches_composed_reference(h, w, mu, iters, seed):
+    """The fused dot/axpy CG reproduces the primitive-composed one: the
+    same output bits, and gradients for b and mu to rounding."""
+    rng = np.random.default_rng(seed)
+    n = 2 * h * w
+    A = spd_with_clusters(n, min(n, 6), 50.0, rng) * 0.02
+    b0 = rng.standard_normal((2, h, w))
+    probe = rng.standard_normal((2, h, w))
+
+    def gram(d):
+        return (A @ d.ravel()).reshape(d.shape)
+
+    def run(solver, apply_A_of):
+        b = Tensor(b0.copy(), requires_grad=True)
+        m = Tensor(np.float64(mu), requires_grad=True)
+        with en.Tape() as tape:
+            x = solver(apply_A_of(m), b, iters)
+            loss = en.sum_all(en.mul(x, Tensor(probe)))
+        tape.backward(loss)
+        return x.data, b.grad, m.grad
+
+    # the training engine's operator and the one it replaced
+    fused = run(cg_tape, lambda m: lambda v: en.axpy(m, v, en.linear_selfadjoint(v, gram)))
+    composed = run(cg_tape_reference,
+                   lambda m: lambda v: en.add(en.linear_selfadjoint(v, gram), en.mul(m, v)))
+    assert fused[0].tobytes() == composed[0].tobytes()
+    for got, want in zip(fused[1:], composed[1:]):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_tape_engine_agrees_with_inference_engine():
@@ -174,7 +212,7 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
                                       ("alg1", "shared", "net.block0.film")):
         narrower = TrainableEngine(algorithm, T=2, sharing=sharing, arch="resnet",
                                    seed=0, blocks=1, channels=4)
-        with pytest.raises(KeyError, match=extra):
+        with pytest.raises(ValueError, match=extra):
             narrower.load_state(state)
 
 
