@@ -1,9 +1,14 @@
 """Reverse-mode autodiff over double-precision numpy arrays.
 
-Ops executed inside a ``Tape`` context record themselves in creation order
-(which is a topological order); ``Tape.backward`` sweeps the list once in
-reverse, accumulating gradients into every reachable tensor.  Outside a
-tape the same ops run eagerly with no graph.
+Every op has the same shape: it computes its output ``data`` from its
+``inputs``' arrays and defines one closure, ``backward(g)``, that turns the
+output's gradient ``g`` into contributions to each input's ``.grad``; then
+it returns ``_make(data, inputs, backward)``.  Inside a ``Tape`` context
+``_make`` records the output (with its closure as ``backward_rule``) when
+some input is a trainable leaf or an already recorded node.  Recording
+follows creation order, which is a topological order, so
+``Tape.backward`` sweeps the list once in reverse.  Outside a tape the
+same ops run eagerly and record nothing.
 
 The op set is deliberately small: arithmetic with broadcasting, matmul,
 3x3/1x1 convolution, ReLU/SiLU, GroupNorm, reductions, concat, 2x pooling
@@ -12,7 +17,7 @@ operators (used to push encoding-operator physics through the tape).
 Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
 ``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
 
-Gradients are never written in place: every backward rule and every
+Gradients are never written in place: every backward closure and every
 caller rebinds ``.grad`` to a new array.  A gradient may therefore alias
 another node's gradient (the first one a tensor receives is stored
 without a copy), and code that needs to modify one must copy it first.
@@ -28,7 +33,7 @@ _ACTIVE_TAPE = None
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule")
+    __slots__ = ("data", "grad", "requires_grad", "backward_rule")
     # mixed ndarray/Tensor arithmetic raises instead of building object arrays
     __array_ufunc__ = None
 
@@ -36,7 +41,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.parents = ()
         self.backward_rule = None
 
     @property
@@ -88,25 +92,20 @@ class Tape:
             node.grad = None
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            if node.grad is None or node.backward_rule is None:
-                continue
-            node.backward_rule(node.grad)
+            if node.grad is not None:
+                node.backward_rule(node.grad)
 
 
 def _as_tensor(v):
     return v if isinstance(v, Tensor) else Tensor(v)
 
 
-def _make(data, parents, rule):
+def _make(data, inputs, backward):
     out = Tensor(data)
-    if _ACTIVE_TAPE is None:
-        return out
-    for p in parents:
-        if p.requires_grad or p.backward_rule is not None:
-            out.parents = tuple(parents)
-            out.backward_rule = rule(out)
-            _ACTIVE_TAPE.nodes.append(out)
-            break
+    if _ACTIVE_TAPE is not None and any(
+            t.requires_grad or t.backward_rule is not None for t in inputs):
+        out.backward_rule = backward
+        _ACTIVE_TAPE.nodes.append(out)
     return out
 
 
@@ -135,55 +134,43 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
-            _accumulate(b, _unbroadcast(g, b.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
-        return run
-
-    return _make(a.data + b.data, (a, b), rule)
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
-            _accumulate(b, _unbroadcast(-g, b.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(-g, b.shape))
 
-        return run
-
-    return _make(a.data - b.data, (a, b), rule)
+    return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, _unbroadcast(g * bd, a.shape))
-            _accumulate(b, _unbroadcast(g * ad, b.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * bd, a.shape))
+        _accumulate(b, _unbroadcast(g * ad, b.shape))
 
-        return run
-
-    return _make(ad * bd, (a, b), rule)
+    return _make(ad * bd, (a, b), backward)
 
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, _unbroadcast(g / bd, a.shape))
-            _accumulate(b, _unbroadcast(-g * ad / (bd * bd), b.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g / bd, a.shape))
+        _accumulate(b, _unbroadcast(-g * ad / (bd * bd), b.shape))
 
-        return run
-
-    return _make(ad / bd, (a, b), rule)
+    return _make(ad / bd, (a, b), backward)
 
 
 def dot(a, b):
@@ -193,14 +180,11 @@ def dot(a, b):
         raise ValueError(f"dot needs equal shapes, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
+    def backward(g):
+        _accumulate(a, g * bd)
+        _accumulate(b, g * ad)
 
-        return run
-
-    return _make((ad * bd).sum(), (a, b), rule)
+    return _make((ad * bd).sum(), (a, b), backward)
 
 
 def axpy(alpha, x, y):
@@ -213,15 +197,12 @@ def axpy(alpha, x, y):
         raise ValueError(f"axpy needs equal shapes, got {x.shape} and {y.shape}")
     ad, xd = alpha.data, x.data
 
-    def rule(out):
-        def run(g):
-            _accumulate(alpha, (g * xd).sum())
-            _accumulate(x, ad * g)
-            _accumulate(y, g)
+    def backward(g):
+        _accumulate(alpha, (g * xd).sum())
+        _accumulate(x, ad * g)
+        _accumulate(y, g)
 
-        return run
-
-    return _make(ad * xd + y.data, (alpha, x, y), rule)
+    return _make(ad * xd + y.data, (alpha, x, y), backward)
 
 
 def matmul(a, b):
@@ -230,31 +211,25 @@ def matmul(a, b):
     if ad.ndim != 2 or bd.ndim not in (1, 2):
         raise ValueError("matmul supports (m,n)@(n,) and (m,n)@(n,k)")
 
-    def rule(out):
-        def run(g):
-            if bd.ndim == 1:
-                _accumulate(a, np.outer(g, bd))
-                _accumulate(b, ad.T @ g)
-            else:
-                _accumulate(a, g @ bd.T)
-                _accumulate(b, ad.T @ g)
+    def backward(g):
+        if bd.ndim == 1:
+            _accumulate(a, np.outer(g, bd))
+            _accumulate(b, ad.T @ g)
+        else:
+            _accumulate(a, g @ bd.T)
+            _accumulate(b, ad.T @ g)
 
-        return run
-
-    return _make(ad @ bd, (a, b), rule)
+    return _make(ad @ bd, (a, b), backward)
 
 
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, g * mask)
+    def backward(g):
+        _accumulate(a, g * mask)
 
-        return run
-
-    return _make(a.data * mask, (a,), rule)
+    return _make(a.data * mask, (a,), backward)
 
 
 def silu(a):
@@ -262,38 +237,29 @@ def silu(a):
     s = 1.0 / (1.0 + np.exp(-a.data))
     val = a.data * s
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, g * (s * (1.0 + a.data * (1.0 - s))))
+    def backward(g):
+        _accumulate(a, g * (s * (1.0 + a.data * (1.0 - s))))
 
-        return run
-
-    return _make(val, (a,), rule)
+    return _make(val, (a,), backward)
 
 
 def mean(a):
     a = _as_tensor(a)
     n = a.data.size
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, np.full(a.shape, float(g) / n))
+    def backward(g):
+        _accumulate(a, np.full(a.shape, float(g) / n))
 
-        return run
-
-    return _make(a.data.mean(), (a,), rule)
+    return _make(a.data.mean(), (a,), backward)
 
 
 def sum_all(a):
     a = _as_tensor(a)
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, np.full(a.shape, float(g)))
+    def backward(g):
+        _accumulate(a, np.full(a.shape, float(g)))
 
-        return run
-
-    return _make(a.data.sum(), (a,), rule)
+    return _make(a.data.sum(), (a,), backward)
 
 
 def mse(a, b):
@@ -306,13 +272,10 @@ def reshape(a, shape):
     a = _as_tensor(a)
     old = a.shape
 
-    def rule(out):
-        def run(g):
-            _accumulate(a, g.reshape(old))
+    def backward(g):
+        _accumulate(a, g.reshape(old))
 
-        return run
-
-    return _make(a.data.reshape(shape), (a,), rule)
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def concat(tensors, axis=0):
@@ -320,16 +283,13 @@ def concat(tensors, axis=0):
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def rule(out):
-        def run(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)])
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _accumulate(t, g[tuple(idx)])
 
-        return run
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), rule)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def _tap_slices(offset, n):
@@ -372,24 +332,21 @@ def conv2d(x, w, b=None, kernel=3):
     cols = _patches(x.data, kernel)
     wdata = w.data
     val = (wdata.reshape(w.shape[0], -1) @ cols).reshape(-1, h, wd)
-    parents = [x, w]
+    inputs = [x, w]
     if b is not None:
         b = _as_tensor(b)
         val += b.data[:, None, None]
-        parents.append(b)
+        inputs.append(b)
 
-    def rule(out):
-        def run(g):
-            if b is not None:
-                _accumulate(b, g.sum(axis=(1, 2)))
-            _accumulate(w, (g.reshape(-1, h * wd) @ cols.T).reshape(w.shape))
-            # same-padded convolution of g with the flipped, channel-swapped kernel
-            w_flip = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            _accumulate(x, (w_flip @ _patches(g, kernel)).reshape(cin, h, wd))
+    def backward(g):
+        if b is not None:
+            _accumulate(b, g.sum(axis=(1, 2)))
+        _accumulate(w, (g.reshape(-1, h * wd) @ cols.T).reshape(w.shape))
+        # same-padded convolution of g with the flipped, channel-swapped kernel
+        w_flip = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        _accumulate(x, (w_flip @ _patches(g, kernel)).reshape(cin, h, wd))
 
-        return run
-
-    return _make(val, tuple(parents), rule)
+    return _make(val, inputs, backward)
 
 
 def group_norm(x, groups, eps=1e-5):
@@ -406,17 +363,14 @@ def group_norm(x, groups, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     yg = centered * inv
 
-    def rule(out):
-        def run(g):
-            gg = g.reshape(groups, -1)
-            gy_mean = gg.mean(axis=1, keepdims=True)
-            gyy_mean = (gg * yg).mean(axis=1, keepdims=True)
-            gx = inv * (gg - gy_mean - yg * gyy_mean)
-            _accumulate(x, gx.reshape(x.shape))
+    def backward(g):
+        gg = g.reshape(groups, -1)
+        gy_mean = gg.mean(axis=1, keepdims=True)
+        gyy_mean = (gg * yg).mean(axis=1, keepdims=True)
+        gx = inv * (gg - gy_mean - yg * gyy_mean)
+        _accumulate(x, gx.reshape(x.shape))
 
-        return run
-
-    return _make(yg.reshape(x.shape), (x,), rule)
+    return _make(yg.reshape(x.shape), (x,), backward)
 
 
 def avg_pool2(x):
@@ -427,14 +381,11 @@ def avg_pool2(x):
         raise ValueError("avg_pool2 needs even spatial dims")
     val = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
-    def rule(out):
-        def run(g):
-            up = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25
-            _accumulate(x, up)
+    def backward(g):
+        up = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25
+        _accumulate(x, up)
 
-        return run
-
-    return _make(val, (x,), rule)
+    return _make(val, (x,), backward)
 
 
 def upsample_nearest2(x):
@@ -442,14 +393,11 @@ def upsample_nearest2(x):
     x = _as_tensor(x)
     val = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
 
-    def rule(out):
-        def run(g):
-            c, h2, w2 = g.shape
-            _accumulate(x, g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
+    def backward(g):
+        c, h2, w2 = g.shape
+        _accumulate(x, g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
 
-        return run
-
-    return _make(val, (x,), rule)
+    return _make(val, (x,), backward)
 
 
 def linear_selfadjoint(x, fn):
@@ -458,10 +406,7 @@ def linear_selfadjoint(x, fn):
     route measurement-operator physics (e.g. E^H E) through the tape."""
     x = _as_tensor(x)
 
-    def rule(out):
-        def run(g):
-            _accumulate(x, fn(g))
+    def backward(g):
+        _accumulate(x, fn(g))
 
-        return run
-
-    return _make(fn(x.data), (x,), rule)
+    return _make(fn(x.data), (x,), backward)

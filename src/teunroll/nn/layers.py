@@ -31,9 +31,6 @@ class ParamStore:
         self.params[name] = t
         return t
 
-    def count(self):
-        return sum(int(t.data.size) for t in self.params.values())
-
 
 class Linear:
     def __init__(self, store: ParamStore, name, in_dim, out_dim, rng, zero_init=False):

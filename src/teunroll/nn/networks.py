@@ -48,7 +48,16 @@ class ProxNetworkBase:
         return self.store.params
 
     def count_parameters(self):
-        return self.store.count()
+        return sum(int(t.data.size) for t in self.store.params.values())
+
+    def _time_features(self, t):
+        """The shared time features that feed every FiLM head at unroll
+        index ``t``; None for a static network."""
+        if not self.time_embedded:
+            return None
+        if t is None:
+            raise ValueError("time-embedded network needs the unroll index t")
+        return self.time.features(t)
 
     def apply_complex(self, img, t=None):
         out = self.forward(Tensor(complex_to_channels(img)), t)
@@ -82,10 +91,7 @@ class ResNetProx(ProxNetworkBase):
 
     def forward(self, x, t=None):
         x = en._as_tensor(x)
-        if self.time_embedded:
-            if t is None:
-                raise ValueError("time-embedded network needs the unroll index t")
-            feat = self.time.features(t)
+        feat = self._time_features(t)
         h = self.conv_in(x)
         for i, (c1, c2) in enumerate(self.block_convs):
             f = h
@@ -158,11 +164,7 @@ class UNetProx(ProxNetworkBase):
         x = en._as_tensor(x)
         if x.shape[1] % 4 or x.shape[2] % 4:
             raise ValueError("U-Net input dims must be divisible by 4")
-        feat = None
-        if self.time_embedded:
-            if t is None:
-                raise ValueError("time-embedded network needs the unroll index t")
-            feat = self.time.features(t)
+        feat = self._time_features(t)
         h = self.conv_in(x)
         for blk in self.down0:
             h = blk(h, feat)

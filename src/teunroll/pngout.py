@@ -1,7 +1,7 @@
 """Tiny deterministic 8-bit grayscale PNG writer (stdlib only).
 
 Used solely for human inspection of magnitude images; nothing reads these
-back.  Per-image max scaling unless a window is supplied.
+back.  Each image is scaled by its own maximum.
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ def _chunk(tag, payload):
     )
 
 
-def write_png(path, image, window=None):
-    """Save a 2-D array as grayscale PNG, scaling [0, window] to [0, 255].
-
-    window defaults to the image maximum (or 1.0 for an all-zero image).
-    """
+def write_png(path, image):
+    """Save the magnitude of a 2-D array as grayscale PNG, scaling
+    [0, max] to [0, 255] (an all-zero image stays black)."""
     img = np.abs(np.asarray(image)).astype(np.float64)
     if img.ndim != 2:
         raise ValueError("write_png needs a 2-D image")
-    if window is None:
-        window = float(img.max()) or 1.0
-    scaled = np.clip(img / window * 255.0, 0.0, 255.0).astype(np.uint8)
+    peak = float(img.max()) or 1.0
+    scaled = np.clip(img / peak * 255.0, 0.0, 255.0).astype(np.uint8)
     h, w = scaled.shape
     raw = b"".join(b"\x00" + scaled[row].tobytes() for row in range(h))
     header = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)

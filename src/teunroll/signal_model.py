@@ -41,14 +41,6 @@ class ComplexImage:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("ComplexImage contains non-finite samples")
 
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
 
 @dataclass
 class KSpaceData:
@@ -62,10 +54,6 @@ class KSpaceData:
             raise ValueError("KSpaceData needs a (coil, row, col) array")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("KSpaceData contains non-finite samples")
-
-    @property
-    def num_coils(self):
-        return self.data.shape[0]
 
 
 @dataclass

@@ -29,7 +29,6 @@ class VampConfig:
     trace_probes: int = 32
     mu_floor: float = 1e-8
     cg_iters: int = 100
-    cg_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -118,9 +117,7 @@ def lmmse_step(op, y, state: VampState, config: VampConfig | None = None, seed=0
         raise ValueError("mu_x must be positive")
     op = as_vamp_operator(op, y)
     b = op.rhs + state.mu_x * state.r
-    x, _ = cg_solve(
-        shifted(op.gram, state.mu_x), b, max_iters=config.cg_iters, tol=config.cg_tol
-    )
+    x, _ = cg_solve(shifted(op.gram, state.mu_x), b, max_iters=config.cg_iters)
     upsilon_x = op.trace_inverse_mean(state.mu_x, config, seed=seed)
     mu_z = 1.0 / upsilon_x - state.mu_x
     clamps = state.clamps

@@ -222,7 +222,11 @@ def test_no_tape_runs_eagerly_without_graph():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     out = en.mul(x, x)
     assert out.backward_rule is None
-    assert out.parents == ()
+    # under a tape, an op whose inputs are all untracked is not recorded
+    with Tape() as tape:
+        out = en.mul(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+    assert tape.nodes == []
+    assert out.backward_rule is None
 
 
 def test_gradient_accumulates_across_reuse():
