@@ -17,15 +17,20 @@ operators (used to push encoding-operator physics through the tape).
 Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
 ``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
 
-Gradients are never written in place: every backward closure and every
-caller rebinds ``.grad`` to a new array.  A gradient may therefore alias
-another node's gradient (the first one a tensor receives is stored
-without a copy), and code that needs to modify one must copy it first.
+``conv2d`` keeps no im2col matrix: its closure holds one zero-padded,
+flattened copy of the input, and each of the k*k taps is a GEMM on a
+contiguous slice of that copy.
+
+Only leaves keep gradients: ``Tape.backward`` sets a recorded node's
+``.grad`` to None once its closure has passed it on, so a finished sweep
+holds no intermediate gradient.  Gradients are never written in place:
+every backward closure and every caller rebinds ``.grad`` to a new
+array.  A gradient may therefore alias another node's gradient (the first
+one a tensor receives is stored without a copy), and code that needs to
+modify one must copy it first.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -83,7 +88,12 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor):
-        """Populate .grad for every tensor reachable from ``loss``."""
+        """Populate .grad for every leaf reachable from ``loss``.
+
+        Only leaves keep a gradient: a recorded node's ``.grad`` is set to
+        None as soon as its rule has passed it on, so at most the
+        gradients of the nodes still waiting for their rule are alive.
+        """
         if loss.data.size != 1:
             raise ValueError("loss must be a scalar")
         if loss.backward_rule is None and not loss.requires_grad:
@@ -94,6 +104,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None:
                 node.backward_rule(node.grad)
+                node.grad = None
 
 
 def _as_tensor(v):
@@ -292,35 +303,28 @@ def concat(tensors, axis=0):
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
-def _tap_slices(offset, n):
-    """Destination and source slices along one axis for a tap at ``offset``:
-    out[dst] reads in[src] under zero padding."""
-    return slice(max(0, -offset), n - max(0, offset)), slice(max(0, offset), n + min(0, offset))
-
-
-@functools.lru_cache(maxsize=64)
-def _taps(kernel, h, w):
-    pad = (kernel - 1) // 2
-    return tuple((di, dj, _tap_slices(di - pad, h), _tap_slices(dj - pad, w))
-                 for di in range(kernel) for dj in range(kernel))
-
-
-def _patches(data, kernel):
-    """The (C*k*k, H*W) patch matrix (im2col) of a (C, H, W) array for a
-    stride-1 k x k stencil under shape-preserving zero padding."""
+def _pad_flat(data, pad):
+    """A (C, H, W) array zero-padded by ``pad`` on each side and flattened
+    to (C, (H+2*pad)*(W+2*pad) + 2*pad).  The tail keeps the last tap's
+    slice in bounds.  Tap (di, dj) of a stride-1 stencil is then the
+    contiguous slice starting at ``di*(W+2*pad) + dj``."""
     c, h, w = data.shape
-    cols = np.zeros((c, kernel, kernel, h, w))
-    for di, dj, (ri, si), (rj, sj) in _taps(kernel, h, w):
-        cols[:, di, dj, ri, rj] = data[:, si, sj]
-    return cols.reshape(c * kernel * kernel, h * w)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    flat = np.zeros((c, hp * wp + 2 * pad))
+    flat[:, :hp * wp].reshape(c, hp, wp)[:, pad:pad + h, pad:pad + w] = data
+    return flat
 
 
 def conv2d(x, w, b=None, kernel=3):
     """2-D convolution, stride 1, zero padding to keep the spatial shape.
 
     x: (C_in, H, W), w: (C_out, C_in, k, k), optional b: (C_out,).
-    Kernel sizes 1 and 3; one GEMM against an unpadded patch matrix, and
-    the input gradient is the transposed convolution, one more.
+    Kernel sizes 1 and 3.  One zero-padded, flattened copy of ``x`` is the
+    only array kept for the backward: each of the k*k taps is a GEMM of the
+    tap's (C_out, C_in) weight against a contiguous slice of that copy.
+    The output rows come out W+k-1 wide; their k-1 junk columns are
+    dropped.  The backward sums ``g @ slice.T`` per tap for ``w`` and
+    scatter-adds ``w_tap.T @ g`` into a padded buffer for ``x``.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -329,9 +333,17 @@ def conv2d(x, w, b=None, kernel=3):
     if w.shape[2] != kernel or w.shape[3] != kernel:
         raise ValueError("weight shape disagrees with kernel size")
     cin, h, wd = x.shape
-    cols = _patches(x.data, kernel)
-    wdata = w.data
-    val = (wdata.reshape(w.shape[0], -1) @ cols).reshape(-1, h, wd)
+    cout = w.shape[0]
+    pad = (kernel - 1) // 2
+    wp = wd + 2 * pad
+    n = h * wp
+    offsets = [di * wp + dj for di in range(kernel) for dj in range(kernel)]
+    xf = _pad_flat(x.data, pad)
+    w_taps = w.data.transpose(2, 3, 0, 1).reshape(-1, cout, cin)
+    wide = w_taps[0] @ xf[:, :n]
+    for wk, off in zip(w_taps[1:], offsets[1:]):
+        wide += wk @ xf[:, off:off + n]
+    val = wide.reshape(cout, h, wp)[:, :, :wd].copy()
     inputs = [x, w]
     if b is not None:
         b = _as_tensor(b)
@@ -341,10 +353,16 @@ def conv2d(x, w, b=None, kernel=3):
     def backward(g):
         if b is not None:
             _accumulate(b, g.sum(axis=(1, 2)))
-        _accumulate(w, (g.reshape(-1, h * wd) @ cols.T).reshape(w.shape))
-        # same-padded convolution of g with the flipped, channel-swapped kernel
-        w_flip = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        _accumulate(x, (w_flip @ _patches(g, kernel)).reshape(cin, h, wd))
+        g_wide = np.zeros((cout, h, wp))
+        g_wide[:, :, :wd] = g
+        g_wide = g_wide.reshape(cout, n)
+        gw = np.stack([g_wide @ xf[:, off:off + n].T for off in offsets])
+        _accumulate(w, gw.reshape(kernel, kernel, cout, cin).transpose(2, 3, 0, 1))
+        gxf = np.zeros_like(xf)
+        for wk, off in zip(w_taps, offsets):
+            gxf[:, off:off + n] += wk.T @ g_wide
+        hp = h + 2 * pad
+        _accumulate(x, gxf[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + wd].copy())
 
     return _make(val, inputs, backward)
 

@@ -30,11 +30,17 @@ FILM_TAU = 0.1  # strength of the scaled FiLM perturbation in ResNetProx
 
 def complex_to_channels(img):
     img = np.asarray(img, dtype=np.complex128)
-    return np.stack([img.real, img.imag])
+    out = np.empty((2,) + img.shape)
+    out[0] = img.real
+    out[1] = img.imag
+    return out
 
 
 def channels_to_complex(arr):
-    return arr[0] + 1j * arr[1]
+    out = np.empty(arr.shape[1:], dtype=np.complex128)
+    out.real = arr[0]
+    out.imag = arr[1]
+    return out
 
 
 class ProxNetworkBase:

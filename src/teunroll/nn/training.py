@@ -229,6 +229,22 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
+def _train_step(engine, optimizer, E, y, reference):
+    """One optimizer step on one sample; returns the sample's loss.  A
+    non-finite loss is returned without a step.  The sample's graph is
+    local to this call, so it is freed before the next forward runs."""
+    target = Tensor(complex_to_channels(reference.data))
+    optimizer.zero_grad()
+    with Tape() as tape:
+        loss = en.mse(engine.forward(E, y), target)
+    value = float(loss.data)
+    if np.isfinite(value):
+        tape.backward(loss)
+        optimizer.step()
+        engine.project()
+    return value
+
+
 def train(engine: TrainableEngine, dataset, epochs, lr, seed=0, shuffle=True):
     """Minimize the MSE between reconstructions and references.
 
@@ -244,18 +260,9 @@ def train(engine: TrainableEngine, dataset, epochs, lr, seed=0, shuffle=True):
         order = rng.permutation(len(dataset)) if shuffle else np.arange(len(dataset))
         total = 0.0
         for idx in order:
-            E, y, reference = dataset[idx]
-            target = Tensor(complex_to_channels(reference.data))
-            optimizer.zero_grad()
-            with Tape() as tape:
-                recon = engine.forward(E, y)
-                loss = en.mse(recon, target)
-            value = float(loss.data)
+            value = _train_step(engine, optimizer, *dataset[idx])
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at sample {int(idx)} (epoch {epoch})")
-            tape.backward(loss)
-            optimizer.step()
-            engine.project()
             total += value
         curve.append(total / len(dataset))
     return curve

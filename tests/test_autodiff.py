@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,9 +135,20 @@ def test_conv2d_weight_and_bias_gradients():
     seed=st.integers(0, 10_000),
 )
 def test_conv2d_matches_direct_loop_oracle(h, w, cin, cout, kernel, seed):
-    rng = np.random.default_rng(seed)
     if h == w:
         w += 1
+    check_conv2d_against_oracle(h, w, cin, cout, kernel, seed)
+
+
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("cin, cout, h, w", [(16, 16, 32, 24), (2, 16, 24, 32)])
+def test_conv2d_matches_oracle_at_network_sizes(cin, cout, h, w, kernel):
+    # the network's own channel counts, above the hypothesis test's range
+    check_conv2d_against_oracle(h, w, cin, cout, kernel, seed=0)
+
+
+def check_conv2d_against_oracle(h, w, cin, cout, kernel, seed):
+    rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((cin, h, w)), requires_grad=True)
     wt = Tensor(rng.standard_normal((cout, cin, kernel, kernel)), requires_grad=True)
     b = Tensor(rng.standard_normal(cout), requires_grad=True)
@@ -148,6 +161,35 @@ def test_conv2d_matches_direct_loop_oracle(h, w, cin, cout, kernel, seed):
     for got, want in zip((out.data, x.grad, wt.grad, b.grad), expected):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_taped_conv2d_keeps_about_one_copy_of_its_input():
+    # an im2col backward would keep k*k = 9 copies of the input
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((16, 32, 32)))
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(16), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            out = en.conv2d(x, w, b)
+        retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.5 * x.data.nbytes
+
+
+def test_backward_leaves_gradients_only_on_leaves():
+    net = ResNetProx(blocks=2, channels=8, time_embedded=False, seed=0)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((2, 8, 8)), requires_grad=True)
+    with Tape() as tape:
+        loss = en.mse(net.forward(x), Tensor(rng.standard_normal((2, 8, 8))))
+    tape.backward(loss)
+    assert tape.nodes and all(node.grad is None for node in tape.nodes)
+    assert x.grad is not None
+    assert all(t.grad is not None for t in net.parameters().values())
 
 
 def test_matmul_parameter_gradient():

@@ -9,8 +9,8 @@ backward closure each; a change to the tape, the networks or the taped
 physics that alters any of them fails here.
 
 The same step also mirrors the traced benchmark's counts, so a change in
-the number of tape nodes or taped Gram applies fails the suite and not
-only a ``--trace 1`` run.
+the number of tape nodes, taped Gram applies or conv calls fails the
+suite and not only a ``--trace 1`` run.
 """
 
 import numpy as np
@@ -54,6 +54,7 @@ NO_GRADIENT = ["rho.0004"]
 
 TAPE_NODES = 1157
 GRAM_TAPE_CALLS = T * CG_ITERS  # 600 over the benchmark's 8-sample epoch
+CONV_CALLS = (T - 1) * 8  # 8 convs per ResNet call; 256 per epoch
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +66,24 @@ def step():
     y = sm.add_noise(E.forward(truth), 0.01, seed=0, mask=mask)
     engine = TrainableEngine("alg1", T=T, cg_iters=CG_ITERS, sharing="time_embedded",
                              arch="resnet", blocks=3, channels=16)
-    calls = []
-    taped_gram = en.linear_selfadjoint
+    calls = {"linear_selfadjoint": 0, "conv2d": 0}
 
-    def counted(x, fn):
-        calls.append(1)
-        return taped_gram(x, fn)
+    def counted(name):
+        op = getattr(en, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(en, "linear_selfadjoint", counted)
+        for name in calls:
+            mp.setattr(en, name, counted(name))
         with en.Tape() as tape:
             loss = en.mse(engine.forward(E, y), en.Tensor(complex_to_channels(truth.data)))
         tape.backward(loss)
-    return float(loss.data), engine.parameters(), len(tape.nodes), len(calls)
+    return float(loss.data), engine.parameters(), len(tape.nodes), calls
 
 
 def test_step_loss_and_gradient_norms_match_recorded(step):
@@ -96,6 +102,6 @@ def test_step_loss_and_gradient_norms_match_recorded(step):
 
 
 def test_step_tape_counts_match_the_traced_benchmark(step):
-    _, _, nodes, gram_calls = step
+    _, _, nodes, calls = step
     assert nodes == TAPE_NODES
-    assert gram_calls == GRAM_TAPE_CALLS
+    assert calls == {"linear_selfadjoint": GRAM_TAPE_CALLS, "conv2d": CONV_CALLS}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,23 @@ def test_gradients_reach_scalars_and_networks():
             assert t.grad is not None and np.isfinite(t.grad)
         grads = [t.grad for t in eng.networks[0].parameters().values()]
         assert any(g is not None and np.any(g != 0) for g in grads)
+
+
+def test_epoch_peak_memory_does_not_grow_with_samples():
+    # a sample's graph must be freed before the next sample's forward runs,
+    # so an epoch's peak is that of one step whatever the epoch's length
+    data = [_toy_problem(32, 32, 4, seeds=(0, s, s)) for s in (1, 2, 3)]
+    peaks = []
+    for n in (1, 3):
+        eng = TrainableEngine("alg1", T=5, cg_iters=15, sharing="time_embedded",
+                              arch="resnet", blocks=3, channels=16)
+        tracemalloc.start()
+        try:
+            train(eng, data[:n], epochs=1, lr=1e-3, shuffle=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_checkpoint_round_trip_and_mismatch(tmp_path):
