@@ -360,7 +360,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, FloatingPointError) as exc:

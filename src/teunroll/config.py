@@ -2,7 +2,8 @@
 [model], [unroll], [train] and [eval].
 
 Every key has a documented default (see SCHEMA); unknown sections or keys
-are rejected with their full key path.  Relative paths resolve against the
+are rejected with their full key path, and so are non-finite reals and
+network widths below 1.  Relative paths resolve against the
 directory containing the config file, and the fully resolved document can
 be echoed back out so a run is reproducible from its own artifacts.
 """
@@ -10,6 +11,7 @@ be echoed back out so a run is reproducible from its own artifacts.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 
 from .metrics import SSIM_WINDOW
@@ -34,12 +36,15 @@ def _choice(options):
     return parse
 
 
-def _typed(cast, kind):
+def _typed(cast, kind, valid=lambda value: True):
     def parse(raw, key):
         try:
-            return cast(raw)
+            value = cast(raw)
+            if valid(value):
+                return value
         except ValueError:
-            raise ConfigError(f"{key}: {raw!r} is not a valid {kind}") from None
+            pass
+        raise ConfigError(f"{key}: {raw!r} is not a valid {kind}")
 
     return parse
 
@@ -49,7 +54,8 @@ def _path(raw, key):
 
 
 _INT = _typed(int, "integer")
-_FLOAT = _typed(float, "real number")
+_POSITIVE_INT = _typed(int, "positive integer", lambda v: v > 0)
+_FLOAT = _typed(float, "finite real number", math.isfinite)
 
 # (parser, default, is_path)
 SCHEMA = {
@@ -70,8 +76,8 @@ SCHEMA = {
         "theta": (_FLOAT, "0.05", False),
         "gamma": (_FLOAT, "1.0", False),
         "blocks": (_INT, "3", False),
-        "channels": (_INT, "16", False),
-        "base_channels": (_INT, "16", False),
+        "channels": (_POSITIVE_INT, "16", False),
+        "base_channels": (_POSITIVE_INT, "16", False),
         "res_blocks": (_INT, "1", False),
         "net_seed": (_INT, "0", False),
         "checkpoint": (_path, "", True),

@@ -13,6 +13,7 @@ Sampling masks are stored as code 2 with values {0.0, 1.0}.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -25,12 +26,8 @@ _CODE_TO_DTYPE = {
     2: np.dtype("<f4"),
     3: np.dtype("<f8"),
 }
-_DTYPE_TO_CODE = {
-    np.dtype(np.complex64): 0,
-    np.dtype(np.complex128): 1,
-    np.dtype(np.float32): 2,
-    np.dtype(np.float64): 3,
-}
+# the same dtypes in native byte order, as arrays in memory carry them
+_DTYPE_TO_CODE = {dtype.newbyteorder("="): code for code, dtype in _CODE_TO_DTYPE.items()}
 
 
 class KtnError(ValueError):
@@ -67,24 +64,10 @@ def read_ktn(path):
             raise KtnError(f"unknown dtype code {code} in {path}")
         dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
         dtype = _CODE_TO_DTYPE[code]
-        count = 1
-        for d in dims:
-            count *= d
+        count = math.prod(dims)
         payload = fh.read(count * dtype.itemsize)
         if len(payload) != count * dtype.itemsize:
             raise KtnError(f"truncated payload in {path}")
         arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     return arr.copy()
 
-
-def read_header(path):
-    """Return (dtype, dims) without loading the payload."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise KtnError(f"bad magic bytes {magic!r} in {path}")
-        code, ndim = struct.unpack("<II", fh.read(8))
-        if code not in _CODE_TO_DTYPE:
-            raise KtnError(f"unknown dtype code {code} in {path}")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-    return _CODE_TO_DTYPE[code], tuple(int(d) for d in dims)

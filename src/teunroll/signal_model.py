@@ -28,6 +28,17 @@ def ifft2c(y):
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(y), norm="ortho"))
 
 
+def _complex_array(values, ndim, what):
+    """``values`` as complex128, checked to have ``ndim`` axes, no empty
+    axis and only finite samples."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{what} needs a non-empty {ndim}-D array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite samples")
+    return arr
+
+
 @dataclass
 class ComplexImage:
     """A 2-D complex image (dimensionless intensity)."""
@@ -35,11 +46,7 @@ class ComplexImage:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 2 or self.data.size == 0:
-            raise ValueError("ComplexImage needs a non-empty 2-D array")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("ComplexImage contains non-finite samples")
+        self.data = _complex_array(self.data, 2, "ComplexImage")
 
 
 @dataclass
@@ -49,11 +56,7 @@ class KSpaceData:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 3 or self.data.shape[0] < 1:
-            raise ValueError("KSpaceData needs a (coil, row, col) array")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("KSpaceData contains non-finite samples")
+        self.data = _complex_array(self.data, 3, "KSpaceData")
 
 
 @dataclass
@@ -61,14 +64,10 @@ class SamplingMask:
     """Boolean k-space sampling pattern (True = acquired).
 
     Every column is either fully sampled or not sampled at all; a pattern
-    that samples part of a column is rejected.  ``acs_lines`` central
-    columns are always sampled; the nominal acceleration is kept for
-    bookkeeping only.
+    that samples part of a column is rejected.
     """
 
     pattern: np.ndarray
-    acceleration: float
-    acs_lines: int
 
     def __post_init__(self):
         self.pattern = np.asarray(self.pattern, dtype=bool)
@@ -76,10 +75,6 @@ class SamplingMask:
             raise ValueError("mask must be 2-D with at least one sampled entry")
         if not (self.pattern == self.pattern[:1]).all():
             raise ValueError("mask must sample whole columns")
-        if self.acceleration <= 0:
-            raise ValueError("acceleration must be positive")
-        if self.acs_lines < 0:
-            raise ValueError("acs_lines must be non-negative")
 
     def sampled_columns(self):
         return np.flatnonzero(self.pattern[0])
@@ -92,11 +87,7 @@ class CoilSensitivities:
     maps: np.ndarray
 
     def __post_init__(self):
-        self.maps = np.asarray(self.maps, dtype=np.complex128)
-        if self.maps.ndim != 3 or self.maps.shape[0] < 1:
-            raise ValueError("sensitivities need a (coil, row, col) array")
-        if not np.all(np.isfinite(self.maps)):
-            raise ValueError("sensitivities contain non-finite samples")
+        self.maps = _complex_array(self.maps, 3, "CoilSensitivities")
 
     @property
     def num_coils(self):
@@ -105,6 +96,8 @@ class CoilSensitivities:
 
 def _acs_columns(cols, acs):
     """Centered ACS block; for an odd remainder it extends one column right."""
+    if acs < 0:
+        raise ValueError("acs must be non-negative")
     start = cols // 2 - acs // 2
     return np.arange(start, start + acs)
 
@@ -118,9 +111,8 @@ def make_equispaced_mask(rows, cols, R, acs):
         raise ValueError("acs exceeds number of columns")
     pattern = np.zeros((rows, cols), dtype=bool)
     pattern[:, ::R] = True
-    if acs > 0:
-        pattern[:, _acs_columns(cols, acs)] = True
-    return SamplingMask(pattern, float(R), int(acs))
+    pattern[:, _acs_columns(cols, acs)] = True
+    return SamplingMask(pattern)
 
 
 def make_random_mask(rows, cols, R, acs, seed):
@@ -141,7 +133,7 @@ def make_random_mask(rows, cols, R, acs, seed):
     pattern = np.zeros((rows, cols), dtype=bool)
     pattern[:, acs_cols] = True
     pattern[:, extra] = True
-    return SamplingMask(pattern, float(R), int(acs))
+    return SamplingMask(pattern)
 
 
 def make_phantom(height, width, num_ellipses, seed):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linops import cg_solve, normal_map_of, shifted
+from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 
 ALGORITHMS = ("vsqp", "admm", "alg1", "vsqp_te", "admm_te")
@@ -133,6 +134,15 @@ class Diagnostics:
         return "\n".join(lines) + "\n"
 
 
+def reference_vector(reference):
+    """A ComplexImage or array reference as one flat array, or None."""
+    if reference is None:
+        return None
+    if isinstance(reference, ComplexImage):
+        reference = reference.data
+    return np.asarray(reference).ravel()
+
+
 UNROLL_COLUMNS = ("unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref")
 
 
@@ -168,11 +178,7 @@ def run_unrolled(
 
     gram = normal_map_of(E)
     rhs0 = E.adjoint(y).data.ravel()
-    ref = None
-    if reference is not None:
-        ref = np.asarray(
-            reference.data if isinstance(reference, ComplexImage) else reference
-        ).ravel()
+    ref = reference_vector(reference)
 
     family = config.family
     mu = [float(v) for v in schedules["mu"].values]
@@ -191,12 +197,7 @@ def run_unrolled(
             x_u_nmse = float(
                 np.linalg.norm(x - u) ** 2 / max(np.linalg.norm(x) ** 2, 1e-300)
             )
-        nmse_vs_ref = None
-        if ref is not None:
-            nmse_vs_ref = float(
-                np.linalg.norm(x - ref) ** 2 / np.linalg.norm(ref) ** 2
-            )
         diags.record(t, mu[t], steps[t] if steps else None, rep.final_residual_norm,
-                     x_u_nmse, nmse_vs_ref)
+                     x_u_nmse, None if ref is None else nmse(ref, x))
 
     return ComplexImage(x.reshape(shape)), diags

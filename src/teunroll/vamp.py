@@ -10,14 +10,15 @@ aborting; clamp events are counted in the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linops import LinearMap, cg_solve, estimate_trace_inverse, from_dense, shifted, to_dense
+from .metrics import nmse
 from .prox import mc_divergence
-from .signal_model import ComplexImage, EncodingOperator, KSpaceData
-from .unroll import Diagnostics
+from .signal_model import EncodingOperator, KSpaceData
+from .unroll import Diagnostics, reference_vector
 
 EXACT_TRACE_LIMIT = 4096
 
@@ -125,15 +126,8 @@ def lmmse_step(op, y, state: VampState, config: VampConfig | None = None, seed=0
         mu_z = config.mu_floor
         clamps += 1
     u = (x / upsilon_x - state.mu_x * state.r) / mu_z
-    return VampState(
-        r=state.r,
-        mu_x=state.mu_x,
-        x=x,
-        upsilon_x=upsilon_x,
-        mu_z=mu_z,
-        u=u,
-        clamps=clamps,
-    )
+    return replace(state, x=x, upsilon_x=upsilon_x, mu_z=mu_z, u=u, z=None, upsilon_z=None,
+                   clamps=clamps)
 
 
 def denoise_step(prox, state: VampState, config: VampConfig | None = None, seed=0):
@@ -165,23 +159,15 @@ def denoise_step(prox, state: VampState, config: VampConfig | None = None, seed=
         clamps += 1
     r_new = (z / upsilon_z - state.mu_z * state.u) / mu_x_new
     d = config.damping
-    return VampState(
-        r=d * r_new + (1.0 - d) * state.r,
-        mu_x=d * mu_x_new + (1.0 - d) * state.mu_x,
-        x=state.x,
-        upsilon_x=state.upsilon_x,
-        mu_z=state.mu_z,
-        u=state.u,
-        z=z,
-        upsilon_z=upsilon_z,
-        clamps=clamps,
-    )
+    return replace(state, r=d * r_new + (1.0 - d) * state.r,
+                   mu_x=d * mu_x_new + (1.0 - d) * state.mu_x, z=z, upsilon_z=upsilon_z,
+                   clamps=clamps)
 
 
 VAMP_COLUMNS = ("iteration", "mu_x", "mu_z", "upsilon_x", "upsilon_z", "nmse", "clamps")
 
 
-def run_vamp(E, y, prox, config: VampConfig | None = None, init=None, reference=None):
+def run_vamp(E, y, prox, config: VampConfig | None = None, reference=None):
     """Alternate LMMSE and denoising half-steps for max_iters iterations.
 
     Returns (x, diagnostics).  x matches the domain of E: an image array for
@@ -190,15 +176,8 @@ def run_vamp(E, y, prox, config: VampConfig | None = None, init=None, reference=
     """
     config = config or VampConfig()
     op = as_vamp_operator(E, y)
-    if init is None:
-        state = VampState(r=np.zeros(op.dim, dtype=op.rhs.dtype), mu_x=1.0)
-    else:
-        state = init
-    ref_vec = None
-    if reference is not None:
-        ref_vec = np.asarray(
-            reference.data if isinstance(reference, ComplexImage) else reference
-        ).ravel()
+    state = VampState(r=np.zeros(op.dim, dtype=op.rhs.dtype), mu_x=1.0)
+    ref = reference_vector(reference)
     diags = Diagnostics(VAMP_COLUMNS)
     x = state.r
     for it in range(config.max_iters):
@@ -206,15 +185,10 @@ def run_vamp(E, y, prox, config: VampConfig | None = None, init=None, reference=
         state = lmmse_step(op, y, state, config, seed=2 * it)
         state = denoise_step(prox, state, config, seed=2 * it + 1)
         x = state.x
-        nmse = None
-        if ref_vec is not None:
-            nmse = float(
-                np.linalg.norm(x - ref_vec) ** 2 / np.linalg.norm(ref_vec) ** 2
-            )
         # the row reports the mu_x the LMMSE half-step consumed, so the
         # precision identity 1/v_x = mu_x + mu_z reads off directly
-        diags.record(it, mu_x_used, state.mu_z, state.upsilon_x, state.upsilon_z, nmse,
-                     state.clamps)
+        diags.record(it, mu_x_used, state.mu_z, state.upsilon_x, state.upsilon_z,
+                     None if ref is None else nmse(ref, x), state.clamps)
         if not np.all(np.isfinite(x)):
             break
     if op.domain_shape is not None:

@@ -1,11 +1,15 @@
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teunroll import cli, ktn
 from teunroll import signal_model as sm
-from teunroll.config import ConfigError, load_config
+from teunroll.config import SCHEMA, ConfigError, load_config
 from teunroll.linops import normal_map_of
 
 from oracles import dense_from_probes
@@ -35,10 +39,9 @@ def test_phantom_outputs_and_determinism(tmp_path):
     assert run_cli("phantom", "--out", b, "--size", "16", "--coils", "4", "--count", "2") == 0
     for name in ("img_0000.ktn", "img_0001.ktn", "sens.ktn"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-    dtype, dims = ktn.read_header(a / "sens.ktn")
-    assert dims == (4, 16, 16)
-    dtype, dims = ktn.read_header(a / "img_0000.ktn")
-    assert dims == (16, 16) and dtype == np.dtype("<c16")
+    assert ktn.read_ktn(a / "sens.ktn").shape == (4, 16, 16)
+    img = ktn.read_ktn(a / "img_0000.ktn")
+    assert img.shape == (16, 16) and img.dtype == np.dtype("<c16")
 
 
 def test_phantom_seed_flag_positions(tmp_path):
@@ -54,9 +57,8 @@ def test_mask_command_header(tmp_path):
     out = tmp_path / "m.ktn"
     assert run_cli("mask", "--out", out, "--rows", "8", "--cols", "16",
                    "--accel", "4", "--acs", "4") == 0
-    dtype, dims = ktn.read_header(out)
-    assert dtype == np.dtype("<f4") and dims == (8, 16)
     pattern = ktn.read_ktn(out)
+    assert pattern.dtype == np.dtype("<f4") and pattern.shape == (8, 16)
     cols = np.flatnonzero(pattern.all(axis=0))
     assert set(cols.tolist()) == set(range(0, 16, 4)) | {6, 7, 8, 9}
 
@@ -159,6 +161,72 @@ def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "data.dir" in err and "11-pixel SSIM window" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, prox, algorithm, key, value", [
+    ("recon", "resnet", "alg1", "model.channels", "0"),
+    ("train", "resnet", "alg1", "model.channels", "0"),
+    ("recon", "unet", "alg1", "model.base_channels", "0"),
+    ("train", "unet", "alg1", "model.base_channels", "0"),
+    ("recon", "tikhonov", "vamp", "unroll.mu_floor", "nan"),
+    ("recon", "tikhonov", "alg1", "unroll.mu", "inf"),
+    ("train", "resnet", "alg1", "train.lr", "-inf"),
+])
+def test_zero_width_or_non_finite_value_is_config_error(tmp_path, dataset, capsys, command,
+                                                        prox, algorithm, key, value):
+    section, name = key.split(".")
+    body = {"data": "dir = data", "model": f"prox = {prox}", "unroll": f"algorithm = {algorithm}"}
+    body[section] = body.get(section, "") + f"\n{name} = {value}"
+    cfg = write_cfg(tmp_path, "".join(f"[{s}]\n{lines}\n" for s, lines in body.items()))
+    assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "data"
+    assert run_cli("phantom", "--out", out, "--size", "16", "--coils", "2", "--count", "2") == 0
+    return out
+
+
+# (section, key, int or float), read off each key's parsed default
+NUMERIC_KEYS = [(section, key, type(parse(default, key)))
+                for section, keys in SCHEMA.items()
+                for key, (parse, default, _) in keys.items()
+                if isinstance(parse(default, key), (int, float))]
+SETUPS = [("recon", "tikhonov", "alg1"), ("recon", "soft_threshold", "vamp"),
+          ("recon", "resnet", "admm_te"), ("recon", "unet", "vsqp"),
+          ("train", "resnet", "alg1"), ("train", "unet", "admm")]
+SMALL_REALS = [-1.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=st.sampled_from(SETUPS), data=st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_config_fuzz_ends_with_a_documented_exit_code(small_dataset, setup, data):
+    command, prox, algorithm = setup
+    values = {("data", "dir"): small_dataset, ("model", "prox"): prox,
+              ("unroll", "algorithm"): algorithm, ("model", "channels"): 2,
+              ("model", "base_channels"): 2, ("unroll", "t"): 2, ("unroll", "max_iters"): 3,
+              ("train", "epochs"): 1}
+    drawn = data.draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=3,
+                               unique=True))
+    for section, key, kind in drawn:
+        values[section, key] = data.draw(
+            st.integers(-1, 3) if kind is int else st.sampled_from(SMALL_REALS))
+    with tempfile.TemporaryDirectory() as tmp:
+        values["unroll", "out"] = values["train", "out"] = values["eval", "out"] = tmp
+        sections = {}
+        for (section, key), value in values.items():
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+        path = os.path.join(tmp, "fuzz.ini")
+        with open(path, "w") as fh:
+            fh.writelines(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+        code = run_cli(command, "--config", path)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values.values()):
+        assert code == cli.EXIT_CONFIG
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -1,25 +1,33 @@
-"""One training step of the benchmark's time-embedded model, pinned.
+"""Committed numbers that a "same numbers, less code" change must keep.
 
-The step is the one ``perfbench``'s ``train-te-32`` workload repeats eight
-times per epoch: alg1 with T=5 unrolls and a 15-iteration taped CG, one
+Training: one step of the benchmark's time-embedded model.  The step is
+the one ``perfbench``'s ``train-te-32`` workload repeats eight times per
+epoch: alg1 with T=5 unrolls and a 15-iteration taped CG, one
 time-embedded 3x16 ResNet prox, on a 32x32 phantom seen by 4 coils with
 equispaced R=4 sampling.  The loss and each parameter group's gradient
 norm were recorded from the engine before its ops were rewritten as one
 backward closure each; a change to the tape, the networks or the taped
-physics that alters any of them fails here.
+physics that alters any of them fails here.  The same step also mirrors
+the traced benchmark's counts, so a change in the number of tape nodes,
+taped Gram applies or conv calls fails the suite and not only a
+``--trace 1`` run.
 
-The same step also mirrors the traced benchmark's counts, so a change in
-the number of tape nodes, taped Gram applies or conv calls fails the
-suite and not only a ``--trace 1`` run.
+Inference: ``run_unrolled`` for every algorithm, sharing mode and network
+at T=2 on a 16x16 and a 16x24 problem, and ``run_vamp``'s diagnostics on
+an encoding operator and on a dense matrix.  The values were recorded
+before the VAMP half-steps and the reference NMSE were rewritten; they
+hold to 1e-12 relative.
 """
 
 import numpy as np
 import pytest
 
+from teunroll import prox, vamp
 from teunroll import signal_model as sm
 from teunroll.nn import TrainableEngine
 from teunroll.nn import engine as en
 from teunroll.nn.networks import complex_to_channels
+from teunroll.unroll import UnrollConfig, run_unrolled
 
 T = 5
 CG_ITERS = 15
@@ -105,3 +113,274 @@ def test_step_tape_counts_match_the_traced_benchmark(step):
     _, _, nodes, calls = step
     assert nodes == TAPE_NODES
     assert calls == {"linear_selfadjoint": GRAM_TAPE_CALLS, "conv2d": CONV_CALLS}
+
+
+# -- inference ---------------------------------------------------------------
+
+INFERENCE_RTOL = 1e-12
+INFERENCE_T = 2
+ARCHS = {"resnet": {"blocks": 1, "channels": 4}, "unet": {"base_channels": 4, "res_blocks": 1}}
+
+# (algorithm, sharing, network, shape): the output's norm, then per unroll
+# (cg_residual, x_u_nmse, nmse_vs_ref).  With T=2 only the first unroll's
+# network reaches the output, so unshared equals shared.
+UNROLLED = {
+    ("vsqp", "shared", "resnet", (16, 16)):
+        (9.20323003000023, (1.435029550067155e-07, None, 0.001844525807902672),
+         (1.6481079766238118e-07, None, 0.017201022607162345)),
+    ("vsqp", "unshared", "resnet", (16, 16)):
+        (9.20323003000023, (1.435029550067155e-07, None, 0.001844525807902672),
+         (1.6481079766238118e-07, None, 0.017201022607162345)),
+    ("vsqp", "time_embedded", "resnet", (16, 16)):
+        (9.195374519466474, (1.435029550067155e-07, None, 0.001844525807902672),
+         (1.6454995618864287e-07, None, 0.017428219618207366)),
+    ("admm", "shared", "resnet", (16, 16)):
+        (9.611710721712855, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.585845863748325e-07, None, 0.0034916343594175465)),
+    ("admm", "unshared", "resnet", (16, 16)):
+        (9.611710721712855, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.585845863748325e-07, None, 0.0034916343594175465)),
+    ("admm", "time_embedded", "resnet", (16, 16)):
+        (9.608903932691357, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.520655775073782e-07, None, 0.003519131137427334)),
+    ("alg1", "shared", "resnet", (16, 16)):
+        (9.63401139989792, (5.811179036639826e-07, 0.0001992384745157736, 0.0013898546769067668),
+         (5.650469599947712e-07, 0.0458240010579681, 0.0032293636141294824)),
+    ("alg1", "unshared", "resnet", (16, 16)):
+        (9.63401139989792, (5.811179036639826e-07, 0.0001992384745157736, 0.0013898546769067668),
+         (5.650469599947712e-07, 0.0458240010579681, 0.0032293636141294824)),
+    ("alg1", "time_embedded", "resnet", (16, 16)):
+        (9.631458135747717, (5.811179036639826e-07, 0.0001992384745157736, 0.0013898546769067668),
+         (5.59451313280402e-07, 0.04675566322966592, 0.0032523851132432256)),
+    ("vsqp_te", "shared", "resnet", (16, 16)):
+        (9.631525761714471, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.59834615114556e-07, None, 0.0031229323857370995)),
+    ("vsqp_te", "unshared", "resnet", (16, 16)):
+        (9.631525761714471, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.59834615114556e-07, None, 0.0031229323857370995)),
+    ("vsqp_te", "time_embedded", "resnet", (16, 16)):
+        (9.628967925355322, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.538741377016946e-07, None, 0.003145646337724015)),
+    ("admm_te", "shared", "resnet", (16, 16)):
+        (9.611710721712855, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.585845863748325e-07, None, 0.0034916343594175465)),
+    ("admm_te", "unshared", "resnet", (16, 16)):
+        (9.611710721712855, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.585845863748325e-07, None, 0.0034916343594175465)),
+    ("admm_te", "time_embedded", "resnet", (16, 16)):
+        (9.608903932691357, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (5.520655775073782e-07, None, 0.003519131137427334)),
+    ("vsqp", "shared", "unet", (16, 16)):
+        (10.723085687637422, (1.435029550067155e-07, None, 0.001844525807902672),
+         (7.547357453718261e-07, None, 0.2194880069088917)),
+    ("vsqp", "unshared", "unet", (16, 16)):
+        (10.723085687637422, (1.435029550067155e-07, None, 0.001844525807902672),
+         (7.547357453718261e-07, None, 0.2194880069088917)),
+    ("vsqp", "time_embedded", "unet", (16, 16)):
+        (10.426583227718313, (1.435029550067155e-07, None, 0.001844525807902672),
+         (5.074360859631828e-07, None, 0.14098263717699275)),
+    ("admm", "shared", "unet", (16, 16)):
+        (9.924747544103658, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.3691328575632687e-06, None, 0.03058086772254004)),
+    ("admm", "unshared", "unet", (16, 16)):
+        (9.924747544103658, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.3691328575632687e-06, None, 0.03058086772254004)),
+    ("admm", "time_embedded", "unet", (16, 16)):
+        (9.89511124751738, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.1274360933635679e-06, None, 0.019505743275474528)),
+    ("alg1", "shared", "unet", (16, 16)):
+        (9.899785917196171, (5.811179036639826e-07, 0.0001992384745157736, 0.0013898546769067668),
+         (1.2853892443726807e-06, 0.35480568154576164, 0.025427009263082702)),
+    ("alg1", "unshared", "unet", (16, 16)):
+        (9.899785917196171, (5.811179036639826e-07, 0.0001992384745157736, 0.0013898546769067668),
+         (1.2853892443726807e-06, 0.35480568154576164, 0.025427009263082702)),
+    ("alg1", "time_embedded", "unet", (16, 16)):
+        (9.882892537496314, (5.811179036639826e-07, 0.0001992384745157736, 0.0013898546769067668),
+         (1.0870820796514383e-06, 0.3142197422830415, 0.016521089006344847)),
+    ("vsqp_te", "shared", "unet", (16, 16)):
+        (9.904915057015703, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.2838558418632065e-06, None, 0.025494782417950834)),
+    ("vsqp_te", "unshared", "unet", (16, 16)):
+        (9.904915057015703, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.2838558418632065e-06, None, 0.025494782417950834)),
+    ("vsqp_te", "time_embedded", "unet", (16, 16)):
+        (9.88246900820159, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.0853217386473105e-06, None, 0.016353085012303877)),
+    ("admm_te", "shared", "unet", (16, 16)):
+        (9.924747544103658, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.3691328575632687e-06, None, 0.03058086772254004)),
+    ("admm_te", "unshared", "unet", (16, 16)):
+        (9.924747544103658, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.3691328575632687e-06, None, 0.03058086772254004)),
+    ("admm_te", "time_embedded", "unet", (16, 16)):
+        (9.89511124751738, (5.811179036639826e-07, None, 0.0013898546769067668),
+         (1.1274360933635679e-06, None, 0.019505743275474528)),
+    ("vsqp", "shared", "resnet", (16, 24)):
+        (11.267855353224153, (5.31492977936973e-07, None, 0.0015879026165282932),
+         (7.027551863957862e-07, None, 0.015768296834251044)),
+    ("vsqp", "unshared", "resnet", (16, 24)):
+        (11.267855353224153, (5.31492977936973e-07, None, 0.0015879026165282932),
+         (7.027551863957862e-07, None, 0.015768296834251044)),
+    ("vsqp", "time_embedded", "resnet", (16, 24)):
+        (11.25788170421825, (5.31492977936973e-07, None, 0.0015879026165282932),
+         (7.018635139134142e-07, None, 0.015990375973704826)),
+    ("admm", "shared", "resnet", (16, 24)):
+        (11.813371273078639, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6946977966560074e-06, None, 0.003230508852957088)),
+    ("admm", "unshared", "resnet", (16, 24)):
+        (11.813371273078639, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6946977966560074e-06, None, 0.003230508852957088)),
+    ("admm", "time_embedded", "resnet", (16, 24)):
+        (11.80981694663496, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.694671153520844e-06, None, 0.003257510849186192)),
+    ("alg1", "shared", "resnet", (16, 24)):
+        (11.84241841027539, (2.357505810007694e-06, 0.00019424599295289963, 0.001217745507199082),
+         (2.7078966858228757e-06, 0.04512306170929603, 0.002993062662245552)),
+    ("alg1", "unshared", "resnet", (16, 24)):
+        (11.84241841027539, (2.357505810007694e-06, 0.00019424599295289963, 0.001217745507199082),
+         (2.7078966858228757e-06, 0.04512306170929603, 0.002993062662245552)),
+    ("alg1", "time_embedded", "resnet", (16, 24)):
+        (11.839169518724232, (2.357505810007694e-06, 0.00019424599295289963, 0.001217745507199082),
+         (2.7080352763963418e-06, 0.046068856624329, 0.0030163043794072084)),
+    ("vsqp_te", "shared", "resnet", (16, 24)):
+        (11.839512026987439, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6767145299839175e-06, None, 0.002892523247722376)),
+    ("vsqp_te", "unshared", "resnet", (16, 24)):
+        (11.839512026987439, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6767145299839175e-06, None, 0.002892523247722376)),
+    ("vsqp_te", "time_embedded", "resnet", (16, 24)):
+        (11.83627359475863, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6767574256103956e-06, None, 0.0029147378123025296)),
+    ("admm_te", "shared", "resnet", (16, 24)):
+        (11.813371273078639, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6946977966560074e-06, None, 0.003230508852957088)),
+    ("admm_te", "unshared", "resnet", (16, 24)):
+        (11.813371273078639, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.6946977966560074e-06, None, 0.003230508852957088)),
+    ("admm_te", "time_embedded", "resnet", (16, 24)):
+        (11.80981694663496, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.694671153520844e-06, None, 0.003257510849186192)),
+    ("vsqp", "shared", "unet", (16, 24)):
+        (14.588183818248071, (5.31492977936973e-07, None, 0.0015879026165282932),
+         (2.2632375683235997e-06, None, 0.48360569655156765)),
+    ("vsqp", "unshared", "unet", (16, 24)):
+        (14.588183818248071, (5.31492977936973e-07, None, 0.0015879026165282932),
+         (2.2632375683235997e-06, None, 0.48360569655156765)),
+    ("vsqp", "time_embedded", "unet", (16, 24)):
+        (12.71549519673277, (5.31492977936973e-07, None, 0.0015879026165282932),
+         (1.0990571097520735e-06, None, 0.10549392407446409)),
+    ("admm", "shared", "unet", (16, 24)):
+        (12.44449879254793, (2.357505810007694e-06, None, 0.001217745507199082),
+         (4.54970582443061e-06, None, 0.06877086659931052)),
+    ("admm", "unshared", "unet", (16, 24)):
+        (12.44449879254793, (2.357505810007694e-06, None, 0.001217745507199082),
+         (4.54970582443061e-06, None, 0.06877086659931052)),
+    ("admm", "time_embedded", "unet", (16, 24)):
+        (12.186586743249828, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.876453054757566e-06, None, 0.0146057311277995)),
+    ("alg1", "shared", "unet", (16, 24)):
+        (12.381082657689735, (2.357505810007694e-06, 0.00019424599295289963, 0.001217745507199082),
+         (4.3338895175601515e-06, 0.6123044558268746, 0.05789987934878464)),
+    ("alg1", "unshared", "unet", (16, 24)):
+        (12.381082657689735, (2.357505810007694e-06, 0.00019424599295289963, 0.001217745507199082),
+         (4.3338895175601515e-06, 0.6123044558268746, 0.05789987934878464)),
+    ("alg1", "time_embedded", "unet", (16, 24)):
+        (12.17458416140089, (2.357505810007694e-06, 0.00019424599295289963, 0.001217745507199082),
+         (2.7796708209349286e-06, 0.26181806657222895, 0.012470391490596658)),
+    ("vsqp_te", "shared", "unet", (16, 24)):
+        (12.381167133592164, (2.357505810007694e-06, None, 0.001217745507199082),
+         (4.314013591515822e-06, None, 0.057011257393913536)),
+    ("vsqp_te", "unshared", "unet", (16, 24)):
+        (12.381167133592164, (2.357505810007694e-06, None, 0.001217745507199082),
+         (4.314013591515822e-06, None, 0.057011257393913536)),
+    ("vsqp_te", "time_embedded", "unet", (16, 24)):
+        (12.172693603466199, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.806654935220042e-06, None, 0.012259328822704573)),
+    ("admm_te", "shared", "unet", (16, 24)):
+        (12.44449879254793, (2.357505810007694e-06, None, 0.001217745507199082),
+         (4.54970582443061e-06, None, 0.06877086659931052)),
+    ("admm_te", "unshared", "unet", (16, 24)):
+        (12.44449879254793, (2.357505810007694e-06, None, 0.001217745507199082),
+         (4.54970582443061e-06, None, 0.06877086659931052)),
+    ("admm_te", "time_embedded", "unet", (16, 24)):
+        (12.186586743249828, (2.357505810007694e-06, None, 0.001217745507199082),
+         (2.876453054757566e-06, None, 0.0146057311277995)),
+}
+
+# the output's norm, then the first and the last diagnostics row
+# (mu_x, mu_z, upsilon_x, upsilon_z, nmse, clamps)
+VAMP = {
+    "encoding":
+        (11.852265302926478,
+         (1.0, 0.5190990865135514, 0.658284906414549, 0.7671111507268847,
+          0.26575146036079755, 0),
+         (1.095500819071169, 0.5229382069818336, 0.6178793169853103, 0.6178517411779508,
+          0.0010361549287626428, 0)),
+    "dense":
+        (4.03505046414209,
+         (1.0, 0.48110367947108035, 0.6751721799496926, 1.7862573841563354,
+          0.562175827190102, 0),
+         (0.8217292454433333, 0.44172053165394287, 0.7914837757124457, 0.4598495778302065,
+          0.007588112590191484, 0)),
+}
+
+
+def _matches(got, want):
+    if want is None or isinstance(want, int):
+        return got == want
+    return abs(got - want) <= INFERENCE_RTOL * abs(want)
+
+
+def _problem(h, w):
+    sens = sm.make_smooth_sensitivities(h, w, 2, seed=1)
+    truth = sm.make_phantom(h, w, 5, seed=2)
+    mask = sm.make_equispaced_mask(h, w, 2, 4)
+    E = sm.EncodingOperator(mask, sens)
+    return E, sm.add_noise(E.forward(truth), 0.01, seed=3, mask=mask), truth
+
+
+def _run_unrolled(algorithm, sharing, arch, shape):
+    E, y, truth = _problem(*shape)
+    engine = TrainableEngine(algorithm, T=INFERENCE_T, cg_iters=15, sharing=sharing,
+                             arch=arch, seed=0, **ARCHS[arch])
+    # jitter every weight so that the zero-initialized FiLM heads and the
+    # residual branches move the output
+    rng = np.random.default_rng(4)
+    for net in engine.networks:
+        for t in net.parameters().values():
+            t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
+    cfg = UnrollConfig(algorithm, T=INFERENCE_T, cg_iters=15, sharing=sharing)
+    return run_unrolled(cfg, E, y, engine.schedules(), engine.networks, reference=truth)
+
+
+def test_run_unrolled_matches_recorded():
+    wrong = []
+    for key, (norm, *rows) in UNROLLED.items():
+        img, diags = _run_unrolled(*key)
+        got = [float(np.linalg.norm(img.data))]
+        got += [r[c] for r in diags.rows for c in ("cg_residual", "x_u_nmse", "nmse_vs_ref")]
+        want = [norm] + [v for row in rows for v in row]
+        if len(got) != len(want) or not all(map(_matches, got, want)):
+            wrong.append((key, got, want))
+    assert not wrong
+
+
+def _vamp_runs():
+    cfg = vamp.VampConfig(max_iters=8, cg_iters=50)
+    E, y, truth = _problem(16, 24)
+    yield "encoding", vamp.run_vamp(E, y, prox.soft_threshold_prox(0.05), cfg, reference=truth)
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 64)) / np.sqrt(40)
+    x0 = np.where(rng.random(64) < 0.2, rng.standard_normal(64), 0.0)
+    b = A @ x0 + 0.01 * rng.standard_normal(40)
+    yield "dense", vamp.run_vamp(A, b, prox.soft_threshold_prox(0.1), cfg, reference=x0)
+
+
+def test_vamp_diagnostics_match_recorded():
+    for name, (x, diags) in _vamp_runs():
+        norm, first, last = VAMP[name]
+        assert len(diags.rows) == 8
+        got = [float(np.linalg.norm(x))]
+        got += [row[c] for row in (diags.rows[0], diags.rows[-1]) for c in vamp.VAMP_COLUMNS[1:]]
+        want = [norm, *first, *last]
+        assert all(map(_matches, got, want)), (name, got, want)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from teunroll import ktn
+
+DTYPES = ["<c8", "<c16", "<f4", "<f8"]
 
 
 @pytest.mark.parametrize(
@@ -20,17 +25,30 @@ def test_round_trip(tmp_path, dtype):
     np.testing.assert_array_equal(back, arr)
 
 
+@settings(max_examples=60, deadline=None)
+@given(arr=st.sampled_from(DTYPES).flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                     max_side=5))))
+def test_round_trip_property(tmp_path_factory, arr):
+    # every bit pattern survives, NaN and infinities included
+    path = tmp_path_factory.mktemp("ktn") / "a.ktn"
+    ktn.write_ktn(path, arr)
+    back = ktn.read_ktn(path)
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+
+
 def test_scalar_and_header(tmp_path):
     path = tmp_path / "s.ktn"
     ktn.write_ktn(path, np.float64(3.5))
-    dtype, dims = ktn.read_header(path)
-    assert dims == ()
-    assert float(ktn.read_ktn(path)) == 3.5
+    back = ktn.read_ktn(path)
+    assert back.shape == ()
+    assert float(back) == 3.5
 
     ktn.write_ktn(tmp_path / "m.ktn", np.ones((2, 3), dtype=np.float32))
-    dtype, dims = ktn.read_header(tmp_path / "m.ktn")
-    assert dtype == np.dtype("<f4")
-    assert dims == (2, 3)
+    back = ktn.read_ktn(tmp_path / "m.ktn")
+    assert back.dtype == np.dtype("<f4")
+    assert back.shape == (2, 3)
 
 
 def test_magic_and_dtype_errors(tmp_path):

@@ -128,6 +128,22 @@ def test_row_block_gram_matches_fft_gram(op):
     assert np.linalg.norm(E.normal_array(x) - fft) <= 1e-12 * np.linalg.norm(fft)
 
 
+@settings(max_examples=40, deadline=None)
+@given(op=_operators())
+def test_operator_norm_at_most_one(op):
+    # Rows do not couple, so putting a unit impulse at column j of every row
+    # reads column j of all H row blocks of E^H E at once (W probes).
+    E, _ = op
+    h, w = E.shape
+    blocks = np.empty((h, w, w), dtype=complex)
+    for j in range(w):
+        probe = np.zeros((h, w), dtype=complex)
+        probe[:, j] = 1.0
+        blocks[:, :, j] = E.adjoint(E.forward(sm.ComplexImage(probe))).data
+    # ||E||^2 is the largest eigenvalue of E^H E
+    assert np.linalg.eigvalsh(blocks).max() <= (1.0 + 1e-12) ** 2
+
+
 def test_row_blocks_cached_only_under_the_cap():
     def operator(n, coils):
         mask = sm.make_equispaced_mask(n, n, 4, 8)
@@ -145,7 +161,7 @@ def test_partly_sampled_column_is_rejected(h, w, data):
     i, j = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
     pattern[i, j] = not pattern[i, j]
     with pytest.raises(ValueError, match="whole columns"):
-        sm.SamplingMask(pattern, 2.0, 0)
+        sm.SamplingMask(pattern)
 
 
 def test_mask_idempotence_and_zero_fill():
@@ -214,6 +230,14 @@ def test_equispaced_mask_errors():
         sm.make_equispaced_mask(4, 8, 0, 0)
     with pytest.raises(ValueError):
         sm.make_equispaced_mask(4, 8, 2, 9)
+
+
+def test_negative_acs_is_rejected():
+    # the CLI maps this ValueError of mask.acs = -1 to exit 2
+    with pytest.raises(ValueError, match="acs must be non-negative"):
+        sm.make_equispaced_mask(8, 16, 2, -1)
+    with pytest.raises(ValueError, match="acs must be non-negative"):
+        sm.make_random_mask(8, 16, 2, -1, seed=0)
 
 
 def test_random_mask_counting_and_determinism():

@@ -51,6 +51,27 @@ def test_lmmse_matches_dense_oracle():
     assert new.upsilon_x == pytest.approx(expected_trace, abs=1e-10)
 
 
+def test_half_steps_set_only_their_own_fields():
+    rng = np.random.default_rng(8)
+    n = 6
+    E = rng.standard_normal((9, n))
+    y = rng.standard_normal(9)
+    full = vamp.VampState(r=rng.standard_normal(n), mu_x=0.8, x=rng.standard_normal(n),
+                          upsilon_x=0.3, mu_z=0.4, u=rng.standard_normal(n),
+                          z=rng.standard_normal(n), upsilon_z=0.2, clamps=2)
+    lm = vamp.lmmse_step(E, y, full)
+    # the LMMSE half-step keeps the incoming message and clears the
+    # previous denoiser outputs
+    assert lm.r is full.r and lm.mu_x == full.mu_x and lm.clamps == full.clamps
+    assert lm.z is None and lm.upsilon_z is None
+    assert lm.x is not full.x and lm.u is not full.u and lm.mu_z != full.mu_z
+    dn = vamp.denoise_step(prox.tikhonov_prox(1.0), lm)
+    # the denoising half-step passes the LMMSE outputs through untouched
+    assert dn.x is lm.x and dn.u is lm.u
+    assert (dn.upsilon_x, dn.mu_z) == (lm.upsilon_x, lm.mu_z)
+    assert dn.z is not None and dn.upsilon_z is not None and dn.mu_x != lm.mu_x
+
+
 def test_denoise_identity_clamp_path():
     rng = np.random.default_rng(3)
     n = 8
