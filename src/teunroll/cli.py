@@ -30,7 +30,7 @@ from .signal_model import (
     make_random_mask,
     make_smooth_sensitivities,
 )
-from .unroll import Diagnostics, ScalarSchedule, UnrollConfig, run_unrolled
+from .unroll import Diagnostics, run_unrolled
 from .vamp import VampConfig, run_vamp
 
 EXIT_OK = 0
@@ -67,9 +67,14 @@ def _check_ssim_window(images, dirpath):
 def _build_mask(cfg, shape):
     mask_cfg = cfg["mask"]
     rows, cols = shape
-    if mask_cfg["kind"] == "equispaced":
-        return make_equispaced_mask(rows, cols, mask_cfg["accel"], mask_cfg["acs"])
-    return make_random_mask(rows, cols, mask_cfg["accel"], mask_cfg["acs"], mask_cfg["seed"])
+    try:
+        if mask_cfg["kind"] == "equispaced":
+            return make_equispaced_mask(rows, cols, mask_cfg["accel"], mask_cfg["acs"])
+        return make_random_mask(rows, cols, mask_cfg["accel"], mask_cfg["acs"],
+                                mask_cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(
+            f"mask.acs: {exc} (mask.accel = {mask_cfg['accel']}, {cols} columns)") from None
 
 
 def _measure(E, image, cfg, index):
@@ -137,21 +142,13 @@ def _reconstruct(cfg, E, y, reference=None):
         )
         x, diags = run_vamp(E, y, _analytic_prox(cfg), vcfg, reference=reference)
         return ComplexImage(x), diags
-    ucfg = UnrollConfig(un["algorithm"], T=un["t"], cg_iters=un["cg_iters"],
-                        sharing=un["sharing"])
     if learned:
-        engine = _load_engine(cfg, cfg["model"]["checkpoint"])
-        bank = engine.networks
-        schedules = engine.schedules()
-    else:
-        p = _analytic_prox(cfg)
-        bank = [p] * (ucfg.T if un["sharing"] == "unshared" else 1)
-        schedules = {
-            "mu": ScalarSchedule.constant(un["mu"], ucfg.T),
-            "rho": ScalarSchedule.constant(un["rho"], ucfg.T),
-            "lam": ScalarSchedule.constant(un["lam"], ucfg.T),
-        }
-    return run_unrolled(ucfg, E, y, schedules, bank, reference=reference)
+        return _load_engine(cfg, cfg["model"]["checkpoint"]).run(E, y, reference=reference)
+    p = _analytic_prox(cfg)
+    T = un["t"]
+    return run_unrolled(un["algorithm"], E, y, [un["mu"]] * T, lambda img, t: p.apply(img),
+                        rho=[un["rho"]] * T, lam=[un["lam"]] * T, cg_iters=un["cg_iters"],
+                        reference=reference)
 
 
 def _metric_row(reference, test, crop):

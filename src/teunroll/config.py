@@ -2,10 +2,12 @@
 [model], [unroll], [train] and [eval].
 
 Every key has a documented default (see SCHEMA); unknown sections or keys
-are rejected with their full key path, and so are non-finite reals and
-network widths below 1.  Relative paths resolve against the
-directory containing the config file, and the fully resolved document can
-be echoed back out so a run is reproducible from its own artifacts.
+are rejected with their full key path, and so is every value the engines
+would reject: non-finite reals, negative seeds and regularization weights,
+and zero widths, unroll counts and iteration budgets.  Relative paths
+resolve against the directory containing the config file, and the fully
+resolved document can be echoed back out so a run is reproducible from
+its own artifacts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 import os
 
 from .metrics import SSIM_WINDOW
-from .unroll import ALGORITHMS, SHARING_MODES
+from .nn.training import SHARING_MODES, default_mu
+from .unroll import ALGORITHMS
 
 ALGORITHM_CHOICES = ALGORITHMS + ("vamp",)
 PROX_CHOICES = ("identity", "soft_threshold", "tikhonov", "resnet", "unet")
@@ -54,52 +57,58 @@ def _path(raw, key):
 
 
 _INT = _typed(int, "integer")
+_SEED = _typed(int, "non-negative integer", lambda v: v >= 0)
 _POSITIVE_INT = _typed(int, "positive integer", lambda v: v > 0)
 _FLOAT = _typed(float, "finite real number", math.isfinite)
+_NONNEG_FLOAT = _typed(float, "finite non-negative real number",
+                       lambda v: math.isfinite(v) and v >= 0)
+_POSITIVE_FLOAT = _typed(float, "finite positive real number",
+                         lambda v: math.isfinite(v) and v > 0)
+_DAMPING = _typed(float, "real number in (0, 1]", lambda v: 0 < v <= 1)
 
 # (parser, default, is_path)
 SCHEMA = {
     "data": {
         "dir": (_path, ".", True),
         "index": (_INT, "0", False),
-        "noise_sigma": (_FLOAT, "0.01", False),
-        "noise_seed": (_INT, "0", False),
+        "noise_sigma": (_NONNEG_FLOAT, "0.01", False),
+        "noise_seed": (_SEED, "0", False),
     },
     "mask": {
         "kind": (_choice(MASK_CHOICES), "equispaced", False),
-        "accel": (_INT, "4", False),
+        "accel": (_POSITIVE_INT, "4", False),
         "acs": (_INT, "4", False),
-        "seed": (_INT, "0", False),
+        "seed": (_SEED, "0", False),
     },
     "model": {
         "prox": (_choice(PROX_CHOICES), "tikhonov", False),
-        "theta": (_FLOAT, "0.05", False),
-        "gamma": (_FLOAT, "1.0", False),
+        "theta": (_NONNEG_FLOAT, "0.05", False),
+        "gamma": (_NONNEG_FLOAT, "1.0", False),
         "blocks": (_INT, "3", False),
         "channels": (_POSITIVE_INT, "16", False),
         "base_channels": (_POSITIVE_INT, "16", False),
-        "res_blocks": (_INT, "1", False),
-        "net_seed": (_INT, "0", False),
+        "res_blocks": (_POSITIVE_INT, "1", False),
+        "net_seed": (_SEED, "0", False),
         "checkpoint": (_path, "", True),
     },
     "unroll": {
         "algorithm": (_choice(ALGORITHM_CHOICES), "alg1", False),
-        "t": (_INT, "5", False),
-        "cg_iters": (_INT, "15", False),
+        "t": (_POSITIVE_INT, "5", False),
+        "cg_iters": (_POSITIVE_INT, "15", False),
         "sharing": (_choice(SHARING_CHOICES), "time_embedded", False),
         "mu": (_FLOAT, "-1", False),  # -1 = per-algorithm default
         "rho": (_FLOAT, "0.1", False),
         "lam": (_FLOAT, "0.1", False),
-        "damping": (_FLOAT, "0.9", False),
-        "max_iters": (_INT, "20", False),
-        "trace_probes": (_INT, "32", False),
-        "mu_floor": (_FLOAT, "1e-8", False),
+        "damping": (_DAMPING, "0.9", False),
+        "max_iters": (_POSITIVE_INT, "20", False),
+        "trace_probes": (_POSITIVE_INT, "32", False),
+        "mu_floor": (_POSITIVE_FLOAT, "1e-8", False),
         "out": (_path, "runs/recon", True),
     },
     "train": {
         "epochs": (_INT, "10", False),
         "lr": (_FLOAT, "5e-4", False),
-        "seed": (_INT, "0", False),
+        "seed": (_SEED, "0", False),
         "out": (_path, "runs/train", True),
     },
     "eval": {
@@ -107,10 +116,6 @@ SCHEMA = {
         "crop": (_INT, "0", False),
     },
 }
-
-
-def default_mu(algorithm):
-    return 5e-2 if algorithm == "vsqp" else 1.5e-2
 
 
 def load_config(path):

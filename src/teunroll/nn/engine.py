@@ -332,6 +332,8 @@ def conv2d(x, w, b=None, kernel=3):
         raise ValueError("conv2d supports kernel sizes 1 and 3")
     if w.shape[2] != kernel or w.shape[3] != kernel:
         raise ValueError("weight shape disagrees with kernel size")
+    if w.shape[1] != x.shape[0]:
+        raise ValueError(f"weight takes {w.shape[1]} input channels, input has {x.shape[0]}")
     cin, h, wd = x.shape
     cout = w.shape[0]
     pad = (kernel - 1) // 2

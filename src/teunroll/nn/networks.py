@@ -142,6 +142,8 @@ class UNetProx(ProxNetworkBase):
     skip concatenation; channels double on the way down."""
 
     def __init__(self, base_channels=16, res_blocks=1, time_embedded=False, seed=0):
+        if res_blocks < 1:
+            raise ValueError("U-Net needs res_blocks >= 1")
         self.time_embedded = time_embedded
         self.store = ParamStore()
         rng = np.random.default_rng(seed)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import default_mu
-from ..signal_model import EncodingOperator, KSpaceData, ComplexImage
-from ..unroll import ScalarSchedule, UnrollConfig, unroll_steps
+from ..signal_model import EncodingOperator, KSpaceData
+from ..unroll import check_unrolls, run_unrolled, unroll_steps
 from . import engine as en
 from .engine import Tape, Tensor
 from .networks import build_network, complex_to_channels, channels_to_complex
 
 MU_FLOOR = 1e-6
+SHARING_MODES = ("shared", "unshared", "time_embedded")
 _DENOM_GUARD = 1e-30
 
 
@@ -60,6 +60,10 @@ def cg_tape(apply_A, b, iters):
     return x
 
 
+def default_mu(algorithm):
+    return 5e-2 if algorithm == "vsqp" else 1.5e-2
+
+
 def _name_list(names):
     """The first four names, plainly, with "..." only when more were cut."""
     return ", ".join(names[:4]) + (", ..." if len(names) > 4 else "")
@@ -79,8 +83,12 @@ class TrainableEngine:
 
     def __init__(self, algorithm, T, cg_iters=15, sharing="shared", arch="resnet",
                  seed=0, mu_init=None, rho_init=0.1, lam_init=0.1, **arch_kwargs):
-        self.config = UnrollConfig(algorithm=algorithm, T=T, cg_iters=cg_iters,
-                                   sharing=sharing)
+        self.family = check_unrolls(algorithm, T, cg_iters)
+        if sharing not in SHARING_MODES:
+            raise ValueError(f"unknown sharing mode {sharing!r}")
+        self.algorithm = algorithm
+        self.T = T
+        self.cg_iters = cg_iters
         time_embedded = sharing == "time_embedded"
         n_nets = T if sharing == "unshared" else 1
         self.networks = [
@@ -89,14 +97,13 @@ class TrainableEngine:
         ]
         if mu_init is None:
             mu_init = default_mu(algorithm)
-        per_unroll_mu = self.config.algorithm in ("alg1", "vsqp_te", "admm_te")
-        n_mu = T if per_unroll_mu else 1
+        n_mu = T if algorithm in ("alg1", "vsqp_te", "admm_te") else 1
         self.mu = [Tensor(np.float64(mu_init), requires_grad=True) for _ in range(n_mu)]
         self.rho = []
-        if self.config.family == "alg1":
+        if self.family == "alg1":
             self.rho = [Tensor(np.float64(rho_init), requires_grad=True) for _ in range(T)]
         self.lam = []
-        if self.config.family == "admm":
+        if self.family == "admm":
             self.lam = [Tensor(np.float64(lam_init), requires_grad=True)]
 
     # -- parameter plumbing --------------------------------------------------
@@ -141,15 +148,15 @@ class TrainableEngine:
             if t.data < MU_FLOOR:
                 t.data = np.float64(MU_FLOOR)
 
-    def _mu_at(self, t):
-        return self.mu[t] if len(self.mu) > 1 else self.mu[0]
+    def _per_unroll(self):
+        """(mu, rho, lam) with one scalar tensor per unroll; rho is empty
+        outside alg1 and lam outside the ADMM family.  Static algorithms
+        repeat their one mu, and the ADMM family shares one dual step."""
+        mu = self.mu if len(self.mu) > 1 else self.mu * self.T
+        return mu, self.rho, self.lam * self.T
 
     def _net_at(self, t):
         return self.networks[t] if len(self.networks) > 1 else self.networks[0]
-
-    def _prox(self, x, t):
-        net = self._net_at(t)
-        return net.forward(x, t if self.config.sharing == "time_embedded" else None)
 
     # -- forward -------------------------------------------------------------
     def forward(self, E: EncodingOperator, y: KSpaceData):
@@ -161,40 +168,34 @@ class TrainableEngine:
         """
         fn = normal_fn(E)
         rhs0 = Tensor(complex_to_channels(E.adjoint(y).data))
-        T = self.config.T
-        mu = [self._mu_at(t) for t in range(T)]
+        mu, rho, lam = self._per_unroll()
 
         def solve(t, b):
             def apply_A(v):
                 return en.axpy(mu[t], v, en.linear_selfadjoint(v, fn))
 
-            return cg_tape(apply_A, b, self.config.cg_iters), None
+            return cg_tape(apply_A, b, self.cg_iters), None
 
         def prox(v, t):
-            return v if t == T - 1 else self._prox(v, t)
+            return v if t == self.T - 1 else self._net_at(t).forward(v, t)
 
-        # the ADMM family shares one dual step across unrolls
-        for _, x, _, _ in unroll_steps(self.config.family, T, rhs0,
+        for _, x, _, _ in unroll_steps(self.family, self.T, rhs0,
                                        Tensor(np.zeros_like(rhs0.data)), solve, prox,
-                                       mu, self.rho, self.lam * T):
+                                       mu, rho, lam):
             pass
         return x
 
-    def reconstruct(self, E, y):
-        """Inference pass (no tape) returning a ComplexImage."""
-        out = self.forward(E, y)
-        return ComplexImage(channels_to_complex(out.data))
+    def run(self, E, y, reference=None):
+        """Inference (no tape): ``run_unrolled`` with the engine's scalars and
+        networks.  Returns (ComplexImage, Diagnostics)."""
+        mu, rho, lam = ([float(v.data) for v in vals] for vals in self._per_unroll())
+        return run_unrolled(self.algorithm, E, y, mu,
+                            lambda img, t: self._net_at(t).apply_complex(img, t),
+                            rho=rho, lam=lam, cg_iters=self.cg_iters, reference=reference)
 
-    def schedules(self):
-        """Trained scalars as inference-side schedules."""
-        T = self.config.T
-        mu = np.array([float(self._mu_at(t).data) for t in range(T)])
-        out = {"mu": ScalarSchedule(mu)}
-        if self.rho:
-            out["rho"] = ScalarSchedule(np.array([float(r.data) for r in self.rho]))
-        if self.lam:
-            out["lam"] = ScalarSchedule(np.full(T, float(self.lam[0].data)))
-        return out
+    def reconstruct(self, E, y):
+        """Inference pass returning a ComplexImage."""
+        return self.run(E, y)[0]
 
 
 class Adam:

@@ -1,6 +1,6 @@
 """Unrolled reconstruction engines.
 
-Four families over a shared CG data-fidelity core:
+Three families over a shared CG data-fidelity core:
 
   vsqp    x = (E^H E + mu I)^{-1}(E^H y + mu z);        z = prox(x)
   admm    x = (E^H E + mu I)^{-1}(E^H y + mu (z - u));  z = prox(x + u);
@@ -19,6 +19,7 @@ it on complex ndarrays and ``nn.TrainableEngine.forward`` on tape Tensors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,61 +28,31 @@ from .linops import cg_solve, normal_map_of, shifted
 from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 
-ALGORITHMS = ("vsqp", "admm", "alg1", "vsqp_te", "admm_te")
-SHARING_MODES = ("shared", "unshared", "time_embedded")
+# each algorithm's recursion; the _te variants differ only in their schedules
+FAMILIES = {"vsqp": "vsqp", "admm": "admm", "alg1": "alg1", "vsqp_te": "vsqp",
+            "admm_te": "admm"}
+ALGORITHMS = tuple(FAMILIES)
 
 
-@dataclass
-class UnrollConfig:
-    algorithm: str
-    T: int
-    cg_iters: int = 15
-    sharing: str = "shared"
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.sharing not in SHARING_MODES:
-            raise ValueError(f"unknown sharing mode {self.sharing!r}")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.cg_iters < 1:
-            raise ValueError("cg_iters must be >= 1")
-
-    @property
-    def family(self):
-        if self.algorithm in ("vsqp", "vsqp_te"):
-            return "vsqp"
-        if self.algorithm in ("admm", "admm_te"):
-            return "admm"
-        return "alg1"
+def check_unrolls(algorithm, T, cg_iters):
+    """Validate an unrolled run's shape; returns the algorithm's family."""
+    if algorithm not in FAMILIES:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if cg_iters < 1:
+        raise ValueError("cg_iters must be >= 1")
+    return FAMILIES[algorithm]
 
 
-@dataclass
-class ScalarSchedule:
-    """One scalar per unroll (mu_t, rho_t or lambda_t)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("schedule values must be 1-D")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("schedule contains non-finite values")
-
-    @classmethod
-    def constant(cls, value, T):
-        return cls(np.full(T, float(value)))
-
-
-def _wrap_prox(p, shape):
-    """Uniform (flat complex vector, t) -> flat vector view of a proximal map."""
-    if hasattr(p, "apply_complex"):
-        return lambda v, t: p.apply_complex(v.reshape(shape), t).ravel()
-    if hasattr(p, "apply"):
-        return lambda v, t: p.apply(v, 1.0)
-    raise TypeError(f"cannot use {type(p).__name__} as a proximal operator")
+def _schedule(name, values, T):
+    """One finite float per unroll."""
+    values = [float(v) for v in values] if values is not None else []
+    if len(values) != T:
+        raise ValueError(f"{name} schedule length must equal T")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("schedule contains non-finite values")
+    return values
 
 
 def unroll_steps(family, T, rhs0, zero, solve, prox, mu, rho, lam):
@@ -146,52 +117,41 @@ def reference_vector(reference):
 UNROLL_COLUMNS = ("unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref")
 
 
-def run_unrolled(
-    config: UnrollConfig,
-    E: EncodingOperator,
-    y: KSpaceData,
-    schedules,
-    prox_bank,
-    reference=None,
-):
-    """Run T unrolls of the configured algorithm.
+def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=None,
+                 lam=None, cg_iters=15, reference=None):
+    """Run T = len(mu) unrolls of ``algorithm``.
 
-    schedules: dict with a 'mu' ScalarSchedule (length T) plus 'rho' for
-    alg1 and 'lam' for the ADMM family.  prox_bank holds one prox for
-    shared/time_embedded sharing or T proxes for unshared.
+    mu holds one data-fidelity weight per unroll; alg1 also needs one
+    Onsager weight per unroll in rho and the ADMM family one dual step per
+    unroll in lam.  prox(image, t) is unroll t's proximal map on a 2-D
+    complex image.
 
     Returns (ComplexImage, Diagnostics).  The diagnostics carry the
     per-unroll CG residual, the normalized gap ||x - u||^2 / ||x||^2 of the
     Onsager-corrected estimate (alg1 only) and NMSE against an optional
     reference.
     """
-    T = config.T
-    if len(schedules["mu"].values) != T:
-        raise ValueError("mu schedule length must equal T")
-    if config.sharing == "unshared":
-        if len(prox_bank) != T:
-            raise ValueError("unshared mode needs T proximal operators")
-    elif len(prox_bank) != 1:
-        raise ValueError("shared/time-embedded modes use a single proximal operator")
+    T = len(mu)
+    family = check_unrolls(algorithm, T, cg_iters)
+    mu = _schedule("mu", mu, T)
+    # alg1's Onsager weight or the ADMM dual step; both fill the rho_t column
+    step = {"alg1": ("rho", rho), "admm": ("lam", lam)}.get(family)
+    steps = _schedule(*step, T) if step else None
     shape = E.shape
-    proxes = [_wrap_prox(p, shape) for p in prox_bank] * (T // len(prox_bank))
 
     gram = normal_map_of(E)
     rhs0 = E.adjoint(y).data.ravel()
     ref = reference_vector(reference)
 
-    family = config.family
-    mu = [float(v) for v in schedules["mu"].values]
-    # alg1's Onsager weight or the ADMM dual step; both fill the rho_t column
-    step = {"alg1": "rho", "admm": "lam"}.get(family)
-    steps = [float(v) for v in schedules[step].values] if step else None
-
     def solve(t, b):
-        return cg_solve(shifted(gram, mu[t]), b, max_iters=config.cg_iters, tol=1e-12)
+        return cg_solve(shifted(gram, mu[t]), b, max_iters=cg_iters, tol=1e-12)
+
+    def prox_flat(v, t):
+        return prox(v.reshape(shape), t).ravel()
 
     diags = Diagnostics(UNROLL_COLUMNS)
     for t, x, u, rep in unroll_steps(family, T, rhs0, np.zeros_like(rhs0), solve,
-                                     lambda v, t: proxes[t](v, t), mu, steps, steps):
+                                     prox_flat, mu, steps, steps):
         x_u_nmse = None
         if family == "alg1":
             x_u_nmse = float(

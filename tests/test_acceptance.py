@@ -17,7 +17,7 @@ from teunroll.nn import engine as en
 from teunroll.nn.engine import Tape, Tensor
 from teunroll.nn.layers import film_modulate, film_residual_modulate, sinusoidal_encode
 from teunroll.nn.networks import ResNetProx, complex_to_channels, resnet_full, unet_full
-from teunroll.unroll import ScalarSchedule, UnrollConfig, run_unrolled
+from teunroll.unroll import run_unrolled
 
 from oracles import ScaledSoftThreshold, dense_from_probes, fista_lasso, spd_with_clusters
 
@@ -173,17 +173,14 @@ def test_criterion_5_fixed_point_equivalences():
 
     mu = 0.4
     lam_eff = mu * gamma / (1 + gamma)
-    cfg = UnrollConfig("vsqp", T=T, cg_iters=15, sharing="shared")
-    img, _ = run_unrolled(cfg, E, y, {"mu": ScalarSchedule.constant(mu, T)}, [p])
+    img, _ = run_unrolled("vsqp", E, y, [mu] * T, lambda img, t: p.apply(img))
     expected = np.linalg.solve(G + lam_eff * np.eye(256), rhs)
     rel = np.linalg.norm(img.data.ravel() - expected) / np.linalg.norm(expected)
     assert rel <= 1e-6
     results.append(("vsqp", rel))
 
     # ADMM with lam = mu = 1: fixed point is the gamma-ridge solution
-    cfg = UnrollConfig("admm", T=T, cg_iters=15, sharing="shared")
-    schedules = {"mu": ScalarSchedule.constant(1.0, T), "lam": ScalarSchedule.constant(1.0, T)}
-    img, _ = run_unrolled(cfg, E, y, schedules, [p])
+    img, _ = run_unrolled("admm", E, y, [1.0] * T, lambda img, t: p.apply(img), lam=[1.0] * T)
     expected = np.linalg.solve(G + gamma * np.eye(256), rhs)
     rel = np.linalg.norm(img.data.ravel() - expected) / np.linalg.norm(expected)
     assert rel <= 1e-6
@@ -192,9 +189,7 @@ def test_criterion_5_fixed_point_equivalences():
     # Alg. 1 at fixed (mu, rho): effective ridge weight mu*gamma/(1+gamma+rho)
     mu, rho = 0.4, 0.2
     lam_eff = mu * gamma / (1 + gamma + rho)
-    cfg = UnrollConfig("alg1", T=T, cg_iters=15, sharing="shared")
-    schedules = {"mu": ScalarSchedule.constant(mu, T), "rho": ScalarSchedule.constant(rho, T)}
-    img, _ = run_unrolled(cfg, E, y, schedules, [p])
+    img, _ = run_unrolled("alg1", E, y, [mu] * T, lambda img, t: p.apply(img), rho=[rho] * T)
     expected = np.linalg.solve(G + lam_eff * np.eye(256), rhs)
     rel = np.linalg.norm(img.data.ravel() - expected) / np.linalg.norm(expected)
     assert rel <= 1e-6
@@ -213,9 +208,9 @@ class _Capture:
         self.inner = inner
         self.seen = []
 
-    def apply(self, u, noise_precision=1.0):
-        self.seen.append(np.array(u, copy=True))
-        return self.inner.apply(u, noise_precision)
+    def __call__(self, img, t):
+        self.seen.append(np.array(img, copy=True))
+        return self.inner.apply(img)
 
 
 def test_criterion_6_reduction_lattice():
@@ -226,19 +221,13 @@ def test_criterion_6_reduction_lattice():
     truth = sm.make_phantom(16, 16, 5, seed=4)
     y = sm.add_noise(E.forward(truth), 0.01, seed=5, mask=mask)
     T = 10
-    mu_varying = ScalarSchedule(np.linspace(0.05, 0.3, T))
-    mu_const = ScalarSchedule.constant(0.07, T)
-    lam_const = ScalarSchedule.constant(0.1, T)
+    mu_varying = np.linspace(0.05, 0.3, T)
+    mu_const, lam_const = [0.07] * T, [0.1] * T
 
     # alg1 with rho = 0 vs vsqp_te, trajectory equality through prox inputs
     pa, pv = _Capture(prox.tikhonov_prox(0.8)), _Capture(prox.tikhonov_prox(0.8))
-    img_a, _ = run_unrolled(
-        UnrollConfig("alg1", T=T, cg_iters=15), E, y,
-        {"mu": mu_varying, "rho": ScalarSchedule.constant(0.0, T)}, [pa],
-    )
-    img_v, _ = run_unrolled(
-        UnrollConfig("vsqp_te", T=T, cg_iters=15), E, y, {"mu": mu_varying}, [pv]
-    )
+    img_a, _ = run_unrolled("alg1", E, y, mu_varying, pa, rho=[0.0] * T)
+    img_v, _ = run_unrolled("vsqp_te", E, y, mu_varying, pv)
     assert np.array_equal(img_a.data, img_v.data)
     assert len(pa.seen) == len(pv.seen) == T
     for a, b in zip(pa.seen, pv.seen):
@@ -247,9 +236,8 @@ def test_criterion_6_reduction_lattice():
     # te engines with constant schedules vs static baselines
     for te_name, st_name in (("vsqp_te", "vsqp"), ("admm_te", "admm")):
         pt, ps = _Capture(prox.tikhonov_prox(1.1)), _Capture(prox.tikhonov_prox(1.1))
-        schedules = {"mu": mu_const, "lam": lam_const}
-        img_t, _ = run_unrolled(UnrollConfig(te_name, T=T, cg_iters=15), E, y, schedules, [pt])
-        img_s, _ = run_unrolled(UnrollConfig(st_name, T=T, cg_iters=15), E, y, schedules, [ps])
+        img_t, _ = run_unrolled(te_name, E, y, mu_const, pt, lam=lam_const)
+        img_s, _ = run_unrolled(st_name, E, y, mu_const, ps, lam=lam_const)
         assert np.array_equal(img_t.data, img_s.data)
         for a, b in zip(pt.seen, ps.seen):
             assert np.array_equal(a, b)
@@ -404,18 +392,16 @@ def directional_experiment():
     train(shared, train_data, epochs=4, lr=5e-4, seed=0)
     train(te, train_data, epochs=4, lr=5e-4, seed=0)
 
-    def evaluate(engine, algorithm, sharing):
-        cfg = UnrollConfig(algorithm, T=5, cg_iters=15, sharing=sharing)
-        scheds = engine.schedules()
+    def evaluate(engine):
         psnrs, gaps = [], []
         for truth, y in test_set:
-            img, diags = run_unrolled(cfg, E, y, scheds, engine.networks)
+            img, diags = engine.run(E, y)
             psnrs.append(metrics.psnr(np.abs(truth.data), np.abs(img.data)))
             gaps.append([row["x_u_nmse"] for row in diags.rows])
         return float(np.mean(psnrs)), gaps
 
-    psnr_shared, _ = evaluate(shared, "vsqp", "shared")
-    psnr_te, te_gaps = evaluate(te, "alg1", "time_embedded")
+    psnr_shared, _ = evaluate(shared)
+    psnr_te, te_gaps = evaluate(te)
     psnr_zf = float(np.mean(
         [metrics.psnr(np.abs(t.data), np.abs(E.adjoint(y).data)) for t, y in test_set]
     ))
@@ -428,6 +414,7 @@ def directional_experiment():
     }
 
 
+@pytest.mark.slow
 def test_criterion_9_te_vs_shared_directional(directional_experiment):
     r = directional_experiment
     assert r["psnr_te"] >= r["psnr_shared"] - 0.2
@@ -467,6 +454,7 @@ def test_criterion_10_parameter_accounting():
 
 # 11 -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_11_onsager_gap_diagnostic(directional_experiment):
     gaps = directional_experiment["te_gaps"]
     worst_tail = 0.0

@@ -147,6 +147,13 @@ def test_conv2d_matches_oracle_at_network_sizes(cin, cout, h, w, kernel):
     check_conv2d_against_oracle(h, w, cin, cout, kernel, seed=0)
 
 
+def test_conv2d_rejects_a_weight_for_another_channel_count():
+    # a (2, 4, 3, 3) weight on 3 channels would read only 3 of its 9 taps' inputs
+    for cin in (3, 5):
+        with pytest.raises(ValueError, match="input channels"):
+            en.conv2d(Tensor(np.ones((cin, 8, 8))), Tensor(np.ones((2, 4, 3, 3))))
+
+
 def check_conv2d_against_oracle(h, w, cin, cout, kernel, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((cin, h, w)), requires_grad=True)

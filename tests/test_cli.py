@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import tempfile
@@ -171,6 +173,29 @@ def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
     ("recon", "tikhonov", "vamp", "unroll.mu_floor", "nan"),
     ("recon", "tikhonov", "alg1", "unroll.mu", "inf"),
     ("train", "resnet", "alg1", "train.lr", "-inf"),
+    ("recon", "tikhonov", "alg1", "data.noise_seed", "-1"),
+    ("recon", "tikhonov", "alg1", "mask.seed", "-1"),
+    ("train", "resnet", "alg1", "model.net_seed", "-1"),
+    ("train", "resnet", "alg1", "train.seed", "-1"),
+    ("recon", "tikhonov", "alg1", "data.noise_sigma", "-0.01"),
+    ("recon", "soft_threshold", "alg1", "model.theta", "-0.05"),
+    ("recon", "tikhonov", "alg1", "model.gamma", "-1"),
+    ("recon", "tikhonov", "alg1", "mask.accel", "0"),
+    ("recon", "tikhonov", "alg1", "unroll.t", "0"),
+    ("train", "resnet", "alg1", "unroll.cg_iters", "0"),
+    ("recon", "tikhonov", "vamp", "unroll.max_iters", "0"),
+    ("recon", "tikhonov", "vamp", "unroll.trace_probes", "0"),
+    ("recon", "tikhonov", "vamp", "unroll.damping", "0"),
+    ("recon", "tikhonov", "vamp", "unroll.damping", "1.5"),
+    ("recon", "tikhonov", "vamp", "unroll.mu_floor", "0"),
+    # a zero-block U-Net would feed its output conv the wrong channel count
+    ("recon", "unet", "alg1", "model.res_blocks", "0"),
+    ("train", "unet", "alg1", "model.res_blocks", "0"),
+    # 40 ACS columns on a 32-column image; 9 beyond the random mask's 8-column budget
+    ("recon", "tikhonov", "alg1", "mask.acs", "40"),
+    pytest.param("recon", "tikhonov", "alg1", "mask.acs", "9\nkind = random",
+                 id="recon-tikhonov-alg1-mask.acs-random"),
+    ("train", "resnet", "alg1", "mask.acs", "-1"),
 ])
 def test_zero_width_or_non_finite_value_is_config_error(tmp_path, dataset, capsys, command,
                                                         prox, algorithm, key, value):
@@ -223,8 +248,12 @@ def test_config_fuzz_ends_with_a_documented_exit_code(small_dataset, setup, data
         path = os.path.join(tmp, "fuzz.ini")
         with open(path, "w") as fh:
             fh.writelines(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
-        code = run_cli(command, "--config", path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(command, "--config", path)
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+    if code == cli.EXIT_CONFIG:
+        assert any(f"{s}.{k}" in err.getvalue() for s in SCHEMA for k in SCHEMA[s]), err.getvalue()
     if any(isinstance(v, float) and not math.isfinite(v) for v in values.values()):
         assert code == cli.EXIT_CONFIG
 

@@ -12,11 +12,16 @@ the traced benchmark's counts, so a change in the number of tape nodes,
 taped Gram applies or conv calls fails the suite and not only a
 ``--trace 1`` run.
 
-Inference: ``run_unrolled`` for every algorithm, sharing mode and network
+Inference: ``TrainableEngine.run`` for every algorithm, sharing mode and network
 at T=2 on a 16x16 and a 16x24 problem, and ``run_vamp``'s diagnostics on
 an encoding operator and on a dense matrix.  The values were recorded
 before the VAMP half-steps and the reference NMSE were rewritten; they
 hold to 1e-12 relative.
+
+Command line: every row of the CSVs that ``recon``, ``eval`` and
+``train`` write at 16x16, recorded before ``run_unrolled`` took
+per-unroll scalars and one prox; they hold to 1e-12 relative, the
+training loss curve to 1e-10.
 """
 
 import numpy as np
@@ -27,7 +32,6 @@ from teunroll import signal_model as sm
 from teunroll.nn import TrainableEngine
 from teunroll.nn import engine as en
 from teunroll.nn.networks import complex_to_channels
-from teunroll.unroll import UnrollConfig, run_unrolled
 
 T = 5
 CG_ITERS = 15
@@ -349,8 +353,7 @@ def _run_unrolled(algorithm, sharing, arch, shape):
     for net in engine.networks:
         for t in net.parameters().values():
             t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
-    cfg = UnrollConfig(algorithm, T=INFERENCE_T, cg_iters=15, sharing=sharing)
-    return run_unrolled(cfg, E, y, engine.schedules(), engine.networks, reference=truth)
+    return engine.run(E, y, reference=truth)
 
 
 def test_run_unrolled_matches_recorded():
@@ -384,3 +387,133 @@ def test_vamp_diagnostics_match_recorded():
         got += [row[c] for row in (diags.rows[0], diags.rows[-1]) for c in vamp.VAMP_COLUMNS[1:]]
         want = [norm, *first, *last]
         assert all(map(_matches, got, want)), (name, got, want)
+
+
+# -- command line --------------------------------------------------------------
+
+# ``teunroll recon | train | eval`` on two 16x16 phantoms seen by 2 coils.
+# Each run overrides these base sections; the learned recon and eval use the
+# networks' seeded weights (no checkpoint), so they pin inference alone.
+CLI_BASE = {
+    "data": {"dir": "data"},
+    "mask": {"accel": "2", "acs": "4"},
+    "model": {"blocks": "1", "channels": "4", "base_channels": "4"},
+    "unroll": {"t": "3", "cg_iters": "10"},
+}
+CLI_RUNS = {
+    "recon_alg1_soft": ("recon", {"model": {"prox": "soft_threshold"},
+                                  "unroll": {"algorithm": "alg1", "sharing": "shared"}}),
+    "recon_vamp": ("recon", {"model": {"prox": "soft_threshold"},
+                             "unroll": {"algorithm": "vamp", "max_iters": "6"}}),
+    "recon_learned": ("recon", {"model": {"prox": "resnet"},
+                                "unroll": {"algorithm": "alg1", "sharing": "time_embedded"}}),
+    "eval_learned": ("eval", {"model": {"prox": "unet"},
+                              "unroll": {"algorithm": "admm_te", "sharing": "unshared"}}),
+    "train": ("train", {"model": {"prox": "resnet"},
+                        "unroll": {"algorithm": "alg1", "sharing": "time_embedded"},
+                        "train": {"epochs": "3"}}),
+}
+CLI_OUTPUTS = {"recon": ("metrics.csv", "diagnostics.csv"), "eval": ("metrics.csv",),
+               "train": ("loss.csv",)}
+
+# every row after each file's header, as read back by _csv_cells
+CLI_CSVS = {
+    ('recon_alg1_soft', 'metrics.csv'): [
+        ['recon', 42.968115324378104, 0.999506328413551, 0.0007586034565873619],
+        ['zero_filled', 28.553723725991045, 0.9505712224742157, 0.020963026197852338],
+    ],
+    ('recon_alg1_soft', 'diagnostics.csv'): [
+        [0.0, 0.015, 0.1, 0.0003679610837309628, 0.00021527252743949496, 0.0009947408203496396],
+        [1.0, 0.015, 0.1, 0.00037155606250141354, 2.8512943905585425e-05, 0.00095178915549036],
+        [2.0, 0.015, 0.1, 0.0003714288204998552, 2.5064927115427336e-05, 0.0009510163898627319],
+    ],
+    ('recon_vamp', 'metrics.csv'): [
+        ['recon', 41.725886523433516, 0.9990784255048852, 0.001009805419882549],
+        ['zero_filled', 28.553723725991045, 0.9505712224742157, 0.020963026197852338],
+    ],
+    ('recon_vamp', 'diagnostics.csv'): [
+        [0.0, 1.0, 0.5677916081031698, 0.6378398728705239, 0.948651130049961, 0.26708323048842175, 0.0],
+        [1.0, 0.5377030198490049, 0.5422803253179067, 0.9259402049810777, 0.7432309951089335, 0.005323817107565553, 0.0],
+        [2.0, 0.7766470553805697, 0.5578471062570008, 0.7493476020703533, 0.7244996101358131, 0.002345125467488283, 0.0],
+        [3.0, 0.8178390032174508, 0.5599403756826861, 0.7258056081506219, 0.7205374657207821, 0.0010866877254004593, 0.0],
+        [4.0, 0.8269051580188714, 0.5603831918846952, 0.7208306766718773, 0.7162061947365675, 0.0012064763841191767, 0.0],
+        [5.0, 0.8349669996565284, 0.5607717792726982, 0.7164664442204387, 0.7156726942359934, 0.0011568621282210217, 0.0],
+    ],
+    ('recon_learned', 'metrics.csv'): [
+        ['recon', 36.9633472261132, 0.9970433276056512, 0.0030233722811719484],
+        ['zero_filled', 28.553723725991045, 0.9505712224742157, 0.020963026197852338],
+    ],
+    ('recon_learned', 'diagnostics.csv'): [
+        [0.0, 0.015, 0.1, 0.0003679610837309628, 0.00021527252743949496, 0.0009947408203496396],
+        [1.0, 0.015, 0.1, 0.0004308215161713206, 0.07403682899276091, 0.0034739601124555816],
+        [2.0, 0.015, 0.1, 0.00043213131030718884, 0.09428599618317654, 0.0037006840784152826],
+    ],
+    ('eval_learned', 'metrics.csv'): [
+        [0.0, 25.10238144646589, 0.9326886709891213, 0.04640750338607033],
+        [1.0, 21.066701327208904, 0.939514764794468, 0.050059389870078914],
+        ['mean', 23.084541386837397, 0.9361017178917947, 0.04823344662807462],
+        ['std', 2.0178400596284938, 0.0034130469026733556, 0.0018259432420042916],
+    ],
+    ('train', 'loss.csv'): [
+        [0.0, 0.00099535067511333],
+        [1.0, 0.0008716520558211565],
+        [2.0, 0.0007643397543025108],
+    ],
+}
+
+
+def _csv_cells(text):
+    """A CSV's rows after its header: numbers as floats, blanks as None and
+    labels as strings."""
+
+    def cell(raw):
+        if raw == "":
+            return None
+        try:
+            return float(raw)
+        except ValueError:
+            return raw
+
+    return [[cell(c) for c in line.split(",")] for line in text.strip().split("\n")[1:]]
+
+
+@pytest.fixture(scope="module")
+def cli_csvs(tmp_path_factory):
+    from teunroll import cli
+
+    root = tmp_path_factory.mktemp("cli_fingerprint")
+    assert cli.main(["phantom", "--out", str(root / "data"), "--size", "16",
+                     "--coils", "2", "--count", "2"]) == 0
+    found = {}
+    for name, (command, overrides) in CLI_RUNS.items():
+        sections = {s: dict(keys) for s, keys in CLI_BASE.items()}
+        for section, keys in overrides.items():
+            sections.setdefault(section, {}).update(keys)
+        out_section = "unroll" if command == "recon" else command
+        sections.setdefault(out_section, {})["out"] = name
+        path = root / f"{name}.ini"
+        path.write_text("".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for s, keys in sections.items()))
+        assert cli.main([command, "--config", str(path)]) == 0
+        for fname in CLI_OUTPUTS[command]:
+            found[name, fname] = _csv_cells((root / name / fname).read_text())
+    return found
+
+
+def _rows_match(got, want, rtol):
+    def same(g, w):
+        if isinstance(w, float):
+            return isinstance(g, float) and abs(g - w) <= rtol * abs(w)
+        return g == w
+
+    return len(got) == len(want) and all(
+        len(g) == len(w) and all(map(same, g, w)) for g, w in zip(got, want))
+
+
+def test_cli_csvs_match_recorded(cli_csvs):
+    assert cli_csvs.keys() == CLI_CSVS.keys()
+    wrong = [key for key, want in CLI_CSVS.items()
+             if not _rows_match(cli_csvs[key], want,
+                                RTOL if key[0] == "train" else INFERENCE_RTOL)]
+    assert not wrong, [(key, cli_csvs[key]) for key in wrong]

@@ -9,9 +9,10 @@ from teunroll.linops import cg_solve, from_dense
 from teunroll.nn import TrainableEngine, TrainingError, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
+from teunroll.nn.networks import channels_to_complex
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
-from teunroll.nn.training import cg_tape
-from teunroll.unroll import ALGORITHMS, SHARING_MODES, UnrollConfig, run_unrolled
+from teunroll.nn.training import SHARING_MODES, cg_tape
+from teunroll.unroll import ALGORITHMS
 
 from oracles import cg_tape_reference, spd_with_clusters
 
@@ -73,27 +74,18 @@ def test_cg_tape_matches_composed_reference(h, w, mu, iters, seed):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def _taped(eng, E, y):
+    """The training forward's output as a complex image."""
+    return channels_to_complex(eng.forward(E, y).data)
+
+
 def test_tape_engine_agrees_with_inference_engine():
     E, y, truth = _toy_problem()
     eng = TrainableEngine("alg1", T=3, cg_iters=15, sharing="time_embedded",
                           arch="resnet", seed=0, blocks=2, channels=8)
-    out = eng.reconstruct(E, y)
-    cfg = UnrollConfig("alg1", T=3, cg_iters=15, sharing="time_embedded")
-    img, _ = run_unrolled(cfg, E, y, eng.schedules(), [eng.networks[0]])
-    gap = np.linalg.norm(out.data - img.data) / np.linalg.norm(img.data)
+    img = eng.reconstruct(E, y)
+    gap = np.linalg.norm(_taped(eng, E, y) - img.data) / np.linalg.norm(img.data)
     assert gap <= 1e-12
-
-
-class _CountingNet:
-    """Forwards to a network's complex bridge and counts the calls."""
-
-    def __init__(self, net):
-        self.net = net
-        self.calls = 0
-
-    def apply_complex(self, img, t=None):
-        self.calls += 1
-        return self.net.apply_complex(img, t)
 
 
 @pytest.mark.parametrize("sharing", SHARING_MODES)
@@ -110,12 +102,16 @@ def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed,
         t.data = np.float64(rng.uniform(0.01, 0.2))
     for t in eng.rho + eng.lam:
         t.data = np.float64(rng.uniform(-0.2, 0.5))
-    out = eng.reconstruct(E, y)
-    bank = [_CountingNet(net) for net in eng.networks]
-    cfg = UnrollConfig(algorithm, T=T, cg_iters=15, sharing=sharing)
-    img, _ = run_unrolled(cfg, E, y, eng.schedules(), bank)
-    assert np.linalg.norm(out.data - img.data) <= 1e-12 * np.linalg.norm(img.data)
-    assert sum(net.calls for net in bank) == T
+    calls = []
+    for net in eng.networks:
+        def counted(img, t, apply=net.apply_complex):
+            calls.append(t)
+            return apply(img, t)
+
+        net.apply_complex = counted
+    img, _ = eng.run(E, y)
+    assert np.linalg.norm(_taped(eng, E, y) - img.data) <= 1e-12 * np.linalg.norm(img.data)
+    assert calls == list(range(T))
 
 
 def test_zero_epoch_training_is_identity():

@@ -24,19 +24,25 @@ def _dense_ridge(E, y, lam_eff):
     return np.linalg.solve(G + lam_eff * np.eye(n), rhs)
 
 
+def _prox_of(p):
+    """An analytic prox as run_unrolled's unroll-t map."""
+    return lambda img, t: p.apply(img)
+
+
 class CapturingProx:
     """Wraps an analytic prox and records every input it sees and every
-    output it returns."""
+    output it returns, flattened."""
 
     def __init__(self, inner):
         self.inner = inner
         self.seen = []
         self.out = []
 
-    def apply(self, u, noise_precision=1.0):
-        self.seen.append(np.array(u, copy=True))
-        self.out.append(self.inner.apply(u, noise_precision))
-        return self.out[-1]
+    def __call__(self, img, t):
+        self.seen.append(np.array(img, copy=True).ravel())
+        out = self.inner.apply(img)
+        self.out.append(out.ravel())
+        return out
 
 
 class FixedProx:
@@ -45,21 +51,15 @@ class FixedProx:
     def __init__(self, image):
         self.image = image
 
-    def apply(self, u, noise_precision=1.0):
-        return self.image.ravel()
-
-
-def _constant_schedules(T, **values):
-    return {k: unroll.ScalarSchedule.constant(v, T) for k, v in values.items()}
+    def __call__(self, img, t):
+        return self.image
 
 
 # -- single iterations ---------------------------------------------------
 
 def test_vsqp_identity_prox_reaches_normal_equations():
     E, truth, y = _problem()
-    cfg = unroll.UnrollConfig("vsqp", T=50, cg_iters=15, sharing="shared")
-    x, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(50, mu=0.05),
-                               [prox.identity_prox()])
+    x, _ = unroll.run_unrolled("vsqp", E, y, [0.05] * 50, _prox_of(prox.identity_prox()))
     gram = normal_map_of(E)
     rhs = E.adjoint(y).data.ravel()
     residual = np.linalg.norm(gram.apply(x.data.ravel()) - rhs)
@@ -70,9 +70,7 @@ def test_vsqp_tikhonov_fixed_point_effective_lambda():
     E, truth, y = _problem()
     mu, gamma = 0.4, 1.5
     lam_eff = mu * gamma / (1 + gamma)  # prox gain 1/(1+gamma)
-    cfg = unroll.UnrollConfig("vsqp", T=200, cg_iters=15, sharing="shared")
-    schedules = {"mu": unroll.ScalarSchedule.constant(mu, 200)}
-    img, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(gamma)])
+    img, _ = unroll.run_unrolled("vsqp", E, y, [mu] * 200, _prox_of(prox.tikhonov_prox(gamma)))
     expected = _dense_ridge(E, y, lam_eff)
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
 
@@ -80,9 +78,7 @@ def test_vsqp_tikhonov_fixed_point_effective_lambda():
 def test_vsqp_huge_mu_pins_to_prior():
     E, truth, y = _problem()
     # the prox hands the prior image to unroll 1, whose solve must return it
-    cfg = unroll.UnrollConfig("vsqp", T=2, cg_iters=40, sharing="shared")
-    x, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(2, mu=1e6),
-                               [FixedProx(truth.data)])
+    x, _ = unroll.run_unrolled("vsqp", E, y, [1e6] * 2, FixedProx(truth.data), cg_iters=40)
     assert np.linalg.norm(x.data - truth.data) <= 1e-3 * np.linalg.norm(truth.data)
 
 
@@ -90,12 +86,8 @@ def test_admm_tikhonov_matches_ridge_at_unit_mu():
     E, truth, y = _problem()
     gamma = 0.7
     T = 200
-    cfg = unroll.UnrollConfig("admm", T=T, cg_iters=15, sharing="shared")
-    schedules = {
-        "mu": unroll.ScalarSchedule.constant(1.0, T),
-        "lam": unroll.ScalarSchedule.constant(1.0, T),
-    }
-    img, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(gamma)])
+    img, _ = unroll.run_unrolled("admm", E, y, [1.0] * T, _prox_of(prox.tikhonov_prox(gamma)),
+                                 lam=[1.0] * T)
     expected = _dense_ridge(E, y, gamma)
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
 
@@ -104,12 +96,8 @@ def test_admm_general_mu_fixed_point_is_mu_gamma():
     E, truth, y = _problem()
     mu, gamma = 0.3, 0.7
     T = 300
-    cfg = unroll.UnrollConfig("admm", T=T, cg_iters=15, sharing="shared")
-    schedules = {
-        "mu": unroll.ScalarSchedule.constant(mu, T),
-        "lam": unroll.ScalarSchedule.constant(mu, T),
-    }
-    img, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(gamma)])
+    img, _ = unroll.run_unrolled("admm", E, y, [mu] * T, _prox_of(prox.tikhonov_prox(gamma)),
+                                 lam=[mu] * T)
     expected = _dense_ridge(E, y, mu * gamma)
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
 
@@ -119,10 +107,8 @@ def test_admm_lambda_zero_reduces_to_vsqp():
     T = 5
     p_admm = CapturingProx(prox.tikhonov_prox(1.0))
     p_vsqp = CapturingProx(prox.tikhonov_prox(1.0))
-    cfg_admm = unroll.UnrollConfig("admm", T=T, cg_iters=15, sharing="shared")
-    cfg_vsqp = unroll.UnrollConfig("vsqp", T=T, cg_iters=15, sharing="shared")
-    unroll.run_unrolled(cfg_admm, E, y, _constant_schedules(T, mu=0.5, lam=0.0), [p_admm])
-    unroll.run_unrolled(cfg_vsqp, E, y, _constant_schedules(T, mu=0.5), [p_vsqp])
+    unroll.run_unrolled("admm", E, y, [0.5] * T, p_admm, lam=[0.0] * T)
+    unroll.run_unrolled("vsqp", E, y, [0.5] * T, p_vsqp)
     assert len(p_admm.out) == len(p_vsqp.out) == T
     for a, b in zip(p_admm.out, p_vsqp.out):
         np.testing.assert_array_equal(a, b)
@@ -132,8 +118,7 @@ def test_admm_identity_prox_freezes_dual():
     E, truth, y = _problem()
     mu = 0.5
     p = CapturingProx(prox.identity_prox())
-    cfg = unroll.UnrollConfig("admm", T=3, cg_iters=15, sharing="shared")
-    img, _ = unroll.run_unrolled(cfg, E, y, _constant_schedules(3, mu=mu, lam=0.3), [p])
+    img, _ = unroll.run_unrolled("admm", E, y, [mu] * 3, p, lam=[0.3] * 3)
     A = shifted(normal_map_of(E), mu)
     rhs0 = E.adjoint(y).data.ravel()
     x0, _ = cg_solve(A, rhs0 + mu * rhs0, max_iters=15, tol=1e-12)
@@ -157,8 +142,7 @@ def test_alg1_matches_vamp_messages_with_exact_onsager_weight():
 
     # the prox of the single unroll sees the Onsager-corrected u
     p = CapturingProx(prox.identity_prox())
-    cfg = unroll.UnrollConfig("alg1", T=1, cg_iters=200, sharing="shared")
-    unroll.run_unrolled(cfg, E, y, _constant_schedules(1, mu=mu_x, rho=rho), [p])
+    unroll.run_unrolled("alg1", E, y, [mu_x], p, rho=[rho], cg_iters=200)
     scale = np.linalg.norm(vstate.u)
     assert np.linalg.norm(p.seen[0] - vstate.u) <= 1e-10 * scale
 
@@ -167,12 +151,8 @@ def test_alg1_matches_vamp_messages_with_exact_onsager_weight():
 
 def test_run_unrolled_single_step_unwind():
     E, truth, y = _problem()
-    cfg = unroll.UnrollConfig("alg1", T=1, cg_iters=15, sharing="shared")
-    schedules = {
-        "mu": unroll.ScalarSchedule.constant(0.05, 1),
-        "rho": unroll.ScalarSchedule.constant(0.0, 1),
-    }
-    img, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.identity_prox()])
+    img, _ = unroll.run_unrolled("alg1", E, y, [0.05], _prox_of(prox.identity_prox()),
+                                 rho=[0.0])
     rhs0 = E.adjoint(y).data.ravel()
     direct, _ = cg_solve(shifted(normal_map_of(E), 0.05), rhs0 + 0.05 * rhs0,
                          max_iters=15, tol=1e-12)
@@ -182,15 +162,11 @@ def test_run_unrolled_single_step_unwind():
 def test_reduction_alg1_rho_zero_equals_vsqp_te():
     E, truth, y = _problem(coils=2, seeds=(6, 7, 8))
     T = 10
-    mu = unroll.ScalarSchedule(np.linspace(0.05, 0.2, T))
+    mu = np.linspace(0.05, 0.2, T)
     p_a = CapturingProx(prox.tikhonov_prox(0.8))
     p_v = CapturingProx(prox.tikhonov_prox(0.8))
-    cfg_a = unroll.UnrollConfig("alg1", T=T, cg_iters=15, sharing="shared")
-    cfg_v = unroll.UnrollConfig("vsqp_te", T=T, cg_iters=15, sharing="shared")
-    img_a, _ = unroll.run_unrolled(
-        cfg_a, E, y, {"mu": mu, "rho": unroll.ScalarSchedule.constant(0.0, T)}, [p_a]
-    )
-    img_v, _ = unroll.run_unrolled(cfg_v, E, y, {"mu": mu}, [p_v])
+    img_a, _ = unroll.run_unrolled("alg1", E, y, mu, p_a, rho=[0.0] * T)
+    img_v, _ = unroll.run_unrolled("vsqp_te", E, y, mu, p_v)
     np.testing.assert_array_equal(img_a.data, img_v.data)
     assert len(p_a.seen) == len(p_v.seen) == T
     for a, b in zip(p_a.seen, p_v.seen):
@@ -200,16 +176,10 @@ def test_reduction_alg1_rho_zero_equals_vsqp_te():
 def test_reduction_te_constant_schedule_equals_static():
     E, truth, y = _problem(coils=2, seeds=(9, 10, 11))
     T = 10
-    p = prox.tikhonov_prox(1.2)
+    p = _prox_of(prox.tikhonov_prox(1.2))
     for te, static in (("vsqp_te", "vsqp"), ("admm_te", "admm")):
-        schedules = {
-            "mu": unroll.ScalarSchedule.constant(0.07, T),
-            "lam": unroll.ScalarSchedule.constant(0.1, T),
-        }
-        cfg_te = unroll.UnrollConfig(te, T=T, cg_iters=15, sharing="shared")
-        cfg_st = unroll.UnrollConfig(static, T=T, cg_iters=15, sharing="shared")
-        img_te, d_te = unroll.run_unrolled(cfg_te, E, y, schedules, [p])
-        img_st, d_st = unroll.run_unrolled(cfg_st, E, y, schedules, [p])
+        img_te, d_te = unroll.run_unrolled(te, E, y, [0.07] * T, p, lam=[0.1] * T)
+        img_st, d_st = unroll.run_unrolled(static, E, y, [0.07] * T, p, lam=[0.1] * T)
         np.testing.assert_array_equal(img_te.data, img_st.data)
         assert d_te.to_csv() == d_st.to_csv()
 
@@ -217,12 +187,8 @@ def test_reduction_te_constant_schedule_equals_static():
 def test_onsager_gap_statistic_small_once_converged():
     E, truth, y = _problem()
     T = 20
-    cfg = unroll.UnrollConfig("alg1", T=T, cg_iters=15, sharing="shared")
-    schedules = {
-        "mu": unroll.ScalarSchedule.constant(0.5, T),
-        "rho": unroll.ScalarSchedule.constant(0.1, T),
-    }
-    _, diags = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(1.0)])
+    _, diags = unroll.run_unrolled("alg1", E, y, [0.5] * T, _prox_of(prox.tikhonov_prox(1.0)),
+                                   rho=[0.1] * T)
     gaps = [row["x_u_nmse"] for row in diags.rows]
     assert all(np.isfinite(g) for g in gaps)
     assert all(0.0 <= g <= 0.05 for g in gaps[1:])
@@ -232,10 +198,7 @@ def test_data_consistency_monotonicity():
     # multi-coil so E E^H is not a projector and the zero-filled image has
     # a genuine residual at sampled locations
     E, truth, y = _problem(coils=3, seeds=(12, 13, 14))
-    T = 50
-    cfg = unroll.UnrollConfig("vsqp", T=T, cg_iters=15, sharing="shared")
-    schedules = {"mu": unroll.ScalarSchedule.constant(0.1, T)}
-    img, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(0.2)])
+    img, _ = unroll.run_unrolled("vsqp", E, y, [0.1] * 50, _prox_of(prox.tikhonov_prox(0.2)))
     mask = E.mask.pattern
     x0 = E.adjoint(y)
 
@@ -248,30 +211,30 @@ def test_data_consistency_monotonicity():
 
 def test_run_unrolled_deterministic_and_validated():
     E, truth, y = _problem()
-    cfg = unroll.UnrollConfig("alg1", T=4, cg_iters=15, sharing="shared")
-    schedules = {
-        "mu": unroll.ScalarSchedule.constant(0.05, 4),
-        "rho": unroll.ScalarSchedule.constant(0.1, 4),
-    }
-    a, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(1.0)])
-    b, _ = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(1.0)])
+    p = _prox_of(prox.tikhonov_prox(1.0))
+    a, _ = unroll.run_unrolled("alg1", E, y, [0.05] * 4, p, rho=[0.1] * 4)
+    b, _ = unroll.run_unrolled("alg1", E, y, [0.05] * 4, p, rho=[0.1] * 4)
     np.testing.assert_array_equal(a.data, b.data)
 
-    with pytest.raises(ValueError):
-        unroll.UnrollConfig("alg1", T=0)
-    with pytest.raises(ValueError):
-        unroll.run_unrolled(cfg, E, y, {"mu": unroll.ScalarSchedule.constant(0.05, 3)},
-                            [prox.identity_prox()])
-    bad = unroll.UnrollConfig("vsqp", T=4, sharing="unshared")
-    with pytest.raises(ValueError):
-        unroll.run_unrolled(bad, E, y, schedules, [prox.identity_prox()])
+    bad_calls = [
+        ({"algorithm": "pgd"}, "unknown algorithm"),
+        ({"mu": []}, "T must be >= 1"),
+        ({"cg_iters": 0}, "cg_iters must be >= 1"),
+        ({"rho": [0.1] * 3}, "rho schedule length must equal T"),
+        ({"rho": None}, "rho schedule length must equal T"),
+        ({"mu": [0.05, np.nan, 0.05, 0.05]}, "non-finite"),
+        ({"rho": [0.1, 0.1, np.inf, 0.1]}, "non-finite"),
+        ({"algorithm": "admm", "lam": [0.1] * 5}, "lam schedule length must equal T"),
+    ]
+    for change, message in bad_calls:
+        kwargs = {"algorithm": "alg1", "mu": [0.05] * 4, "rho": [0.1] * 4, **change}
+        with pytest.raises(ValueError, match=message):
+            unroll.run_unrolled(kwargs.pop("algorithm"), E, y, kwargs.pop("mu"), p, **kwargs)
 
 
 def test_nmse_vs_reference_recorded():
     E, truth, y = _problem()
-    cfg = unroll.UnrollConfig("vsqp", T=5, cg_iters=15, sharing="shared")
-    schedules = {"mu": unroll.ScalarSchedule.constant(0.05, 5)}
-    _, diags = unroll.run_unrolled(cfg, E, y, schedules, [prox.tikhonov_prox(0.3)],
+    _, diags = unroll.run_unrolled("vsqp", E, y, [0.05] * 5, _prox_of(prox.tikhonov_prox(0.3)),
                                    reference=truth)
     vals = [row["nmse_vs_ref"] for row in diags.rows]
     assert all(v is not None and np.isfinite(v) for v in vals)
