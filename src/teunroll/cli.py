@@ -179,6 +179,13 @@ def _center_crop(arr, size):
 
 # -- subcommands ---------------------------------------------------------
 
+def _check_seeds(args):
+    """A global or subcommand --seed must be a non-negative integer."""
+    for seed in (args.seed, getattr(args, "sub_seed", None)):
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed: {seed} is not a non-negative integer")
+
+
 def _run_seed(args, fallback=0):
     if getattr(args, "sub_seed", None) is not None:
         return args.sub_seed
@@ -356,6 +363,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seeds(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

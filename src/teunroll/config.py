@@ -3,11 +3,11 @@
 
 Every key has a documented default (see SCHEMA); unknown sections or keys
 are rejected with their full key path, and so is every value the engines
-would reject: non-finite reals, negative seeds and regularization weights,
-and zero widths, unroll counts and iteration budgets.  Relative paths
-resolve against the directory containing the config file, and the fully
-resolved document can be echoed back out so a run is reproducible from
-its own artifacts.
+would reject or silently misread: non-finite reals, negative seeds,
+regularization weights, block and epoch counts and crops, and zero widths,
+unroll counts and iteration budgets.  Relative paths resolve against the
+directory containing the config file, and the fully resolved document can
+be echoed back out so a run is reproducible from its own artifacts.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _path(raw, key):
 
 
 _INT = _typed(int, "integer")
-_SEED = _typed(int, "non-negative integer", lambda v: v >= 0)
+_NONNEG_INT = _typed(int, "non-negative integer", lambda v: v >= 0)
 _POSITIVE_INT = _typed(int, "positive integer", lambda v: v > 0)
 _FLOAT = _typed(float, "finite real number", math.isfinite)
 _NONNEG_FLOAT = _typed(float, "finite non-negative real number",
@@ -72,23 +72,23 @@ SCHEMA = {
         "dir": (_path, ".", True),
         "index": (_INT, "0", False),
         "noise_sigma": (_NONNEG_FLOAT, "0.01", False),
-        "noise_seed": (_SEED, "0", False),
+        "noise_seed": (_NONNEG_INT, "0", False),
     },
     "mask": {
         "kind": (_choice(MASK_CHOICES), "equispaced", False),
         "accel": (_POSITIVE_INT, "4", False),
         "acs": (_INT, "4", False),
-        "seed": (_SEED, "0", False),
+        "seed": (_NONNEG_INT, "0", False),
     },
     "model": {
         "prox": (_choice(PROX_CHOICES), "tikhonov", False),
         "theta": (_NONNEG_FLOAT, "0.05", False),
         "gamma": (_NONNEG_FLOAT, "1.0", False),
-        "blocks": (_INT, "3", False),
+        "blocks": (_NONNEG_INT, "3", False),
         "channels": (_POSITIVE_INT, "16", False),
         "base_channels": (_POSITIVE_INT, "16", False),
         "res_blocks": (_POSITIVE_INT, "1", False),
-        "net_seed": (_SEED, "0", False),
+        "net_seed": (_NONNEG_INT, "0", False),
         "checkpoint": (_path, "", True),
     },
     "unroll": {
@@ -106,14 +106,14 @@ SCHEMA = {
         "out": (_path, "runs/recon", True),
     },
     "train": {
-        "epochs": (_INT, "10", False),
+        "epochs": (_NONNEG_INT, "10", False),
         "lr": (_FLOAT, "5e-4", False),
-        "seed": (_SEED, "0", False),
+        "seed": (_NONNEG_INT, "0", False),
         "out": (_path, "runs/train", True),
     },
     "eval": {
         "out": (_path, "runs/eval", True),
-        "crop": (_INT, "0", False),
+        "crop": (_NONNEG_INT, "0", False),
     },
 }
 

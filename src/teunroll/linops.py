@@ -53,7 +53,13 @@ def to_dense(A: LinearMap):
 
 def normal_map_of(E):
     """The Gram operator E^H E of an EncodingOperator, acting on flattened
-    image vectors."""
+    image vectors, with every apply checked: its input and output each pass
+    through ``ComplexImage``, so a non-finite value raises ValueError.
+
+    Only VAMP's set-up and LMMSE solve still use this checked adapter;
+    ``run_unrolled`` runs its CG on ``E.normal_array`` directly and lets
+    ``cg_solve`` check finiteness itself.
+    """
     from .signal_model import ComplexImage
 
     h, w = E.shape
@@ -69,15 +75,21 @@ def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):
     """Conjugate gradients for self-adjoint PSD A from a zero initial
     guess.  Stops early once ||r|| <= tol * ||b||.
 
-    Returns (x, CgReport).  Raises on non-finite values, which signal an
-    indefinite or broken operator.
+    Returns (x, CgReport).  Raises FloatingPointError on a non-finite
+    right-hand side, curvature or residual, which signal broken inputs or
+    an indefinite or broken operator; A itself need not check its values.
+
+    x, r and p are updated in place: all three are allocated here, and
+    nothing returned by A.apply is written to.
     """
     b = np.asarray(b)
     if b.shape != (A.dim,):
         raise ValueError(f"rhs length {b.shape} != operator dim {A.dim}")
-    x = np.zeros_like(b)
-    r = b.copy()
     b_norm = np.linalg.norm(b)
+    if not np.isfinite(b_norm):
+        raise FloatingPointError("CG right-hand side is not finite")
+    r = b.astype(np.result_type(b, 1.0))
+    x = np.zeros_like(r)
     if b_norm == 0.0:
         return x, CgReport(0, 0.0, True)
     p = r.copy()
@@ -88,18 +100,23 @@ def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):
             it -= 1
             break
         Ap = A.apply(p)
+        if Ap.dtype != x.dtype:
+            # e.g. a complex A under a real b: the iterates take A's type
+            dtype = np.result_type(x, Ap)
+            x, r, p = x.astype(dtype), r.astype(dtype), p.astype(dtype)
         pAp = np.vdot(p, Ap).real
         if not np.isfinite(pAp) or pAp <= 0.0:
             if rs <= (tol * b_norm) ** 2 or pAp == 0.0:
                 break
             raise FloatingPointError(f"CG hit non-positive curvature ({pAp})")
         alpha = rs / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         rs_new = np.vdot(r, r).real
         if not np.isfinite(rs_new):
             raise FloatingPointError("CG residual became non-finite")
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     resid = float(np.sqrt(rs))
     return x, CgReport(it, resid, resid <= tol * b_norm or resid == 0.0)

@@ -158,13 +158,23 @@ class TrainableEngine:
     def _net_at(self, t):
         return self.networks[t] if len(self.networks) > 1 else self.networks[0]
 
+    def _prox(self, call):
+        """The per-unroll prox(v, t) of either backend: call(network, v, t)
+        for t < T-1, and v itself at the last unroll.  The returned estimate
+        is the final CG output and no diagnostic reads the last prox's
+        output, so that network call would be dead and is skipped."""
+
+        def prox(v, t):
+            return v if t == self.T - 1 else call(self._net_at(t), v, t)
+
+        return prox
+
     # -- forward -------------------------------------------------------------
     def forward(self, E: EncodingOperator, y: KSpaceData):
         """Unrolled reconstruction as a (2, H, W) tape tensor.
 
-        Runs ``unroll_steps`` with a taped CG solve.  The returned estimate
-        is the final CG output, so the last unroll's prox cannot influence
-        it; that network call is skipped rather than taped.
+        Runs ``unroll_steps`` with a taped CG solve.  The last unroll's
+        network call is skipped (see ``_prox``), not taped.
         """
         fn = normal_fn(E)
         rhs0 = Tensor(complex_to_channels(E.adjoint(y).data))
@@ -176,9 +186,7 @@ class TrainableEngine:
 
             return cg_tape(apply_A, b, self.cg_iters), None
 
-        def prox(v, t):
-            return v if t == self.T - 1 else self._net_at(t).forward(v, t)
-
+        prox = self._prox(lambda net, v, t: net.forward(v, t))
         for _, x, _, _ in unroll_steps(self.family, self.T, rhs0,
                                        Tensor(np.zeros_like(rhs0.data)), solve, prox,
                                        mu, rho, lam):
@@ -187,11 +195,15 @@ class TrainableEngine:
 
     def run(self, E, y, reference=None):
         """Inference (no tape): ``run_unrolled`` with the engine's scalars and
-        networks.  Returns (ComplexImage, Diagnostics)."""
+        networks.  Returns (ComplexImage, Diagnostics).
+
+        Like ``forward``, it calls the networks at unrolls 0..T-2 only (see
+        ``_prox``); the image and every diagnostic equal those of a run
+        that also makes the last, dead network call."""
         mu, rho, lam = ([float(v.data) for v in vals] for vals in self._per_unroll())
-        return run_unrolled(self.algorithm, E, y, mu,
-                            lambda img, t: self._net_at(t).apply_complex(img, t),
-                            rho=rho, lam=lam, cg_iters=self.cg_iters, reference=reference)
+        prox = self._prox(lambda net, img, t: net.apply_complex(img, t))
+        return run_unrolled(self.algorithm, E, y, mu, prox, rho=rho, lam=lam,
+                            cg_iters=self.cg_iters, reference=reference)
 
     def reconstruct(self, E, y):
         """Inference pass returning a ComplexImage."""

@@ -208,3 +208,22 @@ def cg_tape_reference(apply_A, b, iters):
         p = en.add(r, en.mul(beta, p))
         rs = rs_new
     return x
+
+
+def cg_out_of_place_reference(apply_A, b, iters):
+    """Conjugate gradients from a zero start with a fresh array for every
+    update and no stopping test; the in-place ``linops.cg_solve`` must
+    reproduce its bits while it runs the same iterations."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = np.vdot(r, r).real
+    for _ in range(iters):
+        Ap = apply_A(p)
+        alpha = rs / np.vdot(p, Ap).real
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = np.vdot(r, r).real
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x

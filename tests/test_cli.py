@@ -13,6 +13,7 @@ from teunroll import cli, ktn
 from teunroll import signal_model as sm
 from teunroll.config import SCHEMA, ConfigError, load_config
 from teunroll.linops import normal_map_of
+from teunroll.nn.networks import load_checkpoint, save_checkpoint
 
 from oracles import dense_from_probes
 
@@ -196,6 +197,11 @@ def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
     pytest.param("recon", "tikhonov", "alg1", "mask.acs", "9\nkind = random",
                  id="recon-tikhonov-alg1-mask.acs-random"),
     ("train", "resnet", "alg1", "mask.acs", "-1"),
+    # a negative block count built a block-less ResNet, negative epochs a
+    # checkpoint with an empty loss curve
+    ("recon", "resnet", "alg1", "model.blocks", "-2"),
+    ("train", "resnet", "alg1", "train.epochs", "-3"),
+    ("recon", "tikhonov", "alg1", "eval.crop", "-1"),
 ])
 def test_zero_width_or_non_finite_value_is_config_error(tmp_path, dataset, capsys, command,
                                                         prox, algorithm, key, value):
@@ -224,6 +230,8 @@ SETUPS = [("recon", "tikhonov", "alg1"), ("recon", "soft_threshold", "vamp"),
           ("recon", "resnet", "admm_te"), ("recon", "unet", "vsqp"),
           ("train", "resnet", "alg1"), ("train", "unet", "admm")]
 SMALL_REALS = [-1.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
+# counts that 0 leaves legal but no negative does
+NON_NEGATIVE_KEYS = [("model", "blocks"), ("train", "epochs"), ("eval", "crop")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,6 +248,8 @@ def test_config_fuzz_ends_with_a_documented_exit_code(small_dataset, setup, data
     for section, key, kind in drawn:
         values[section, key] = data.draw(
             st.integers(-1, 3) if kind is int else st.sampled_from(SMALL_REALS))
+    if data.draw(st.booleans()):
+        values[data.draw(st.sampled_from(NON_NEGATIVE_KEYS))] = data.draw(st.integers(-3, -1))
     with tempfile.TemporaryDirectory() as tmp:
         values["unroll", "out"] = values["train", "out"] = values["eval", "out"] = tmp
         sections = {}
@@ -256,6 +266,20 @@ def test_config_fuzz_ends_with_a_documented_exit_code(small_dataset, setup, data
         assert any(f"{s}.{k}" in err.getvalue() for s in SCHEMA for k in SCHEMA[s]), err.getvalue()
     if any(isinstance(v, float) and not math.isfinite(v) for v in values.values()):
         assert code == cli.EXIT_CONFIG
+    if any(values.get(key, 0) < 0 for key in NON_NEGATIVE_KEYS):
+        assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["recon", "train"])
+def test_negative_seed_flag_is_config_error(tmp_path, dataset, capsys, command):
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[model]\nprox = resnet\n")
+    assert run_cli("--seed", "-1", command, "--config", cfg) == cli.EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    # a subcommand's own --seed is checked the same way
+    assert run_cli("phantom", "--out", tmp_path / "p", "--seed", "-2") == cli.EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -474,6 +498,43 @@ out = eval_mismatch
     assert run_cli("recon", "--config", cfg("d.ini", sharing="shared")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "model.checkpoint" in err and "net.block0.film.alpha.b" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_checkpoint_is_numeric_failure(tmp_path, capsys):
+    """A NaN network bias makes the first unroll's prox output non-finite;
+    the next CG solve stops the run as a numeric failure (exit 3)."""
+    assert run_cli("phantom", "--out", tmp_path / "data", "--size", "16", "--coils", "2",
+                   "--count", "1") == 0
+    body = """
+[data]
+dir = data
+[model]
+prox = resnet
+blocks = 1
+channels = 4
+checkpoint = {ckpt}
+[unroll]
+algorithm = alg1
+t = 2
+sharing = time_embedded
+out = out_nan
+[train]
+epochs = 0
+out = trained
+[eval]
+out = eval_nan
+"""
+    assert run_cli("train", "--config", write_cfg(tmp_path, body.format(ckpt=""))) == 0
+    ckpt = tmp_path / "trained" / "checkpoint"
+    state = load_checkpoint(ckpt)
+    state["net.conv_out.b"][0] = np.nan
+    save_checkpoint(ckpt, state)
+    cfg = write_cfg(tmp_path, body.format(ckpt="trained/checkpoint"), name="nan.ini")
+    for command in ("recon", "eval"):
+        assert run_cli(command, "--config", cfg) == cli.EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "out_nan").exists() and not (tmp_path / "eval_nan").exists()
 
 
 def test_missing_dataset_is_config_error(tmp_path, capsys):

@@ -21,7 +21,10 @@ hold to 1e-12 relative.
 Command line: every row of the CSVs that ``recon``, ``eval`` and
 ``train`` write at 16x16, recorded before ``run_unrolled`` took
 per-unroll scalars and one prox; they hold to 1e-12 relative, the
-training loss curve to 1e-10.
+training loss curve to 1e-10.  The checkpoint of a 1-epoch ``train`` at
+16x16: its manifest's names and shapes exactly, and each parameter's norm
+to 1e-10 relative, recorded before inference stopped making the last
+unroll's network call and checking every CG Gram apply.
 """
 
 import numpy as np
@@ -478,26 +481,40 @@ def _csv_cells(text):
 
 
 @pytest.fixture(scope="module")
-def cli_csvs(tmp_path_factory):
+def cli_root(tmp_path_factory):
+    """A directory holding the two-phantom dataset in data/."""
     from teunroll import cli
 
     root = tmp_path_factory.mktemp("cli_fingerprint")
     assert cli.main(["phantom", "--out", str(root / "data"), "--size", "16",
                      "--coils", "2", "--count", "2"]) == 0
+    return root
+
+
+def _run_cli(root, name, command, overrides):
+    """``teunroll <command>`` on CLI_BASE plus overrides, writing to root/name."""
+    from teunroll import cli
+
+    sections = {s: dict(keys) for s, keys in CLI_BASE.items()}
+    for section, keys in overrides.items():
+        sections.setdefault(section, {}).update(keys)
+    out_section = "unroll" if command == "recon" else command
+    sections.setdefault(out_section, {})["out"] = name
+    path = root / f"{name}.ini"
+    path.write_text("".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for s, keys in sections.items()))
+    assert cli.main([command, "--config", str(path)]) == 0
+    return root / name
+
+
+@pytest.fixture(scope="module")
+def cli_csvs(cli_root):
     found = {}
     for name, (command, overrides) in CLI_RUNS.items():
-        sections = {s: dict(keys) for s, keys in CLI_BASE.items()}
-        for section, keys in overrides.items():
-            sections.setdefault(section, {}).update(keys)
-        out_section = "unroll" if command == "recon" else command
-        sections.setdefault(out_section, {})["out"] = name
-        path = root / f"{name}.ini"
-        path.write_text("".join(
-            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-            for s, keys in sections.items()))
-        assert cli.main([command, "--config", str(path)]) == 0
+        out = _run_cli(cli_root, name, command, overrides)
         for fname in CLI_OUTPUTS[command]:
-            found[name, fname] = _csv_cells((root / name / fname).read_text())
+            found[name, fname] = _csv_cells((out / fname).read_text())
     return found
 
 
@@ -517,3 +534,49 @@ def test_cli_csvs_match_recorded(cli_csvs):
              if not _rows_match(cli_csvs[key], want,
                                 RTOL if key[0] == "train" else INFERENCE_RTOL)]
     assert not wrong, [(key, cli_csvs[key]) for key in wrong]
+
+
+# ``teunroll train`` for one epoch (train.seed 0) on the same two phantoms:
+# every checkpoint entry as (name, manifest shape, the parameter's norm).
+# The last Onsager weight gets no gradient and keeps its initial 0.1.
+CHECKPOINT_RUN = {"model": {"prox": "resnet"},
+                  "unroll": {"algorithm": "alg1", "sharing": "time_embedded"},
+                  "train": {"epochs": "1", "seed": "0"}}
+CHECKPOINT = [
+    ("net.conv_in.w", "4x2x3x3", 2.8935536623438995),
+    ("net.conv_in.b", "4", 0.001998698077669545),
+    ("net.block0.conv1.w", "4x4x3x3", 2.994002492767098),
+    ("net.block0.conv1.b", "4", 0.001965141269477143),
+    ("net.block0.conv2.w", "4x4x3x3", 2.835931068990272),
+    ("net.block0.conv2.b", "4", 0.0019982272177176577),
+    ("net.conv_out.w", "2x4x3x3", 2.0340400154712155),
+    ("net.conv_out.b", "2", 0.0014145958895336094),
+    ("net.time.fc1.w", "128x32", 15.9640569747929),
+    ("net.time.fc1.b", "128", 0.0014880949304343812),
+    ("net.time.fc2.w", "128x128", 15.914037974726867),
+    ("net.time.fc2.b", "128", 0.0017833011713429582),
+    ("net.block0.film.alpha.w", "4x128", 0.017350066625582757),
+    ("net.block0.film.alpha.b", "4", 0.0015511762396099168),
+    ("net.block0.film.beta.w", "4x128", 0.021798618764507453),
+    ("net.block0.film.beta.b", "4", 0.001967507936944156),
+    ("mu.0000", "scalar", 0.01402412182792783),
+    ("mu.0001", "scalar", 0.014062003747465744),
+    ("mu.0002", "scalar", 0.014007645227501926),
+    ("rho.0000", "scalar", 0.10098878471784695),
+    ("rho.0001", "scalar", 0.09931171225018168),
+    ("rho.0002", "scalar", 0.1),
+]
+
+
+def test_one_epoch_checkpoint_matches_recorded(cli_root):
+    from teunroll.nn.networks import load_checkpoint
+
+    ckpt = _run_cli(cli_root, "checkpoint_1ep", "train", CHECKPOINT_RUN) / "checkpoint"
+    manifest = [line.split("\t")[:2]
+                for line in (ckpt / "manifest.txt").read_text().strip().split("\n")]
+    assert manifest == [[name, shape] for name, shape, _ in CHECKPOINT]
+    state = load_checkpoint(ckpt)
+    wrong = [(name, float(np.linalg.norm(state[name])), want)
+             for name, _, want in CHECKPOINT
+             if abs(np.linalg.norm(state[name]) - want) > RTOL * want]
+    assert not wrong

@@ -4,7 +4,8 @@ import pytest
 from teunroll import linops
 from teunroll import signal_model as sm
 
-from oracles import dense_from_probes, identity_map, power_iteration_norm, spd_with_clusters
+from oracles import (cg_out_of_place_reference, dense_from_probes, identity_map,
+                     power_iteration_norm, spd_with_clusters)
 
 
 def test_cg_identity_one_iteration():
@@ -78,6 +79,45 @@ def test_cg_exactness_within_n_iterations():
         assert residual <= 1e-8 * np.linalg.norm(b)
         expected = np.linalg.solve(A, b)
         assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_cg_in_place_updates_match_out_of_place_bits_and_leave_inputs_alone():
+    E = sm.EncodingOperator(sm.make_equispaced_mask(16, 24, 2, 4),
+                            sm.make_smooth_sensitivities(16, 24, 3, seed=0))
+    applied = []
+
+    def apply(v):
+        out = E.normal_array(v.reshape(16, 24)).ravel() + 0.03 * v
+        applied.append((out, out.copy()))
+        return out
+
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal(16 * 24) + 1j * rng.standard_normal(16 * 24)
+    b_before = b.copy()
+    x, report = linops.cg_solve(linops.LinearMap(apply, 16 * 24), b, max_iters=15, tol=0.0)
+    assert report.iterations_run == 15
+    assert x.tobytes() == cg_out_of_place_reference(apply, b, 15).tobytes()
+    assert b.tobytes() == b_before.tobytes()
+    # nothing the operator returned was written to
+    assert all(out.tobytes() == kept.tobytes() for out, kept in applied)
+
+
+def test_cg_promotes_a_real_rhs_under_a_complex_operator():
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    A = M @ M.conj().T + np.eye(6)
+    for b in (rng.standard_normal(6), np.arange(1, 7)):
+        x, _ = linops.cg_solve(linops.from_dense(A), b, max_iters=6, tol=1e-14)
+        expected = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_cg_rejects_a_non_finite_rhs():
+    for bad in (np.nan, np.inf):
+        b = np.ones(4, dtype=complex)
+        b[2] = bad
+        with pytest.raises(FloatingPointError, match="right-hand side"):
+            linops.cg_solve(identity_map(4), b)
 
 
 def test_to_dense_recovers_a_non_hermitian_matrix():

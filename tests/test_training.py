@@ -12,7 +12,7 @@ from teunroll.nn.engine import Tensor
 from teunroll.nn.networks import channels_to_complex
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
 from teunroll.nn.training import SHARING_MODES, cg_tape
-from teunroll.unroll import ALGORITHMS
+from teunroll.unroll import ALGORITHMS, run_unrolled
 
 from oracles import cg_tape_reference, spd_with_clusters
 
@@ -111,7 +111,47 @@ def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed,
         net.apply_complex = counted
     img, _ = eng.run(E, y)
     assert np.linalg.norm(_taped(eng, E, y) - img.data) <= 1e-12 * np.linalg.norm(img.data)
+    assert calls == list(range(T - 1))
+
+
+@pytest.mark.parametrize("arch, arch_kwargs", [("resnet", {"blocks": 1, "channels": 4}),
+                                               ("unet", {"base_channels": 4, "res_blocks": 1})])
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_skips_only_the_dead_last_network_call(algorithm, sharing, arch, arch_kwargs):
+    """engine.run calls the networks at t < T-1 only, and its image and
+    diagnostics are exactly those of a run that also makes the last call."""
+    E, y, truth = _toy_problem(16, 24)
+    T = 3
+    eng = TrainableEngine(algorithm, T=T, cg_iters=15, sharing=sharing, arch=arch,
+                          seed=0, **arch_kwargs)
+    # jitter every weight so that the zero-initialized FiLM heads and the
+    # residual branches move the output
+    rng = np.random.default_rng(4)
+    for t in eng.parameters().values():
+        t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
+    eng.project()
+    calls = []
+
+    def every_unroll(img, t):
+        calls.append(t)
+        return eng._net_at(t).apply_complex(img, t)
+
+    mu, rho, lam = ([float(v.data) for v in vals] for vals in eng._per_unroll())
+    want_img, want_diags = run_unrolled(algorithm, E, y, mu, every_unroll, rho=rho, lam=lam,
+                                        reference=truth)
     assert calls == list(range(T))
+    calls.clear()
+    for net in eng.networks:
+        def counted(img, t, apply=net.apply_complex):
+            calls.append(t)
+            return apply(img, t)
+
+        net.apply_complex = counted
+    img, diags = eng.run(E, y, reference=truth)
+    assert calls == list(range(T - 1))
+    assert np.array_equal(img.data, want_img.data)
+    assert diags.columns == want_diags.columns and diags.rows == want_diags.rows
 
 
 def test_zero_epoch_training_is_identity():

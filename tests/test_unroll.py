@@ -232,6 +232,26 @@ def test_run_unrolled_deterministic_and_validated():
             unroll.run_unrolled(kwargs.pop("algorithm"), E, y, kwargs.pop("mu"), p, **kwargs)
 
 
+@pytest.mark.parametrize("algorithm", unroll.ALGORITHMS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_prox_output_is_a_numeric_failure(algorithm, bad):
+    """The unchecked Gram lets a non-finite iterate through to CG, which
+    raises FloatingPointError (a numeric failure, not a ValueError)."""
+    E, truth, y = _problem()
+
+    def broken(img, t):
+        return np.full_like(img, bad) if t == 1 else img
+
+    with pytest.raises(FloatingPointError, match="right-hand side"):
+        unroll.run_unrolled(algorithm, E, y, [0.05] * 3, broken, rho=[0.1] * 3,
+                            lam=[0.1] * 3)
+    # the last unroll's prox output is never read, so it cannot fail the run
+    img, _ = unroll.run_unrolled(algorithm, E, y, [0.05] * 2, broken, rho=[0.1] * 2,
+                                 lam=[0.1] * 2)
+    assert np.all(np.isfinite(img.data))
+
+
 def test_nmse_vs_reference_recorded():
     E, truth, y = _problem()
     _, diags = unroll.run_unrolled("vsqp", E, y, [0.05] * 5, _prox_of(prox.tikhonov_prox(0.3)),
