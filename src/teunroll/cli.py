@@ -31,7 +31,7 @@ from .signal_model import (
     make_smooth_sensitivities,
 )
 from .unroll import Diagnostics, run_unrolled
-from .vamp import VampConfig, run_vamp
+from .vamp import VampConfig, as_vamp_operator, run_vamp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,7 +140,8 @@ def _reconstruct(cfg, E, y, reference=None):
             mu_floor=un["mu_floor"],
             cg_iters=max(un["cg_iters"], 50),
         )
-        x, diags = run_vamp(E, y, _analytic_prox(cfg), vcfg, reference=reference)
+        x, diags = run_vamp(as_vamp_operator(E, y), _analytic_prox(cfg), vcfg,
+                            reference=reference)
         return ComplexImage(x), diags
     if learned:
         return _load_engine(cfg, cfg["model"]["checkpoint"]).run(E, y, reference=reference)

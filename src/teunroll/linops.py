@@ -1,5 +1,5 @@
-"""Linear-operator plumbing: conjugate gradients on the regularized normal
-equations and Hutchinson trace estimation.
+"""Linear-operator plumbing: the Gram map, conjugate gradients on the
+regularized normal equations and Hutchinson trace estimation.
 
 All inner products are conjugate-linear in the first argument.  LinearMap
 closures must be immutable; every routine here is pure.
@@ -28,13 +28,6 @@ class CgReport:
     converged: bool
 
 
-def from_dense(matrix):
-    m = np.asarray(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("from_dense needs a square matrix")
-    return LinearMap(lambda v: m @ v, m.shape[0])
-
-
 def shifted(A: LinearMap, mu):
     """The map v -> A v + mu v."""
     return LinearMap(lambda v: A.apply(v) + mu * v, A.dim)
@@ -52,23 +45,11 @@ def to_dense(A: LinearMap):
 
 
 def normal_map_of(E):
-    """The Gram operator E^H E of an EncodingOperator, acting on flattened
-    image vectors, with every apply checked: its input and output each pass
-    through ``ComplexImage``, so a non-finite value raises ValueError.
-
-    Only VAMP's set-up and LMMSE solve still use this checked adapter;
-    ``run_unrolled`` runs its CG on ``E.normal_array`` directly and lets
-    ``cg_solve`` check finiteness itself.
-    """
-    from .signal_model import ComplexImage
-
-    h, w = E.shape
-
-    def apply(v):
-        img = ComplexImage(v.reshape(h, w))
-        return E.normal(img).data.ravel()
-
-    return LinearMap(apply, h * w)
+    """E^H E of an EncodingOperator on flat image vectors, unchecked: the
+    map of every CG solve in ``run_unrolled`` and VAMP.  ``cg_solve``
+    checks finiteness itself."""
+    shape = E.shape
+    return LinearMap(lambda v: E.normal_array(v.reshape(shape)).ravel(), shape[0] * shape[1])
 
 
 def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):

@@ -258,21 +258,20 @@ def _train_step(engine, optimizer, E, y, reference):
     return value
 
 
-def train(engine: TrainableEngine, dataset, epochs, lr, seed=0, shuffle=True):
+def train(engine: TrainableEngine, dataset, epochs, lr, seed=0):
     """Minimize the MSE between reconstructions and references.
 
     dataset: sequence of (EncodingOperator, KSpaceData, ComplexImage).
-    Returns the per-epoch mean training loss; epochs=0 leaves the engine
-    untouched.  Aborts with the offending sample index if a loss goes
-    non-finite.
+    Each epoch visits the samples in a seeded random order.  Returns the
+    per-epoch mean training loss; epochs=0 leaves the engine untouched.
+    Aborts with the offending sample index if a loss goes non-finite.
     """
     optimizer = Adam(engine.parameters(), lr)
     rng = np.random.default_rng(seed)
     curve = []
     for epoch in range(epochs):
-        order = rng.permutation(len(dataset)) if shuffle else np.arange(len(dataset))
         total = 0.0
-        for idx in order:
+        for idx in rng.permutation(len(dataset)):
             value = _train_step(engine, optimizer, *dataset[idx])
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at sample {int(idx)} (epoch {epoch})")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import LinearMap, cg_solve, shifted
+from .linops import cg_solve, normal_map_of, shifted
 from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 
@@ -131,7 +131,7 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     Onsager-corrected estimate (alg1 only) and NMSE against an optional
     reference.
 
-    The CG solves apply the Gram through ``E.normal_array``, unchecked; a
+    The CG solves apply the unchecked Gram ``linops.normal_map_of(E)``; a
     non-finite prox output reaches the next solve's right-hand side, and
     ``cg_solve`` raises FloatingPointError on it.
     """
@@ -143,7 +143,7 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     steps = _schedule(*step, T) if step else None
     shape = E.shape
 
-    gram = LinearMap(lambda v: E.normal_array(v.reshape(shape)).ravel(), shape[0] * shape[1])
+    gram = normal_map_of(E)
     rhs0 = E.adjoint(y).data.ravel()
     ref = reference_vector(reference)
 

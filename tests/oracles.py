@@ -7,7 +7,10 @@ first-order methods) and never calls the code paths it is used to check.
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
+from teunroll import signal_model as sm
+from teunroll import vamp
 from teunroll.linops import LinearMap
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
@@ -27,6 +30,51 @@ def dense_from_probes(apply_fn, n, dtype=np.complex128):
 
 def identity_map(dim):
     return LinearMap(lambda v: v.copy(), dim)
+
+
+def from_dense(matrix):
+    """A square matrix as a LinearMap."""
+    m = np.asarray(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("from_dense needs a square matrix")
+    return LinearMap(lambda v: m @ v, m.shape[0])
+
+
+def dense_vamp_operator(A, y):
+    """The VampOperator of a dense measurement matrix A and data y: the
+    Gram A^H A as a matrix product, its exact eigenvalues, and flat
+    vectors as the estimate's shape."""
+    A = np.asarray(A)
+    g = A.conj().T @ A
+    return vamp.VampOperator(from_dense(g), A.conj().T @ np.asarray(y), (A.shape[1],),
+                             np.linalg.eigvalsh(g))
+
+
+@st.composite
+def encodings(draw, max_side=33, max_coils=5):
+    """Odd, even and non-square shapes from 8 to max_side, 1 to max_coils
+    coils, equispaced or random masks at R = 1..4."""
+    h = draw(st.integers(8, max_side))
+    w = draw(st.integers(8, max_side))
+    coils = draw(st.integers(1, max_coils))
+    R = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        mask = sm.make_equispaced_mask(h, w, R, draw(st.integers(0, w)))
+    else:
+        mask = sm.make_random_mask(h, w, R, draw(st.integers(0, int(round(w / R)))), seed)
+    sens = sm.make_smooth_sensitivities(h, w, coils, seed=seed + 1)
+    return sm.EncodingOperator(mask, sens)
+
+
+@st.composite
+def problems(draw, max_side=20, max_coils=4):
+    """An encoding operator drawn by ``encodings`` with noisy k-space data
+    of a random phantom."""
+    E = draw(encodings(max_side, max_coils))
+    seed = draw(st.integers(0, 10_000))
+    truth = sm.make_phantom(*E.shape, 5, seed=seed)
+    return E, sm.add_noise(E.forward(truth), 0.01, seed=seed + 1, mask=E.mask)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 
 from teunroll import metrics, prox, vamp
 from teunroll import signal_model as sm
-from teunroll.linops import cg_solve, from_dense, normal_map_of
+from teunroll.linops import cg_solve, normal_map_of
 from teunroll.nn import TrainableEngine, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tape, Tensor
@@ -19,7 +19,8 @@ from teunroll.nn.layers import film_modulate, film_residual_modulate, sinusoidal
 from teunroll.nn.networks import ResNetProx, complex_to_channels, resnet_full, unet_full
 from teunroll.unroll import run_unrolled
 
-from oracles import ScaledSoftThreshold, dense_from_probes, fista_lasso, spd_with_clusters
+from oracles import (ScaledSoftThreshold, dense_from_probes, dense_vamp_operator, fista_lasso,
+                     from_dense, spd_with_clusters)
 
 
 def report(criterion, detail):
@@ -100,7 +101,7 @@ def test_criterion_3_vamp_gaussian_prior_equivalence():
             gamma = float(rng.uniform(0.3, 1.5))
             ridge = np.linalg.solve(E.T @ E + gamma * np.eye(n), E.T @ y)
             cfg = vamp.VampConfig(max_iters=20, damping=1.0)
-            xh, diags = vamp.run_vamp(E, y, prox.tikhonov_prox(gamma), cfg)
+            xh, diags = vamp.run_vamp(dense_vamp_operator(E, y), prox.tikhonov_prox(gamma), cfg)
             rel = np.linalg.norm(xh - ridge) / np.linalg.norm(ridge)
             assert rel <= 1e-6
             worst = max(worst, rel)
@@ -132,7 +133,7 @@ def test_criterion_4_vamp_sparse_recovery():
     cfg = vamp.VampConfig(max_iters=50, damping=1.0)
     best = None
     for c in (0.5, 1.0, 2.0):
-        xh, diags = vamp.run_vamp(Ew, yw, ScaledSoftThreshold(c), cfg)
+        xh, diags = vamp.run_vamp(dense_vamp_operator(Ew, yw), ScaledSoftThreshold(c), cfg)
         db = 10 * np.log10(np.linalg.norm(xh - x0) ** 2 / np.linalg.norm(x0) ** 2)
         if best is None or db < best[1]:
             best = (c, db, diags.rows[-1]["mu_z"])

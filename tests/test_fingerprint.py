@@ -30,11 +30,13 @@ unroll's network call and checking every CG Gram apply.
 import numpy as np
 import pytest
 
-from teunroll import prox, vamp
+from teunroll import linops, prox, unroll, vamp
 from teunroll import signal_model as sm
 from teunroll.nn import TrainableEngine
 from teunroll.nn import engine as en
 from teunroll.nn.networks import complex_to_channels
+
+from oracles import dense_vamp_operator
 
 T = 5
 CG_ITERS = 15
@@ -120,6 +122,61 @@ def test_step_tape_counts_match_the_traced_benchmark(step):
     _, _, nodes, calls = step
     assert nodes == TAPE_NODES
     assert calls == {"linear_selfadjoint": GRAM_TAPE_CALLS, "conv2d": CONV_CALLS}
+
+
+def test_recon_gram_counts_match_the_traced_benchmark():
+    """The Gram and CG counts that ``perfbench``'s recon workloads check
+    under ``--trace 1``, on the same 32x32, 4-coil, R=4 problem: VAMP's
+    exact-trace set-up probes the checked ``E.normal`` once per pixel and
+    every other Gram apply is a CG iteration; alg1 with T=5 and CG-15 makes
+    one Gram apply per CG iteration, one solve and one prox call per unroll."""
+    sens = sm.make_smooth_sensitivities(32, 32, 4, seed=0)
+    truth = sm.make_phantom(32, 32, 6, seed=0)
+    mask = sm.make_equispaced_mask(32, 32, 4, 4)
+    E = sm.EncodingOperator(mask, sens)
+    y = sm.add_noise(E.forward(truth), 0.01, seed=0, mask=mask)
+    counts = dict.fromkeys(("normal", "normal_array", "cg_calls", "cg_iters", "prox"), 0)
+    solve = linops.cg_solve
+    soft = prox.soft_threshold_prox(0.05)
+
+    def counted(name):
+        method = getattr(sm.EncodingOperator, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    def counted_cg(A, b, **kwargs):
+        x, report = solve(A, b, **kwargs)
+        counts["cg_calls"] += 1
+        counts["cg_iters"] += report.iterations_run
+        return x, report
+
+    def counted_prox(img, t):
+        counts["prox"] += 1
+        return soft.apply(img)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("normal", "normal_array"):
+            mp.setattr(sm.EncodingOperator, name, counted(name))
+        for module in (linops, unroll, vamp):
+            mp.setattr(module, "cg_solve", counted_cg)
+        op = vamp.as_vamp_operator(E, y)
+        assert counts == {"normal": 32 * 32, "normal_array": 32 * 32, "cg_calls": 0,
+                          "cg_iters": 0, "prox": 0}
+        vamp.run_vamp(op, soft, vamp.VampConfig(max_iters=20, cg_iters=50))
+        assert counts["normal"] == 32 * 32
+        assert counts["normal_array"] == 32 * 32 + counts["cg_iters"]
+        assert counts["cg_calls"] == 20
+
+        counts.update(dict.fromkeys(counts, 0))
+        unroll.run_unrolled("alg1", E, y, [1.5e-2] * T, counted_prox, rho=[0.1] * T,
+                            cg_iters=CG_ITERS)
+        assert counts["normal"] == 0
+        assert 0 < counts["normal_array"] == counts["cg_iters"] <= T * CG_ITERS
+        assert counts["cg_calls"] == counts["prox"] == T
 
 
 # -- inference ---------------------------------------------------------------
@@ -374,12 +431,14 @@ def test_run_unrolled_matches_recorded():
 def _vamp_runs():
     cfg = vamp.VampConfig(max_iters=8, cg_iters=50)
     E, y, truth = _problem(16, 24)
-    yield "encoding", vamp.run_vamp(E, y, prox.soft_threshold_prox(0.05), cfg, reference=truth)
+    yield "encoding", vamp.run_vamp(vamp.as_vamp_operator(E, y), prox.soft_threshold_prox(0.05),
+                                    cfg, reference=truth)
     rng = np.random.default_rng(5)
     A = rng.standard_normal((40, 64)) / np.sqrt(40)
     x0 = np.where(rng.random(64) < 0.2, rng.standard_normal(64), 0.0)
     b = A @ x0 + 0.01 * rng.standard_normal(40)
-    yield "dense", vamp.run_vamp(A, b, prox.soft_threshold_prox(0.1), cfg, reference=x0)
+    yield "dense", vamp.run_vamp(dense_vamp_operator(A, b), prox.soft_threshold_prox(0.1), cfg,
+                                 reference=x0)
 
 
 def test_vamp_diagnostics_match_recorded():

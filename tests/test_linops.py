@@ -4,7 +4,7 @@ import pytest
 from teunroll import linops
 from teunroll import signal_model as sm
 
-from oracles import (cg_out_of_place_reference, dense_from_probes, identity_map,
+from oracles import (cg_out_of_place_reference, dense_from_probes, from_dense, identity_map,
                      power_iteration_norm, spd_with_clusters)
 
 
@@ -21,7 +21,7 @@ def test_cg_two_by_two_exact():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, 1.0], dtype=complex)
     expected = np.linalg.solve(A, b)  # [1/3, 1/3]
-    x, report = linops.cg_solve(linops.from_dense(A), b, max_iters=2)
+    x, report = linops.cg_solve(from_dense(A), b, max_iters=2)
     np.testing.assert_allclose(x, expected, atol=1e-12)
     np.testing.assert_allclose(expected.real, [1 / 3, 1 / 3])
     assert report.iterations_run <= 2
@@ -45,7 +45,7 @@ def test_cg_matches_dense_solve_on_mri_normal_system():
 def test_cg_rejects_bad_rhs_and_indefinite_operator():
     with pytest.raises(ValueError):
         linops.cg_solve(identity_map(4), np.ones(3, dtype=complex))
-    indefinite = linops.from_dense(np.diag([1.0, -1.0]))
+    indefinite = from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(FloatingPointError):
         linops.cg_solve(indefinite, np.array([0.1, 1.0], dtype=complex), max_iters=5)
 
@@ -55,7 +55,7 @@ def test_cg_error_monotone_in_a_norm():
     A = spd_with_clusters(24, 10, 50.0, rng)
     b = rng.standard_normal(24).astype(complex)
     exact = np.linalg.solve(A, b)
-    lm = linops.from_dense(A)
+    lm = from_dense(A)
     prev = None
     for k in range(1, 16):
         xk, _ = linops.cg_solve(lm, b, max_iters=k)
@@ -74,7 +74,7 @@ def test_cg_exactness_within_n_iterations():
         M = rng.standard_normal((n, n))
         A = M @ M.T / n + np.eye(n)
         b = rng.standard_normal(n).astype(complex)
-        x, report = linops.cg_solve(linops.from_dense(A), b, max_iters=n, tol=1e-14)
+        x, report = linops.cg_solve(from_dense(A), b, max_iters=n, tol=1e-14)
         residual = np.linalg.norm(b - A @ x)
         assert residual <= 1e-8 * np.linalg.norm(b)
         expected = np.linalg.solve(A, b)
@@ -107,7 +107,7 @@ def test_cg_promotes_a_real_rhs_under_a_complex_operator():
     M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     A = M @ M.conj().T + np.eye(6)
     for b in (rng.standard_normal(6), np.arange(1, 7)):
-        x, _ = linops.cg_solve(linops.from_dense(A), b, max_iters=6, tol=1e-14)
+        x, _ = linops.cg_solve(from_dense(A), b, max_iters=6, tol=1e-14)
         expected = np.linalg.solve(A, b)
         assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -123,7 +123,7 @@ def test_cg_rejects_a_non_finite_rhs():
 def test_to_dense_recovers_a_non_hermitian_matrix():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    np.testing.assert_array_equal(linops.to_dense(linops.from_dense(M)), M)
+    np.testing.assert_array_equal(linops.to_dense(from_dense(M)), M)
 
 
 def test_trace_inverse_scalar_identity():
@@ -132,7 +132,7 @@ def test_trace_inverse_scalar_identity():
 
 
 def test_trace_inverse_diagonal_and_determinism():
-    A = linops.from_dense(np.diag([1.0, 3.0]))
+    A = from_dense(np.diag([1.0, 3.0]))
     exact = (1 / 2 + 1 / 4) / 2  # closed-form diagonal trace
     est = linops.estimate_trace_inverse(A, 1.0, 1000, seed=1)
     assert abs(est - exact) <= 0.05 * exact
@@ -143,7 +143,7 @@ def test_trace_inverse_diagonal_and_determinism():
 def test_trace_inverse_unbiased_against_dense_oracle():
     rng = np.random.default_rng(3)
     A = spd_with_clusters(12, 6, 20.0, rng)
-    lm = linops.from_dense(A)
+    lm = from_dense(A)
     truth = np.trace(np.linalg.inv(A + 0.5 * np.eye(12))).real / 12
     estimates = [
         linops.estimate_trace_inverse(lm, 0.5, 8, seed=s) for s in range(40)
@@ -155,10 +155,10 @@ def test_trace_inverse_unbiased_against_dense_oracle():
 
 def test_power_iteration_examples():
     assert power_iteration_norm(
-        linops.from_dense(3.0 * np.eye(5)), 5, seed=0
+        from_dense(3.0 * np.eye(5)), 5, seed=0
     ) == pytest.approx(3.0, abs=1e-10)
     assert power_iteration_norm(
-        linops.from_dense(np.diag([1.0, 5.0, 2.0])), 100, seed=1
+        from_dense(np.diag([1.0, 5.0, 2.0])), 100, seed=1
     ) == pytest.approx(5.0, abs=1e-6)
     E = sm.EncodingOperator(
         sm.make_equispaced_mask(12, 12, 1, 0),

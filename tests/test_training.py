@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teunroll import signal_model as sm
-from teunroll.linops import cg_solve, from_dense
+from teunroll.linops import cg_solve
 from teunroll.nn import TrainableEngine, TrainingError, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
@@ -14,7 +14,7 @@ from teunroll.nn.networks import load_checkpoint, save_checkpoint
 from teunroll.nn.training import SHARING_MODES, cg_tape
 from teunroll.unroll import ALGORITHMS, run_unrolled
 
-from oracles import cg_tape_reference, spd_with_clusters
+from oracles import cg_tape_reference, from_dense, spd_with_clusters
 
 
 def _toy_problem(h=16, w=16, coils=2, seeds=(0, 1, 2)):
@@ -195,7 +195,7 @@ def test_non_finite_loss_reports_sample_index():
                           seed=0, blocks=1, channels=4)
     eng.mu[0].data = np.float64(np.inf)
     with pytest.raises(TrainingError, match="sample 0"):
-        train(eng, [(E, y, truth)], epochs=1, lr=1e-3, shuffle=False)
+        train(eng, [(E, y, truth)], epochs=1, lr=1e-3)
 
 
 def test_mu_projection_keeps_floor():
@@ -238,7 +238,7 @@ def test_epoch_peak_memory_does_not_grow_with_samples():
                               arch="resnet", blocks=3, channels=16)
         tracemalloc.start()
         try:
-            train(eng, data[:n], epochs=1, lr=1e-3, shuffle=False)
+            train(eng, data[:n], epochs=1, lr=1e-3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from teunroll import prox, unroll, vamp
 from teunroll import signal_model as sm
 from teunroll.linops import cg_solve, normal_map_of, shifted
 
-from oracles import dense_from_probes
+from oracles import dense_from_probes, problems
 
 
 def _problem(h=16, w=16, coils=1, R=2, acs=4, noise=0.01, seeds=(0, 1, 2)):
@@ -102,16 +104,27 @@ def test_admm_general_mu_fixed_point_is_mu_gamma():
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
-def test_admm_lambda_zero_reduces_to_vsqp():
-    E, truth, y = _problem()
-    T = 5
+_MU_SCHEDULES = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=8)
+
+
+def _assert_same_prox_calls(p, q):
+    assert len(p.seen) == len(q.seen)
+    for a, b in zip(p.seen + p.out, q.seen + q.out):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(problem=problems(), mu=_MU_SCHEDULES)
+def test_admm_lambda_zero_reduces_to_vsqp(problem, mu):
+    E, y = problem
+    T = len(mu)
     p_admm = CapturingProx(prox.tikhonov_prox(1.0))
     p_vsqp = CapturingProx(prox.tikhonov_prox(1.0))
-    unroll.run_unrolled("admm", E, y, [0.5] * T, p_admm, lam=[0.0] * T)
-    unroll.run_unrolled("vsqp", E, y, [0.5] * T, p_vsqp)
-    assert len(p_admm.out) == len(p_vsqp.out) == T
-    for a, b in zip(p_admm.out, p_vsqp.out):
-        np.testing.assert_array_equal(a, b)
+    img_admm, _ = unroll.run_unrolled("admm", E, y, mu, p_admm, lam=[0.0] * T)
+    img_vsqp, _ = unroll.run_unrolled("vsqp", E, y, mu, p_vsqp)
+    np.testing.assert_array_equal(img_admm.data, img_vsqp.data)
+    assert len(p_admm.seen) == T
+    _assert_same_prox_calls(p_admm, p_vsqp)
 
 
 def test_admm_identity_prox_freezes_dual():
@@ -131,18 +144,21 @@ def test_admm_identity_prox_freezes_dual():
     np.testing.assert_array_equal(u_after_two, u_after_one)
 
 
-def test_alg1_matches_vamp_messages_with_exact_onsager_weight():
-    E, truth, y = _problem(coils=2, seeds=(3, 4, 5))
-    mu_x = 0.8
-    op = vamp.VampOperator.from_encoding(E, y)
-    vstate = vamp.VampState(r=E.adjoint(y).data.ravel(), mu_x=mu_x)
-    vcfg = vamp.VampConfig(cg_iters=200)
-    vstate = vamp.lmmse_step(op, y, vstate, vcfg)
-    rho = mu_x / (1.0 / vstate.upsilon_x - mu_x)
+@settings(max_examples=40, deadline=None)
+@given(problem=problems(), mu_x=st.floats(0.3, 2.0))
+def test_alg1_matches_vamp_messages_with_exact_onsager_weight(problem, mu_x):
+    # from alg1's r0 = E^H y, VAMP's LMMSE message u is alg1's x + rho (x - r)
+    # with rho = mu_x / mu_z, so both solve the same system on the same Gram
+    E, y = problem
+    op = vamp.as_vamp_operator(E, y)
+    vstate = vamp.lmmse_step(op, vamp.VampState(r=op.rhs, mu_x=mu_x),
+                             vamp.VampConfig(cg_iters=100))
+    assume(vstate.clamps == 0)
+    rho = mu_x / vstate.mu_z
 
     # the prox of the single unroll sees the Onsager-corrected u
     p = CapturingProx(prox.identity_prox())
-    unroll.run_unrolled("alg1", E, y, [mu_x], p, rho=[rho], cg_iters=200)
+    unroll.run_unrolled("alg1", E, y, [mu_x], p, rho=[rho], cg_iters=100)
     scale = np.linalg.norm(vstate.u)
     assert np.linalg.norm(p.seen[0] - vstate.u) <= 1e-10 * scale
 
@@ -159,18 +175,18 @@ def test_run_unrolled_single_step_unwind():
     np.testing.assert_array_equal(img.data.ravel(), direct)
 
 
-def test_reduction_alg1_rho_zero_equals_vsqp_te():
-    E, truth, y = _problem(coils=2, seeds=(6, 7, 8))
-    T = 10
-    mu = np.linspace(0.05, 0.2, T)
+@settings(max_examples=15, deadline=None)
+@given(problem=problems(), mu=_MU_SCHEDULES)
+def test_reduction_alg1_rho_zero_equals_vsqp_te(problem, mu):
+    E, y = problem
+    T = len(mu)
     p_a = CapturingProx(prox.tikhonov_prox(0.8))
     p_v = CapturingProx(prox.tikhonov_prox(0.8))
     img_a, _ = unroll.run_unrolled("alg1", E, y, mu, p_a, rho=[0.0] * T)
     img_v, _ = unroll.run_unrolled("vsqp_te", E, y, mu, p_v)
     np.testing.assert_array_equal(img_a.data, img_v.data)
-    assert len(p_a.seen) == len(p_v.seen) == T
-    for a, b in zip(p_a.seen, p_v.seen):
-        np.testing.assert_array_equal(a, b)
+    assert len(p_a.seen) == T
+    _assert_same_prox_calls(p_a, p_v)
 
 
 def test_reduction_te_constant_schedule_equals_static():
