@@ -1,17 +1,28 @@
 """Reverse-mode autodiff over double-precision numpy arrays.
 
 Every op has the same shape: it computes its output ``data`` from its
-``inputs``' arrays and defines one closure, ``backward(g)``, that turns the
-output's gradient ``g`` into contributions to each input's ``.grad``; then
-it returns ``_make(data, inputs, backward)``.  Inside a ``Tape`` context
-``_make`` records the output (with its closure as ``backward_rule``) when
-some input is a trainable leaf or an already recorded node.  Recording
-follows creation order, which is a topological order, so
-``Tape.backward`` sweeps the list once in reverse.  Outside a tape the
-same ops run eagerly and record nothing.
+inputs' arrays and defines one closure, ``backward(g)``, that turns the
+output's gradient ``g`` into contributions to its inputs' gradients; then
+it returns ``_make(data, targets, backward)``.  Inside a ``Tape`` context
+``_make`` records the output when some input is a trainable leaf or an
+already recorded output.  Recording follows creation order, which is a
+topological order, so ``Tape.backward`` sweeps the list once in reverse.
+Outside a tape the same ops run eagerly and record nothing.
+
+The tape keeps no op output.  A recorded output gets a ``Node`` that
+holds only its ``grad`` and its ``backward_rule``, and ``Tape.nodes``
+lists these.  A closure may hold three kinds of thing: its inputs'
+gradient targets (a trainable leaf Tensor or an input's ``Node``; None
+for a constant), the arrays its rule reads (``mul``'s operands,
+``conv2d``'s padded input, ``relu``'s mask, ...) and shapes.  It holds no
+Tensor that an op made, and ``mul`` keeps no operand that only a
+constant's gradient would read.  So an intermediate output whose array
+no rule reads is freed as soon as the forward drops its last reference
+to it, and the tape holds what the backward needs, not every value the
+forward made.
 
 The op set is deliberately small: arithmetic with broadcasting, matmul,
-3x3/1x1 convolution, ReLU/SiLU, GroupNorm, reductions, concat, 2x pooling
+3x3/1x1 convolution, ReLU/SiLU, GroupNorm, the mean, concat, 2x pooling
 and nearest-neighbor upsampling, plus a hook for self-adjoint linear
 operators (used to push encoding-operator physics through the tape).
 Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
@@ -21,13 +32,13 @@ Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
 flattened copy of the input, and each of the k*k taps is a GEMM on a
 contiguous slice of that copy.
 
-Only leaves keep gradients: ``Tape.backward`` sets a recorded node's
-``.grad`` to None once its closure has passed it on, so a finished sweep
-holds no intermediate gradient.  Gradients are never written in place:
-every backward closure and every caller rebinds ``.grad`` to a new
-array.  A gradient may therefore alias another node's gradient (the first
-one a tensor receives is stored without a copy), and code that needs to
-modify one must copy it first.
+Only leaves keep gradients: ``Tape.backward`` sets a node's ``grad`` to
+None once its closure has passed it on, so a finished sweep holds no
+intermediate gradient.  Gradients are never written in place: every
+backward closure and every caller rebinds ``.grad`` to a new array.  A
+gradient may therefore alias another node's gradient (the first one a
+target receives is stored without a copy), and code that needs to modify
+one must copy it first.
 """
 
 from __future__ import annotations
@@ -38,7 +49,10 @@ _ACTIVE_TAPE = None
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "backward_rule")
+    """An array with, for a trainable leaf, its gradient; ``node`` is the
+    tape's record when a taped op made it, else None."""
+
+    __slots__ = ("data", "grad", "requires_grad", "node")
     # mixed ndarray/Tensor arithmetic raises instead of building object arrays
     __array_ufunc__ = None
 
@@ -46,7 +60,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.backward_rule = None
+        self.node = None
 
     @property
     def shape(self):
@@ -67,6 +81,17 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
+
+
+class Node:
+    """The tape's record of one op output: the gradient flowing into it and
+    the rule that passes that gradient on to the op's inputs."""
+
+    __slots__ = ("grad", "backward_rule")
+
+    def __init__(self, backward_rule):
+        self.grad = None
+        self.backward_rule = backward_rule
 
 
 class Tape:
@@ -90,17 +115,21 @@ class Tape:
     def backward(self, loss: Tensor):
         """Populate .grad for every leaf reachable from ``loss``.
 
-        Only leaves keep a gradient: a recorded node's ``.grad`` is set to
+        The sweep runs each recorded ``Node``'s rule in reverse order.  A
+        rule reads only the arrays and targets its closure holds, never an
+        output Tensor, so the forward's intermediate values need not be
+        alive.  Only leaves keep a gradient: a node's ``grad`` is set to
         None as soon as its rule has passed it on, so at most the
         gradients of the nodes still waiting for their rule are alive.
         """
         if loss.data.size != 1:
             raise ValueError("loss must be a scalar")
-        if loss.backward_rule is None and not loss.requires_grad:
+        start = _target(loss)
+        if start is None:
             raise ValueError("loss is not connected to this tape")
         for node in self.nodes:
             node.grad = None
-        loss.grad = np.ones_like(loss.data)
+        start.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
             if node.grad is not None:
                 node.backward_rule(node.grad)
@@ -111,21 +140,30 @@ def _as_tensor(v):
     return v if isinstance(v, Tensor) else Tensor(v)
 
 
-def _make(data, inputs, backward):
+def _target(t: Tensor):
+    """Where gradients for ``t`` go: its ``Node`` if a taped op made it,
+    ``t`` itself if it is a trainable leaf, None for a constant."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
+
+
+def _make(data, targets, backward):
     out = Tensor(data)
-    if _ACTIVE_TAPE is not None and any(
-            t.requires_grad or t.backward_rule is not None for t in inputs):
-        out.backward_rule = backward
-        _ACTIVE_TAPE.nodes.append(out)
+    if _ACTIVE_TAPE is not None and any(t is not None for t in targets):
+        out.node = Node(backward)
+        _ACTIVE_TAPE.nodes.append(out.node)
     return out
 
 
-def _accumulate(t: Tensor, g):
+def _accumulate(target, g):
     # no copy: gradients are never written in place (see the module docstring)
-    if t.grad is None:
-        t.grad = g
+    if target is None:
+        return
+    if target.grad is None:
+        target.grad = g
     else:
-        t.grad = t.grad + g
+        target.grad = target.grad + g
 
 
 def _unbroadcast(grad, shape):
@@ -144,44 +182,53 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    ta, tb, sa, sb = _target(a), _target(b), a.shape, b.shape
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(ta, _unbroadcast(g, sa))
+        _accumulate(tb, _unbroadcast(g, sb))
 
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(a.data + b.data, (ta, tb), backward)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    ta, tb, sa, sb = _target(a), _target(b), a.shape, b.shape
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        _accumulate(ta, _unbroadcast(g, sa))
+        _accumulate(tb, _unbroadcast(-g, sb))
 
-    return _make(a.data - b.data, (a, b), backward)
+    return _make(a.data - b.data, (ta, tb), backward)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+    ta, tb, ad, bd = _target(a), _target(b), a.data, b.data
+    # each operand is read only for the other's gradient, so a feature map
+    # scaled by a constant is not kept
+    ka = ad if tb is not None else None
+    kb = bd if ta is not None else None
+    sa, sb = ad.shape, bd.shape
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * bd, a.shape))
-        _accumulate(b, _unbroadcast(g * ad, b.shape))
+        if ta is not None:
+            _accumulate(ta, _unbroadcast(g * kb, sa))
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(g * ka, sb))
 
-    return _make(ad * bd, (a, b), backward)
+    return _make(ad * bd, (ta, tb), backward)
 
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+    ta, tb, ad, bd = _target(a), _target(b), a.data, b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / bd, a.shape))
-        _accumulate(b, _unbroadcast(-g * ad / (bd * bd), b.shape))
+        _accumulate(ta, _unbroadcast(g / bd, ad.shape))
+        _accumulate(tb, _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _make(ad / bd, (a, b), backward)
+    return _make(ad / bd, (ta, tb), backward)
 
 
 def dot(a, b):
@@ -189,13 +236,13 @@ def dot(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"dot needs equal shapes, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
+    ta, tb, ad, bd = _target(a), _target(b), a.data, b.data
 
     def backward(g):
-        _accumulate(a, g * bd)
-        _accumulate(b, g * ad)
+        _accumulate(ta, g * bd)
+        _accumulate(tb, g * ad)
 
-    return _make((ad * bd).sum(), (a, b), backward)
+    return _make((ad * bd).sum(), (ta, tb), backward)
 
 
 def axpy(alpha, x, y):
@@ -206,71 +253,64 @@ def axpy(alpha, x, y):
         raise ValueError("axpy needs a scalar alpha")
     if x.shape != y.shape:
         raise ValueError(f"axpy needs equal shapes, got {x.shape} and {y.shape}")
+    targets = ta, tx, ty = _target(alpha), _target(x), _target(y)
     ad, xd = alpha.data, x.data
 
     def backward(g):
-        _accumulate(alpha, (g * xd).sum())
-        _accumulate(x, ad * g)
-        _accumulate(y, g)
+        _accumulate(ta, (g * xd).sum())
+        _accumulate(tx, ad * g)
+        _accumulate(ty, g)
 
-    return _make(ad * xd + y.data, (alpha, x, y), backward)
+    return _make(ad * xd + y.data, targets, backward)
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+    ta, tb, ad, bd = _target(a), _target(b), a.data, b.data
     if ad.ndim != 2 or bd.ndim not in (1, 2):
         raise ValueError("matmul supports (m,n)@(n,) and (m,n)@(n,k)")
 
     def backward(g):
         if bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
+            _accumulate(ta, np.outer(g, bd))
+            _accumulate(tb, ad.T @ g)
         else:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
+            _accumulate(ta, g @ bd.T)
+            _accumulate(tb, ad.T @ g)
 
-    return _make(ad @ bd, (a, b), backward)
+    return _make(ad @ bd, (ta, tb), backward)
 
 
 def relu(a):
     a = _as_tensor(a)
+    ta = _target(a)
     mask = a.data > 0
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(ta, g * mask)
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(a.data * mask, (ta,), backward)
 
 
 def silu(a):
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    val = a.data * s
+    ta, ad = _target(a), a.data
+    s = 1.0 / (1.0 + np.exp(-ad))
 
     def backward(g):
-        _accumulate(a, g * (s * (1.0 + a.data * (1.0 - s))))
+        _accumulate(ta, g * (s * (1.0 + ad * (1.0 - s))))
 
-    return _make(val, (a,), backward)
+    return _make(ad * s, (ta,), backward)
 
 
 def mean(a):
     a = _as_tensor(a)
-    n = a.data.size
+    ta, shape, n = _target(a), a.shape, a.size
 
     def backward(g):
-        _accumulate(a, np.full(a.shape, float(g) / n))
+        _accumulate(ta, np.full(shape, float(g) / n))
 
-    return _make(a.data.mean(), (a,), backward)
-
-
-def sum_all(a):
-    a = _as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, np.full(a.shape, float(g)))
-
-    return _make(a.data.sum(), (a,), backward)
+    return _make(a.data.mean(), (ta,), backward)
 
 
 def mse(a, b):
@@ -281,26 +321,26 @@ def mse(a, b):
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    old = a.shape
+    ta, old = _target(a), a.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(old))
+        _accumulate(ta, g.reshape(old))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(a.data.reshape(shape), (ta,), backward)
 
 
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    targets = [_target(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(idx)])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), targets, backward)
 
 
 def _pad_flat(data, pad):
@@ -346,34 +386,36 @@ def conv2d(x, w, b=None, kernel=3):
     for wk, off in zip(w_taps[1:], offsets[1:]):
         wide += wk @ xf[:, off:off + n]
     val = wide.reshape(cout, h, wp)[:, :, :wd].copy()
-    inputs = [x, w]
+    tb = None
     if b is not None:
         b = _as_tensor(b)
         val += b.data[:, None, None]
-        inputs.append(b)
+        tb = _target(b)
+    tx, tw = _target(x), _target(w)
 
     def backward(g):
-        if b is not None:
-            _accumulate(b, g.sum(axis=(1, 2)))
+        if tb is not None:
+            _accumulate(tb, g.sum(axis=(1, 2)))
         g_wide = np.zeros((cout, h, wp))
         g_wide[:, :, :wd] = g
         g_wide = g_wide.reshape(cout, n)
         gw = np.stack([g_wide @ xf[:, off:off + n].T for off in offsets])
-        _accumulate(w, gw.reshape(kernel, kernel, cout, cin).transpose(2, 3, 0, 1))
+        _accumulate(tw, gw.reshape(kernel, kernel, cout, cin).transpose(2, 3, 0, 1))
         gxf = np.zeros_like(xf)
         for wk, off in zip(w_taps, offsets):
             gxf[:, off:off + n] += wk.T @ g_wide
         hp = h + 2 * pad
-        _accumulate(x, gxf[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + wd].copy())
+        _accumulate(tx, gxf[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + wd].copy())
 
-    return _make(val, inputs, backward)
+    return _make(val, (tx, tw, tb), backward)
 
 
 def group_norm(x, groups, eps=1e-5):
     """Normalize to zero mean / unit variance within channel groups of a
     (C, H, W) tensor.  No learned affine; FiLM supplies scale and shift."""
     x = _as_tensor(x)
-    c = x.shape[0]
+    tx, shape = _target(x), x.shape
+    c = shape[0]
     if c % groups != 0:
         raise ValueError(f"{c} channels not divisible into {groups} groups")
     xg = x.data.reshape(groups, -1)
@@ -388,14 +430,15 @@ def group_norm(x, groups, eps=1e-5):
         gy_mean = gg.mean(axis=1, keepdims=True)
         gyy_mean = (gg * yg).mean(axis=1, keepdims=True)
         gx = inv * (gg - gy_mean - yg * gyy_mean)
-        _accumulate(x, gx.reshape(x.shape))
+        _accumulate(tx, gx.reshape(shape))
 
-    return _make(yg.reshape(x.shape), (x,), backward)
+    return _make(yg.reshape(shape), (tx,), backward)
 
 
 def avg_pool2(x):
     """2x2 average pooling of a (C, H, W) tensor; H and W must be even."""
     x = _as_tensor(x)
+    tx = _target(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError("avg_pool2 needs even spatial dims")
@@ -403,21 +446,22 @@ def avg_pool2(x):
 
     def backward(g):
         up = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25
-        _accumulate(x, up)
+        _accumulate(tx, up)
 
-    return _make(val, (x,), backward)
+    return _make(val, (tx,), backward)
 
 
 def upsample_nearest2(x):
     """Nearest-neighbor 2x upsampling of a (C, H, W) tensor."""
     x = _as_tensor(x)
+    tx = _target(x)
     val = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
 
     def backward(g):
         c, h2, w2 = g.shape
-        _accumulate(x, g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
+        _accumulate(tx, g.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4)))
 
-    return _make(val, (x,), backward)
+    return _make(val, (tx,), backward)
 
 
 def linear_selfadjoint(x, fn):
@@ -425,8 +469,9 @@ def linear_selfadjoint(x, fn):
     ndarray -> ndarray function; its VJP is the operator itself.  Used to
     route measurement-operator physics (e.g. E^H E) through the tape."""
     x = _as_tensor(x)
+    tx = _target(x)
 
     def backward(g):
-        _accumulate(x, fn(g))
+        _accumulate(tx, fn(g))
 
-    return _make(fn(x.data), (x,), backward)
+    return _make(fn(x.data), (tx,), backward)

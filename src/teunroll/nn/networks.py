@@ -195,16 +195,6 @@ class UNetProx(ProxNetworkBase):
         return self.conv_out(h)
 
 
-def resnet_full(time_embedded=False, seed=0):
-    """Full-size residual network (15 blocks x 64 channels)."""
-    return ResNetProx(blocks=15, channels=64, time_embedded=time_embedded, seed=seed)
-
-
-def unet_full(time_embedded=False, seed=0):
-    """Full-size U-Net (base 32, two residual blocks per stage)."""
-    return UNetProx(base_channels=32, res_blocks=2, time_embedded=time_embedded, seed=seed)
-
-
 def build_network(arch, time_embedded=False, seed=0, **kwargs):
     if arch == "resnet":
         return ResNetProx(time_embedded=time_embedded, seed=seed, **kwargs)

@@ -95,8 +95,8 @@ def lmmse_step(op: VampOperator, state: VampState, config: VampConfig | None = N
     mu_z = 1/v_x - mu_x           u = (x / v_x - mu_x r) / mu_z
     """
     config = config or VampConfig()
-    if state.mu_x <= 0:
-        raise ValueError("mu_x must be positive")
+    if not state.mu_x > 0:
+        raise FloatingPointError("mu_x must be positive")
     b = op.rhs + state.mu_x * state.r
     x, _ = cg_solve(shifted(op.gram, state.mu_x), b, max_iters=config.cg_iters)
     upsilon_x = op.trace_inverse_mean(state.mu_x, config, seed=seed)
@@ -121,8 +121,8 @@ def denoise_step(prox, state: VampState, config: VampConfig | None = None):
     config = config or VampConfig()
     if state.mu_z is None or state.u is None:
         raise ValueError("denoise_step needs the LMMSE outputs (u, mu_z)")
-    if state.mu_z <= 0:
-        raise ValueError("mu_z must be positive")
+    if not state.mu_z > 0:
+        raise FloatingPointError("mu_z must be positive")
     z = prox.apply(state.u, state.mu_z)
     upsilon_z = prox.divergence(state.u, state.mu_z) / state.mu_z
     clamps = state.clamps

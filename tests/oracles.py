@@ -14,6 +14,7 @@ from teunroll import vamp
 from teunroll.linops import LinearMap
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
+from teunroll.nn.networks import ResNetProx, UNetProx
 from teunroll.prox import soft_threshold, soft_threshold_divergence
 
 
@@ -238,6 +239,27 @@ def conv2d_reference(x, w, b, g):
     return out, gx, gw, g.sum(axis=(1, 2))
 
 
+def sum_all(a):
+    """``sum(a)`` as one tape node, built the way the engine builds its ops."""
+    a = en._as_tensor(a)
+    ta, shape = en._target(a), a.shape
+
+    def backward(g):
+        en._accumulate(ta, np.full(shape, float(g)))
+
+    return en._make(a.data.sum(), (ta,), backward)
+
+
+def resnet_full(time_embedded=False, seed=0):
+    """Full-size residual network (15 blocks x 64 channels)."""
+    return ResNetProx(blocks=15, channels=64, time_embedded=time_embedded, seed=seed)
+
+
+def unet_full(time_embedded=False, seed=0):
+    """Full-size U-Net (base 32, two residual blocks per stage)."""
+    return UNetProx(base_channels=32, res_blocks=2, time_embedded=time_embedded, seed=seed)
+
+
 def cg_tape_reference(apply_A, b, iters):
     """The taped fixed-budget CG composed from elementwise and reduction
     primitives only (no fused ``dot``/``axpy`` nodes)."""
@@ -245,13 +267,13 @@ def cg_tape_reference(apply_A, b, iters):
     x = Tensor(np.zeros_like(b.data))
     r = b
     p = r
-    rs = en.sum_all(en.mul(r, r))
+    rs = sum_all(en.mul(r, r))
     for _ in range(iters):
         Ap = apply_A(p)
-        alpha = en.div(rs, en.add(en.sum_all(en.mul(p, Ap)), Tensor(guard)))
+        alpha = en.div(rs, en.add(sum_all(en.mul(p, Ap)), Tensor(guard)))
         x = en.add(x, en.mul(alpha, p))
         r = en.sub(r, en.mul(alpha, Ap))
-        rs_new = en.sum_all(en.mul(r, r))
+        rs_new = sum_all(en.mul(r, r))
         beta = en.div(rs_new, en.add(rs, Tensor(guard)))
         p = en.add(r, en.mul(beta, p))
         rs = rs_new

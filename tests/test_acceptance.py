@@ -16,11 +16,11 @@ from teunroll.nn import TrainableEngine, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tape, Tensor
 from teunroll.nn.layers import film_modulate, film_residual_modulate, sinusoidal_encode
-from teunroll.nn.networks import ResNetProx, complex_to_channels, resnet_full, unet_full
+from teunroll.nn.networks import ResNetProx, complex_to_channels
 from teunroll.unroll import run_unrolled
 
 from oracles import (ScaledSoftThreshold, dense_from_probes, dense_vamp_operator, fista_lasso,
-                     from_dense, spd_with_clusters)
+                     from_dense, resnet_full, spd_with_clusters, sum_all, unet_full)
 
 
 def report(criterion, detail):
@@ -257,7 +257,7 @@ def test_criterion_7_autodiff_finite_differences():
         probe = rng.standard_normal(fn(Tensor(x_data)).shape)
         x = Tensor(x_data.copy(), requires_grad=True)
         with Tape() as tape:
-            loss = en.sum_all(en.mul(fn(x), Tensor(probe)))
+            loss = sum_all(en.mul(fn(x), Tensor(probe)))
         tape.backward(loss)
         h = 1e-5
         for i in rng.choice(x_data.size, size=min(n_coords, x_data.size), replace=False):

@@ -14,11 +14,9 @@ from teunroll.nn.networks import (
     UNetProx,
     complex_to_channels,
     channels_to_complex,
-    resnet_full,
-    unet_full,
 )
 
-from oracles import group_norm_reference
+from oracles import group_norm_reference, resnet_full, unet_full
 
 
 # -- sinusoidal encoder ---------------------------------------------------

@@ -237,7 +237,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         vamp.VampConfig(mu_floor=0.0)
     with pytest.raises(ValueError):
-        vamp.lmmse_step(dense_vamp_operator(np.eye(4), np.zeros(4)),
-                        vamp.VampState(r=np.zeros(4), mu_x=-1.0))
-    with pytest.raises(ValueError):
         vamp.denoise_step(prox.identity_prox(), vamp.VampState(r=np.zeros(4), mu_x=1.0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_half_steps_fail_numerically_on_a_non_positive_precision(bad):
+    # a precision that is not positive (NaN included) is a numeric failure
+    # (exit 3 from the CLI), not a config error
+    with pytest.raises(FloatingPointError, match="mu_x must be positive"):
+        vamp.lmmse_step(dense_vamp_operator(np.eye(4), np.zeros(4)),
+                        vamp.VampState(r=np.zeros(4), mu_x=bad))
+    with pytest.raises(FloatingPointError, match="mu_z must be positive"):
+        vamp.denoise_step(prox.identity_prox(),
+                          vamp.VampState(r=np.zeros(4), mu_x=1.0, mu_z=bad, u=np.zeros(4)))
