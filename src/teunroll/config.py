@@ -4,8 +4,9 @@
 Every key has a documented default (see SCHEMA); unknown sections or keys
 are rejected with their full key path, and so is every value the engines
 would reject or silently misread: non-finite reals, negative seeds,
-regularization weights, block and epoch counts and crops, and zero widths,
-unroll counts and iteration budgets.  Relative paths resolve against the
+regularization weights, block and epoch counts and crops, zero widths,
+unroll counts and iteration budgets, and a non-positive ``unroll.mu``
+other than its -1 default sentinel.  Relative paths resolve against the
 directory containing the config file, and the fully resolved document can
 be echoed back out so a run is reproducible from its own artifacts.
 """
@@ -65,6 +66,9 @@ _NONNEG_FLOAT = _typed(float, "finite non-negative real number",
 _POSITIVE_FLOAT = _typed(float, "finite positive real number",
                          lambda v: math.isfinite(v) and v > 0)
 _DAMPING = _typed(float, "real number in (0, 1]", lambda v: 0 < v <= 1)
+_MU_DEFAULT = -1.0
+_MU = _typed(float, "finite positive real number or -1 (per-algorithm default)",
+             lambda v: v == _MU_DEFAULT or (math.isfinite(v) and v > 0))
 
 # (parser, default, is_path)
 SCHEMA = {
@@ -96,7 +100,7 @@ SCHEMA = {
         "t": (_POSITIVE_INT, "5", False),
         "cg_iters": (_POSITIVE_INT, "15", False),
         "sharing": (_choice(SHARING_CHOICES), "time_embedded", False),
-        "mu": (_FLOAT, "-1", False),  # -1 = per-algorithm default
+        "mu": (_MU, "-1", False),  # -1 = per-algorithm default
         "rho": (_FLOAT, "0.1", False),
         "lam": (_FLOAT, "0.1", False),
         "damping": (_DAMPING, "0.9", False),
@@ -154,7 +158,7 @@ def load_config(path):
             f"eval.crop: {out['eval']['crop']} is below the {SSIM_WINDOW}-pixel SSIM window "
             "(use 0 for no crop)"
         )
-    if out["unroll"]["mu"] <= 0:
+    if out["unroll"]["mu"] == _MU_DEFAULT:
         out["unroll"]["mu"] = default_mu(out["unroll"]["algorithm"])
     return out
 

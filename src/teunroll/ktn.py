@@ -53,21 +53,26 @@ def write_ktn(path, array):
         fh.write(arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes(order="C"))
 
 
+def _read_exactly(fh, size, part, path):
+    block = fh.read(size)
+    if len(block) != size:
+        raise KtnError(f"truncated {part} in {path}")
+    return block
+
+
 def read_ktn(path):
     """Load a KTN1 file and return the stored numpy array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise KtnError(f"bad magic bytes {magic!r} in {path}")
-        code, ndim = struct.unpack("<II", fh.read(8))
+        code, ndim = struct.unpack("<II", _read_exactly(fh, 8, "header", path))
         if code not in _CODE_TO_DTYPE:
             raise KtnError(f"unknown dtype code {code} in {path}")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        dims = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim, "header", path))
         dtype = _CODE_TO_DTYPE[code]
         count = math.prod(dims)
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
-            raise KtnError(f"truncated payload in {path}")
+        payload = _read_exactly(fh, count * dtype.itemsize, "payload", path)
         arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     return arr.copy()
 

@@ -21,6 +21,9 @@ from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 from .unroll import Diagnostics, reference_vector
 
+# Above this many unknowns the resolvent trace is a Hutchinson estimate.
+# The exact set-up holds only the H*W^2 row-block entries; the limit bounds
+# its N checked Gram applies (time), not an N x N matrix.
 EXACT_TRACE_LIMIT = 4096
 
 
@@ -70,20 +73,34 @@ class VampOperator:
         )
 
 
+def gram_row_blocks(E: EncodingOperator):
+    """The H diagonal W x W blocks of E^H E as an (H, W, W) array.  Masks
+    sample whole columns (checked in SamplingMask), so rows do not couple.
+    Block h is probed one row at a time: ``to_dense`` of the W-dimensional
+    map that puts its vector into row h of an otherwise zero image, applies
+    the checked ``E.normal`` and reads row h back, so the set-up holds
+    H*W^2 entries and never the N x N Gram."""
+    h, w = E.shape
+    blocks = np.empty((h, w, w), dtype=np.complex128)
+    for row in range(h):
+        def probe(v, row=row):
+            img = np.zeros((h, w), dtype=np.complex128)
+            img[row] = v
+            return E.normal(ComplexImage(img)).data[row]
+
+        blocks[row] = to_dense(LinearMap(probe, w))
+    return blocks
+
+
 def as_vamp_operator(E: EncodingOperator, y: KSpaceData):
     """The VampOperator of E and y.  Up to EXACT_TRACE_LIMIT unknowns the
-    eigenvalues are exact: masks sample whole columns (checked in
-    SamplingMask), so the dense E^H E, probed through the checked
-    ``E.normal``, is block diagonal, H blocks of size W x W."""
-    h, w = E.shape
+    eigenvalues are exact: one batched ``eigvalsh`` over the Gram's row
+    blocks, which ``gram_row_blocks`` probes one row block at a time in
+    H*W^2 memory."""
     gram = normal_map_of(E)
     eigvals = None
     if gram.dim <= EXACT_TRACE_LIMIT:
-        probe = LinearMap(lambda v: E.normal(ComplexImage(v.reshape(h, w))).data.ravel(),
-                          gram.dim)
-        rows = np.arange(h)
-        blocks = to_dense(probe).reshape(h, w, h, w)[rows, :, rows, :]
-        eigvals = np.linalg.eigvalsh(blocks).ravel()
+        eigvals = np.linalg.eigvalsh(gram_row_blocks(E)).ravel()
     return VampOperator(gram, E.adjoint(y).data.ravel(), E.shape, eigvals)
 
 

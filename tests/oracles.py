@@ -29,6 +29,17 @@ def dense_from_probes(apply_fn, n, dtype=np.complex128):
     return np.stack(cols, axis=1)
 
 
+def dense_row_blocks(E):
+    """The H diagonal W x W blocks of an EncodingOperator's Gram, cut out
+    of the dense (HW) x (HW) matrix probed through the checked
+    ``E.normal`` one flat unit image at a time."""
+    h, w = E.shape
+    dense = dense_from_probes(lambda v: E.normal(sm.ComplexImage(v.reshape(h, w))).data.ravel(),
+                              h * w)
+    rows = np.arange(h)
+    return dense.reshape(h, w, h, w)[rows, :, rows, :]
+
+
 def identity_map(dim):
     return LinearMap(lambda v: v.copy(), dim)
 

@@ -173,6 +173,9 @@ def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
     ("train", "unet", "alg1", "model.base_channels", "0"),
     ("recon", "tikhonov", "vamp", "unroll.mu_floor", "nan"),
     ("recon", "tikhonov", "alg1", "unroll.mu", "inf"),
+    # only the sentinel -1 selects the per-algorithm default
+    ("recon", "tikhonov", "vsqp", "unroll.mu", "0"),
+    ("recon", "tikhonov", "alg1", "unroll.mu", "-3.5"),
     ("train", "resnet", "alg1", "train.lr", "-inf"),
     ("recon", "tikhonov", "alg1", "data.noise_seed", "-1"),
     ("recon", "tikhonov", "alg1", "mask.seed", "-1"),
@@ -541,3 +544,11 @@ def test_missing_dataset_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[data]\ndir = nowhere\n")
     assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
     assert "img_*.ktn" in capsys.readouterr().err
+
+
+def test_truncated_ktn_header_is_config_error(tmp_path, dataset, capsys):
+    (dataset / "img_0000.ktn").write_bytes(b"KTN1\x01\x00")
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n")
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
+    assert "truncated header" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,18 @@ def test_magic_and_dtype_errors(tmp_path):
         ktn.read_ktn(bad)
     with pytest.raises(ktn.KtnError):
         ktn.write_ktn(tmp_path / "i.ktn", np.arange(3))  # int64 unsupported
+
+
+@pytest.mark.parametrize("blob, part", [
+    (b"KTN1\x01\x00", "header"),  # code/ndim block cut short
+    (b"KTN1" + struct.pack("<II", 3, 2) + struct.pack("<Q", 4), "header"),  # one of two dims
+    (b"KTN1" + struct.pack("<II", 3, 1) + struct.pack("<Q", 4) + b"\x00" * 24, "payload"),
+], ids=["code-ndim", "dims", "payload"])
+def test_truncated_file_is_ktn_error(tmp_path, blob, part):
+    path = tmp_path / "short.ktn"
+    path.write_bytes(blob)
+    with pytest.raises(ktn.KtnError, match=f"truncated {part}"):
+        ktn.read_ktn(path)
 
 
 def test_mask_payload_is_zeros_and_ones(tmp_path):

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from teunroll import prox, vamp
 from teunroll import signal_model as sm
 from teunroll.linops import normal_map_of, to_dense
 
-from oracles import dense_from_probes, dense_vamp_operator, encodings
+from oracles import dense_from_probes, dense_row_blocks, dense_vamp_operator, encodings
 
 
 def test_lmmse_identity_operator_closed_form():
@@ -203,6 +205,42 @@ def test_exact_trace_from_row_blocks_matches_dense(E):
         exact = np.mean(1.0 / (dense_eigs + mu))
         got = op.trace_inverse_mean(mu, vamp.VampConfig())
         assert abs(got - exact) <= 1e-12 * exact
+
+
+def _random_mask_encoding(h, w, coils, seed):
+    mask = sm.make_random_mask(h, w, 2, 2, seed)
+    return sm.EncodingOperator(mask, sm.make_smooth_sensitivities(h, w, coils, seed=seed + 1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(E=encodings(max_coils=4))
+@example(E=_random_mask_encoding(8, 12, 1, 0))
+@example(E=_random_mask_encoding(16, 16, 2, 1))
+@example(E=_random_mask_encoding(20, 9, 3, 2))
+@example(E=_random_mask_encoding(32, 32, 4, 3))
+def test_row_blocks_equal_the_dense_extraction_bit_for_bit(E):
+    # each row-block probe is the same unit image through the same Gram,
+    # so blocks and eigenvalues match the dense set-up exactly
+    expected = dense_row_blocks(E)
+    assert np.array_equal(vamp.gram_row_blocks(E), expected)
+    y = sm.KSpaceData(np.zeros((E.num_coils,) + E.shape, dtype=complex))
+    op = vamp.as_vamp_operator(E, y)
+    assert np.array_equal(op.eigvals, np.linalg.eigvalsh(expected).ravel())
+
+
+def test_exact_set_up_never_holds_the_dense_gram():
+    # at 32x32 the dense Gram alone is 16 MiB, the 32 row blocks 0.5 MiB
+    E = sm.EncodingOperator(sm.make_equispaced_mask(32, 32, 4, 4),
+                            sm.make_smooth_sensitivities(32, 32, 4, seed=0))
+    y = sm.KSpaceData(np.zeros((4, 32, 32), dtype=complex))
+    tracemalloc.start()
+    try:
+        op = vamp.as_vamp_operator(E, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.eigvals is not None
+    assert peak <= 2 * 2**20, f"set-up peak {peak / 2**20:.2f} MiB"
 
 
 def test_diagnostics_csv_shape():
