@@ -51,6 +51,11 @@ def _load_dataset(dirpath):
         raise ConfigError(f"data.dir: missing sens.ktn in {dirpath}")
     images = [ComplexImage(ktn.read_ktn(f).astype(np.complex128)) for f in files]
     sens = CoilSensitivities(ktn.read_ktn(sens_path).astype(np.complex128))
+    for f, img in zip(files, images):
+        if img.data.shape != sens.maps.shape[1:]:
+            raise ConfigError(
+                f"data.dir: {f} holds a {img.data.shape} image but sens.ktn maps "
+                f"are {sens.maps.shape[1:]}")
     return images, sens
 
 

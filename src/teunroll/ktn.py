@@ -14,6 +14,7 @@ Sampling masks are stored as code 2 with values {0.0, 1.0}.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -71,8 +72,14 @@ def read_ktn(path):
             raise KtnError(f"unknown dtype code {code} in {path}")
         dims = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim, "header", path))
         dtype = _CODE_TO_DTYPE[code]
-        count = math.prod(dims)
-        payload = _read_exactly(fh, count * dtype.itemsize, "payload", path)
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    return arr.copy()
+        # compare the claimed size with the file before allocating it
+        size = math.prod(dims) * dtype.itemsize
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise KtnError(
+                f"truncated payload in {path}: the header claims {size} bytes, {left} follow")
+        arr = np.empty(dims, dtype=dtype)
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != size:
+            raise KtnError(f"truncated payload in {path}")
+    return arr
 

@@ -74,11 +74,13 @@ class TrainableEngine:
     and scalar schedules.
 
     algorithm in {vsqp, admm, alg1, vsqp_te, admm_te}; sharing selects one
-    static network (shared), T independent networks (unshared) or one
-    time-embedded network (time_embedded).  Static algorithms train a
-    single data-fidelity weight; the time-embedded ones train one per
-    unroll, plus per-unroll Onsager weights for alg1 and a dual step size
-    for the ADMM family.
+    static network (shared), one network per network call (unshared; T-1,
+    as the last unroll makes none, see ``_prox``) or one time-embedded
+    network (time_embedded).  Static algorithms train a single
+    data-fidelity weight; the time-embedded ones train one per unroll, plus
+    a dual step size for the ADMM family and, for alg1, Onsager weights for
+    the first T-1 unrolls (the last one feeds only a diagnostic and stays
+    ``rho_init``).
     """
 
     def __init__(self, algorithm, T, cg_iters=15, sharing="shared", arch="resnet",
@@ -90,7 +92,7 @@ class TrainableEngine:
         self.T = T
         self.cg_iters = cg_iters
         time_embedded = sharing == "time_embedded"
-        n_nets = T if sharing == "unshared" else 1
+        n_nets = T - 1 if sharing == "unshared" else 1
         self.networks = [
             build_network(arch, time_embedded=time_embedded, seed=seed + i, **arch_kwargs)
             for i in range(n_nets)
@@ -101,7 +103,8 @@ class TrainableEngine:
         self.mu = [Tensor(np.float64(mu_init), requires_grad=True) for _ in range(n_mu)]
         self.rho = []
         if self.family == "alg1":
-            self.rho = [Tensor(np.float64(rho_init), requires_grad=True) for _ in range(T)]
+            self.rho = [Tensor(np.float64(rho_init), requires_grad=True) for _ in range(T - 1)]
+            self._rho_last = Tensor(np.float64(rho_init))
         self.lam = []
         if self.family == "admm":
             self.lam = [Tensor(np.float64(lam_init), requires_grad=True)]
@@ -151,9 +154,11 @@ class TrainableEngine:
     def _per_unroll(self):
         """(mu, rho, lam) with one scalar tensor per unroll; rho is empty
         outside alg1 and lam outside the ADMM family.  Static algorithms
-        repeat their one mu, and the ADMM family shares one dual step."""
+        repeat their one mu, the ADMM family shares one dual step, and
+        alg1's last Onsager weight is the untrained constant."""
         mu = self.mu if len(self.mu) > 1 else self.mu * self.T
-        return mu, self.rho, self.lam * self.T
+        rho = self.rho + [self._rho_last] if self.family == "alg1" else []
+        return mu, rho, self.lam * self.T
 
     def _net_at(self, t):
         return self.networks[t] if len(self.networks) > 1 else self.networks[0]

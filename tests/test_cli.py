@@ -471,7 +471,7 @@ channels = {channels}
 checkpoint = {ckpt}
 [unroll]
 algorithm = {algorithm}
-t = 2
+t = 3
 sharing = {sharing}
 out = out_mismatch
 [train]
@@ -551,4 +551,18 @@ def test_truncated_ktn_header_is_config_error(tmp_path, dataset, capsys):
     cfg = write_cfg(tmp_path, "[data]\ndir = data\n")
     assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
     assert "truncated header" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_image_shape_differing_from_sens_is_config_error(tmp_path, dataset, capsys):
+    # one 24x24 slice among 32x32 ones: every command that reads the data
+    # dir stops before building an operator, even recon of another slice
+    odd = sm.make_phantom(24, 24, 6, seed=0)
+    ktn.write_ktn(dataset / "img_0001.ktn", odd.data)
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\nindex = 0\n")
+    for command in ("recon", "eval"):
+        assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "data.dir" in err and "img_0001.ktn" in err, err
+        assert "(24, 24)" in err and "(32, 32)" in err, err
     assert not (tmp_path / "runs").exists()

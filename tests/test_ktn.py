@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,3 +89,19 @@ def test_deterministic_bytes(tmp_path):
     ktn.write_ktn(a, arr)
     ktn.write_ktn(b, arr)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("count", [2**20, 2**40])
+def test_claimed_size_is_checked_before_allocating(tmp_path, count):
+    # a 28-byte file whose header claims far more float64 values than it holds
+    path = tmp_path / "liar.ktn"
+    path.write_bytes(b"KTN1" + struct.pack("<II", 3, 1) + struct.pack("<Q", count)
+                     + b"\x00" * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ktn.KtnError, match="truncated payload"):
+            ktn.read_ktn(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

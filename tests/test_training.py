@@ -9,7 +9,7 @@ from teunroll.linops import cg_solve
 from teunroll.nn import TrainableEngine, TrainingError, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
-from teunroll.nn.networks import channels_to_complex
+from teunroll.nn.networks import channels_to_complex, complex_to_channels
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
 from teunroll.nn.training import SHARING_MODES, cg_tape
 from teunroll.unroll import ALGORITHMS, run_unrolled
@@ -120,7 +120,8 @@ def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed,
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_skips_only_the_dead_last_network_call(algorithm, sharing, arch, arch_kwargs):
     """engine.run calls the networks at t < T-1 only, and its image and
-    diagnostics are exactly those of a run that also makes the last call."""
+    diagnostics are exactly those of a run whose last prox returns zeros:
+    nothing downstream reads the last prox output."""
     E, y, truth = _toy_problem(16, 24)
     T = 3
     eng = TrainableEngine(algorithm, T=T, cg_iters=15, sharing=sharing, arch=arch,
@@ -135,6 +136,8 @@ def test_run_skips_only_the_dead_last_network_call(algorithm, sharing, arch, arc
 
     def every_unroll(img, t):
         calls.append(t)
+        if t == T - 1:
+            return np.zeros_like(img)
         return eng._net_at(t).apply_complex(img, t)
 
     mu, rho, lam = ([float(v.data) for v in vals] for vals in eng._per_unroll())
@@ -212,18 +215,12 @@ def test_gradients_reach_scalars_and_networks():
                                ("admm_te", "time_embedded"), ("vsqp", "unshared")):
         eng = TrainableEngine(algorithm, T=2, cg_iters=8, sharing=sharing,
                               arch="resnet", seed=0, blocks=1, channels=4)
-        from teunroll.nn.engine import Tape
-        from teunroll.nn.networks import complex_to_channels
-
-        with Tape() as tape:
+        with en.Tape() as tape:
             out = eng.forward(E, y)
             loss = en.mse(out, Tensor(complex_to_channels(truth.data)))
         tape.backward(loss)
-        # the last unroll's prox tail is dead wrt the returned x, so its
-        # Onsager weight stays untrained; everything else must have grads
-        live = eng.mu + eng.rho[:-1] + eng.lam
-        for t in live:
-            assert t.grad is not None and np.isfinite(t.grad)
+        for t in eng.parameters().values():
+            assert t.grad is not None and np.all(np.isfinite(t.grad))
         grads = [t.grad for t in eng.networks[0].parameters().values()]
         assert any(g is not None and np.any(g != 0) for g in grads)
 
@@ -271,9 +268,30 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
             narrower.load_state(state)
 
 
-def test_unshared_engine_has_t_networks():
+def test_unshared_engine_has_one_network_per_call():
+    # T unrolls make T-1 network calls (the last unroll's is dead)
     eng = TrainableEngine("vsqp", T=3, sharing="unshared", arch="resnet",
                           seed=0, blocks=1, channels=4)
-    assert len(eng.networks) == 3
+    assert len(eng.networks) == 2
     single = eng.networks[0].count_parameters()
-    assert eng.count_parameters() == 3 * single + 1  # plus the shared mu scalar
+    assert eng.count_parameters() == 2 * single + 1  # plus the shared mu scalar
+
+
+@pytest.mark.parametrize("arch, arch_kwargs", [("resnet", {"blocks": 1, "channels": 4}),
+                                               ("unet", {"base_channels": 4, "res_blocks": 1})])
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_parameter_reaches_the_output(algorithm, sharing, arch, arch_kwargs):
+    """One taped step leaves a finite gradient on every parameter: an engine
+    holds no network or scalar that cannot move its output."""
+    E, y, truth = _toy_problem()
+    target = Tensor(complex_to_channels(truth.data))
+    for T in (2, 3):
+        eng = TrainableEngine(algorithm, T=T, cg_iters=4, sharing=sharing, arch=arch,
+                              seed=0, **arch_kwargs)
+        with en.Tape() as tape:
+            loss = en.mse(eng.forward(E, y), target)
+        tape.backward(loss)
+        dead = [name for name, t in eng.parameters().items()
+                if t.grad is None or not np.all(np.isfinite(t.grad))]
+        assert not dead, (T, dead)

@@ -243,6 +243,29 @@ def test_exact_set_up_never_holds_the_dense_gram():
     assert peak <= 2 * 2**20, f"set-up peak {peak / 2**20:.2f} MiB"
 
 
+def test_above_the_exact_limit_the_trace_is_estimated():
+    # 129x32 pixels is just past EXACT_TRACE_LIMIT, so the set-up keeps no
+    # eigenvalues and the resolvent trace comes from Hutchinson probes
+    h, w = 129, 32
+    assert h * w > vamp.EXACT_TRACE_LIMIT
+    mask = sm.make_equispaced_mask(h, w, 4, 4)
+    E = sm.EncodingOperator(mask, sm.make_smooth_sensitivities(h, w, 2, seed=0))
+    truth = sm.make_phantom(h, w, 6, seed=1)
+    y = sm.add_noise(E.forward(truth), 0.01, seed=2, mask=mask)
+    op = vamp.as_vamp_operator(E, y)
+    assert op.eigvals is None
+    eigs = np.linalg.eigvalsh(vamp.gram_row_blocks(E)).ravel()
+    for mu in (0.05, 0.3, 1.0):
+        exact = np.mean(1.0 / (eigs + mu))
+        got = op.trace_inverse_mean(mu, vamp.VampConfig())
+        assert abs(got - exact) <= 0.01 * exact, (mu, got, exact)
+    x, diags = vamp.run_vamp(op, prox.soft_threshold_prox(0.05),
+                             vamp.VampConfig(max_iters=2), reference=truth)
+    assert x.shape == (h, w) and np.all(np.isfinite(x))
+    assert all(np.isfinite(v) for row in diags.rows for v in row.values()
+               if isinstance(v, float))
+
+
 def test_diagnostics_csv_shape():
     rng = np.random.default_rng(8)
     E = rng.standard_normal((8, 12))
