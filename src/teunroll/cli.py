@@ -42,26 +42,37 @@ METRIC_COLUMNS = ("psnr_db", "ssim", "nmse")
 
 # -- dataset helpers ---------------------------------------------------------
 
-def _load_dataset(dirpath):
+def _scan_dataset(dirpath):
+    """(image paths, sens.ktn path, image shape) of a data dir, checked from
+    the KTN headers alone: every file must be valid KTN1 and every image
+    must have the maps' H x W shape.  No payload is read."""
     files = sorted(glob.glob(os.path.join(dirpath, "img_*.ktn")))
     if not files:
         raise ConfigError(f"data.dir: no img_*.ktn files in {dirpath}")
     sens_path = os.path.join(dirpath, "sens.ktn")
     if not os.path.isfile(sens_path):
         raise ConfigError(f"data.dir: missing sens.ktn in {dirpath}")
-    images = [ComplexImage(ktn.read_ktn(f).astype(np.complex128)) for f in files]
-    sens = CoilSensitivities(ktn.read_ktn(sens_path).astype(np.complex128))
-    for f, img in zip(files, images):
-        if img.data.shape != sens.maps.shape[1:]:
+    _, sens_shape = ktn.read_header(sens_path)
+    if len(sens_shape) != 3:
+        raise ConfigError(f"data.dir: sens.ktn holds a {sens_shape} array, not (coils, H, W)")
+    for f in files:
+        _, shape = ktn.read_header(f)
+        if shape != sens_shape[1:]:
             raise ConfigError(
-                f"data.dir: {f} holds a {img.data.shape} image but sens.ktn maps "
-                f"are {sens.maps.shape[1:]}")
-    return images, sens
+                f"data.dir: {f} holds a {shape} image but sens.ktn maps "
+                f"are {sens_shape[1:]}")
+    return files, sens_path, sens_shape[1:]
 
 
-def _check_ssim_window(images, dirpath):
+def _load_dataset(dirpath):
+    files, sens_path, _ = _scan_dataset(dirpath)
+    images = [ComplexImage(ktn.read_ktn(f)) for f in files]
+    return images, CoilSensitivities(ktn.read_ktn(sens_path))
+
+
+def _check_ssim_window(shape, dirpath):
     """recon and eval score every slice with SSIM, which needs the whole window."""
-    side = min(min(img.data.shape) for img in images)
+    side = min(shape)
     if side < metrics.SSIM_WINDOW:
         raise ConfigError(
             f"data.dir: images in {dirpath} are {side} pixels on their short side, "
@@ -227,12 +238,14 @@ def cmd_recon(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["data"]["noise_seed"] = args.seed
-    images, sens = _load_dataset(cfg["data"]["dir"])
-    _check_ssim_window(images, cfg["data"]["dir"])
+    # every slice's header is checked, but only this slice's payload is read
+    files, sens_path, shape = _scan_dataset(cfg["data"]["dir"])
+    _check_ssim_window(shape, cfg["data"]["dir"])
     index = cfg["data"]["index"]
-    if not 0 <= index < len(images):
-        raise ConfigError(f"data.index: {index} out of range (0..{len(images) - 1})")
-    truth = images[index]
+    if not 0 <= index < len(files):
+        raise ConfigError(f"data.index: {index} out of range (0..{len(files) - 1})")
+    truth = ComplexImage(ktn.read_ktn(files[index]))
+    sens = CoilSensitivities(ktn.read_ktn(sens_path))
     mask = _build_mask(cfg, truth.data.shape)
     E = EncodingOperator(mask, sens)
     y = _measure(E, truth, cfg, index)
@@ -291,7 +304,7 @@ def cmd_eval(args):
     if args.checkpoint:
         cfg["model"]["checkpoint"] = os.path.abspath(args.checkpoint)
     images, sens = _load_dataset(cfg["data"]["dir"])
-    _check_ssim_window(images, cfg["data"]["dir"])
+    _check_ssim_window(images[0].data.shape, cfg["data"]["dir"])
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     crop = cfg["eval"]["crop"]

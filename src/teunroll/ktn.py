@@ -39,19 +39,20 @@ def write_ktn(path, array):
     """Serialize ``array`` to ``path`` in KTN1 format.
 
     Only the four supported dtypes are accepted; ints and bools must be
-    converted by the caller (masks go out as float32 zeros/ones).
+    converted by the caller (masks go out as float32 zeros/ones).  A
+    C-contiguous little-endian array is written from its own buffer,
+    without a copy.
     """
     arr = np.asarray(array)
-    if arr.ndim:
-        arr = np.ascontiguousarray(arr)  # ascontiguousarray would promote 0-d to 1-d
     if arr.dtype not in _DTYPE_TO_CODE:
         raise KtnError(f"unsupported dtype for KTN1: {arr.dtype}")
     code = _DTYPE_TO_CODE[arr.dtype]
+    arr = np.asarray(arr, dtype=_CODE_TO_DTYPE[code], order="C")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", code, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes(order="C"))
+        fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def _read_exactly(fh, size, part, path):
@@ -61,25 +62,39 @@ def _read_exactly(fh, size, part, path):
     return block
 
 
+def _read_header(fh, path):
+    """(dtype, shape) of an open KTN1 file, leaving ``fh`` at the payload.
+    Checks the magic bytes and the dtype code, and compares the claimed
+    payload size with the bytes left in the file before anything of that
+    size is allocated."""
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise KtnError(f"bad magic bytes {magic!r} in {path}")
+    code, ndim = struct.unpack("<II", _read_exactly(fh, 8, "header", path))
+    if code not in _CODE_TO_DTYPE:
+        raise KtnError(f"unknown dtype code {code} in {path}")
+    dims = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim, "header", path))
+    dtype = _CODE_TO_DTYPE[code]
+    size = math.prod(dims) * dtype.itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise KtnError(
+            f"truncated payload in {path}: the header claims {size} bytes, {left} follow")
+    return dtype, dims
+
+
+def read_header(path):
+    """The (dtype, shape) a KTN1 file declares, checked as ``read_ktn``
+    checks them, without reading the payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def read_ktn(path):
     """Load a KTN1 file and return the stored numpy array."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise KtnError(f"bad magic bytes {magic!r} in {path}")
-        code, ndim = struct.unpack("<II", _read_exactly(fh, 8, "header", path))
-        if code not in _CODE_TO_DTYPE:
-            raise KtnError(f"unknown dtype code {code} in {path}")
-        dims = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim, "header", path))
-        dtype = _CODE_TO_DTYPE[code]
-        # compare the claimed size with the file before allocating it
-        size = math.prod(dims) * dtype.itemsize
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > left:
-            raise KtnError(
-                f"truncated payload in {path}: the header claims {size} bytes, {left} follow")
+        dtype, dims = _read_header(fh, path)
         arr = np.empty(dims, dtype=dtype)
-        if fh.readinto(arr.reshape(-1).view(np.uint8)) != size:
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
             raise KtnError(f"truncated payload in {path}")
     return arr
-

@@ -80,7 +80,9 @@ class TrainableEngine:
     data-fidelity weight; the time-embedded ones train one per unroll, plus
     a dual step size for the ADMM family and, for alg1, Onsager weights for
     the first T-1 unrolls (the last one feeds only a diagnostic and stays
-    ``rho_init``).
+    ``rho_init``).  At T=1 no network is called and the dual step reaches
+    nothing, so such an engine holds its data-fidelity weight only; the
+    dual step stays ``lam_init``.
     """
 
     def __init__(self, algorithm, T, cg_iters=15, sharing="shared", arch="resnet",
@@ -92,7 +94,7 @@ class TrainableEngine:
         self.T = T
         self.cg_iters = cg_iters
         time_embedded = sharing == "time_embedded"
-        n_nets = T - 1 if sharing == "unshared" else 1
+        n_nets = T - 1 if sharing == "unshared" else min(T - 1, 1)
         self.networks = [
             build_network(arch, time_embedded=time_embedded, seed=seed + i, **arch_kwargs)
             for i in range(n_nets)
@@ -105,9 +107,9 @@ class TrainableEngine:
         if self.family == "alg1":
             self.rho = [Tensor(np.float64(rho_init), requires_grad=True) for _ in range(T - 1)]
             self._rho_last = Tensor(np.float64(rho_init))
-        self.lam = []
-        if self.family == "admm":
-            self.lam = [Tensor(np.float64(lam_init), requires_grad=True)]
+        # the ADMM family's one dual step reaches x only through a later unroll
+        self._lam = Tensor(np.float64(lam_init), requires_grad=T > 1)
+        self.lam = [self._lam] if self.family == "admm" and T > 1 else []
 
     # -- parameter plumbing --------------------------------------------------
     def parameters(self):
@@ -158,7 +160,8 @@ class TrainableEngine:
         alg1's last Onsager weight is the untrained constant."""
         mu = self.mu if len(self.mu) > 1 else self.mu * self.T
         rho = self.rho + [self._rho_last] if self.family == "alg1" else []
-        return mu, rho, self.lam * self.T
+        lam = [self._lam] * self.T if self.family == "admm" else []
+        return mu, rho, lam
 
     def _net_at(self, t):
         return self.networks[t] if len(self.networks) > 1 else self.networks[0]

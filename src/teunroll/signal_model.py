@@ -19,13 +19,12 @@ GRAM_BLOCK_BYTES = 4 * 2**20
 
 
 def fft2c(x):
-    """Centered unitary 2-D FFT (DC in the middle of the array)."""
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(x), norm="ortho"))
-
-
-def ifft2c(y):
-    """Inverse of :func:`fft2c` (also its adjoint, the map is unitary)."""
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(y), norm="ortho"))
+    """Centered unitary 2-D FFT (DC in the middle of the array).  Its
+    inverse and adjoint ifft2c is the same with the inverse FFT.  The FFT
+    runs in place in the shifted copy, so besides ``x`` it holds two
+    arrays of its size."""
+    z = np.fft.ifftshift(np.asarray(x, dtype=np.complex128))
+    return np.fft.fftshift(np.fft.fft2(z, norm="ortho", out=z))
 
 
 def _complex_array(values, ndim, what):
@@ -192,24 +191,29 @@ class EncodingOperator:
 
     With the unitary FFT and normalized sensitivities the composite
     adjoint(forward(.)) is self-adjoint PSD with operator norm <= 1.
+
+    Each coil is transformed on its own, so forward, adjoint and the FFT
+    path of the Gram hold their output plus at most two H x W coil images,
+    never a (C, H, W) stack of intermediates.
     """
 
     mask: SamplingMask
     sens: CoilSensitivities
-    _gram_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _shifted_columns: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_blocks: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mask.pattern.shape != self.sens.maps.shape[1:]:
             raise ValueError("mask and sensitivity shapes disagree")
-        self._gram_mask = np.fft.ifftshift(self.mask.pattern[0])
+        # the column mask in ifftshift (unshifted FFT) order
+        self._shifted_columns = np.fft.ifftshift(self.mask.pattern[0])
         h, w = self.shape
         self._gram_blocks = None
         if h * w * w * 16 <= GRAM_BLOCK_BYTES:
             # The H diagonal W x W blocks of E^H E (see normal_array):
             # A[h, j, k] = P[j, k] * sum_c conj(s[c, h, j]) * s[c, h, k] with
             # P = ifft1(diag(m') fft1(I)) the masked 1-D filter as a matrix.
-            filt = np.fft.ifft(self._gram_mask[:, None] * np.fft.fft(np.eye(w), axis=0), axis=0)
+            filt = np.fft.ifft(self._shifted_columns[:, None] * np.fft.fft(np.eye(w), axis=0), axis=0)
             s = self.sens.maps.transpose(1, 0, 2)
             self._gram_blocks = (np.conj(s).transpose(0, 2, 1) @ s) * filt
 
@@ -222,22 +226,40 @@ class EncodingOperator:
         return self.sens.num_coils
 
     def forward(self, x: ComplexImage) -> KSpaceData:
+        """The masked k-space of every coil, filled one coil at a time."""
         if x.data.shape != self.shape:
             raise ValueError(f"image shape {x.data.shape} != operator {self.shape}")
-        coil_imgs = self.sens.maps * x.data[None, :, :]
-        k = fft2c(coil_imgs)
-        k[:, ~self.mask.pattern] = 0.0
+        unsampled = ~self.mask.pattern[0]
+        k = np.empty(self.sens.maps.shape, dtype=np.complex128)
+        for s, k_c in zip(self.sens.maps, k):
+            np.multiply(s, x.data, out=k_c)
+            k_c[...] = fft2c(k_c)
+            k_c[:, unsampled] = 0.0
         return KSpaceData(k)
 
     def adjoint(self, y: KSpaceData) -> ComplexImage:
+        """sum_c conj(s_c) * ifft2c(mask * y_c), accumulated coil by coil
+        in the order of a sum over the coil axis."""
         if y.data.shape != (self.num_coils,) + self.shape:
             raise ValueError(
                 f"k-space shape {y.data.shape} != operator "
                 f"{(self.num_coils,) + self.shape}"
             )
-        masked = np.where(self.mask.pattern[None, :, :], y.data, 0.0)
-        imgs = ifft2c(masked)
-        return ComplexImage(np.sum(np.conj(self.sens.maps) * imgs, axis=0))
+        out = self._coil_adjoint(0, y.data[0])
+        for c in range(1, self.num_coils):
+            out += self._coil_adjoint(c, y.data[c])
+        return ComplexImage(out)
+
+    def _coil_adjoint(self, c, y_c):
+        """conj(s_c) * ifft2c(mask * y_c) in two H x W buffers: the mask
+        zeroes the ifftshifted copy of y_c, which then holds the product."""
+        z = np.fft.ifftshift(y_c)
+        z[:, ~self._shifted_columns] = 0.0
+        # np.fft.ifft2 ignores ``out``; ifftn over the same axes honours it
+        img = np.fft.fftshift(np.fft.ifftn(z, axes=(-2, -1), norm="ortho", out=z))
+        np.conj(self.sens.maps[c], out=z)
+        z *= img
+        return z
 
     def normal(self, x: ComplexImage) -> ComplexImage:
         """adjoint(forward(x)), the Gram operator E^H E."""
@@ -259,34 +281,50 @@ class EncodingOperator:
         Each image row is thus mapped by its own W x W matrix.  When those
         row blocks fit under GRAM_BLOCK_BYTES they are cached at
         construction and the Gram is one batched matrix-vector product.
+        Otherwise the coils pass one at a time through a single H x W
+        buffer and are summed in the order of a sum over the coil axis.
         """
         if self._gram_blocks is not None:
             return np.matmul(self._gram_blocks, img[:, :, None])[:, :, 0]
-        maps = self.sens.maps
-        z = np.multiply(maps, img)
-        np.fft.fft(z, axis=-1, out=z)
-        z *= self._gram_mask
-        np.fft.ifft(z, axis=-1, out=z)
-        # conj(s) * z == conj(s * conj(z)): stays in the one buffer without
-        # a second map-sized array.
-        np.conj(z, out=z)
-        z *= maps
-        out = z.sum(axis=0)
+        z = np.empty(self.shape, dtype=np.complex128)
+        out = None
+        for s in self.sens.maps:
+            np.multiply(s, img, out=z)
+            np.fft.fft(z, axis=-1, out=z)
+            z *= self._shifted_columns
+            np.fft.ifft(z, axis=-1, out=z)
+            # conj(s) * z == conj(s * conj(z)): stays in the one buffer
+            np.conj(z, out=z)
+            z *= s
+            if out is None:
+                out = z.copy()
+            else:
+                out += z
         return np.conj(out, out=out)
 
 
 def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask | None = None):
     """Add circular complex Gaussian noise (std ``sigma`` per real/imag
     component).  When ``mask`` is given, noise enters only at sampled
-    locations so unacquired entries stay exactly zero."""
+    locations so unacquired entries stay exactly zero.
+
+    The real parts of all coils are drawn first, then the imaginary parts,
+    each one coil at a time into the one complex array that becomes the
+    result; the draws are those of one (C, H, W) real and one imaginary
+    array."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return KSpaceData(y.data.copy())
+    if mask is not None and mask.pattern.shape != y.data.shape[1:]:
+        raise ValueError(
+            f"mask shape {mask.pattern.shape} != k-space image shape {y.data.shape[1:]}")
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=y.data.shape) + 1j * rng.normal(
-        0.0, sigma, size=y.data.shape
-    )
+    noisy = np.empty(y.data.shape, dtype=np.complex128)
+    for part in (noisy.real, noisy.imag):
+        for p in part:
+            p[...] = rng.normal(0.0, sigma, size=p.shape)
     if mask is not None:
-        noise = np.where(mask.pattern[None, :, :], noise, 0.0)
-    return KSpaceData(y.data + noise)
+        noisy[:, ~mask.pattern] = 0.0
+    noisy += y.data
+    return KSpaceData(noisy)

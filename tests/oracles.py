@@ -40,6 +40,46 @@ def dense_row_blocks(E):
     return dense.reshape(h, w, h, w)[rows, :, rows, :]
 
 
+def stacked_forward(E, x):
+    """E x with every coil image in one (C, H, W) stack and one 2-D FFT
+    over it."""
+    coil_imgs = E.sens.maps * x.data[None, :, :]
+    k = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(coil_imgs), norm="ortho"))
+    k[:, ~E.mask.pattern] = 0.0
+    return k
+
+
+def stacked_adjoint(E, y):
+    """E^H y as a sum over the coil axis of a (C, H, W) stack."""
+    masked = np.where(E.mask.pattern[None, :, :], y.data, 0.0)
+    imgs = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(masked), norm="ortho"))
+    return np.sum(np.conj(E.sens.maps) * imgs, axis=0)
+
+
+def stacked_gram(E, img):
+    """The 1-D FFT form of E^H E (see ``EncodingOperator.normal_array``) on
+    one (C, H, W) stack, summed over the coil axis."""
+    maps = E.sens.maps
+    z = np.multiply(maps, img)
+    np.fft.fft(z, axis=-1, out=z)
+    z *= np.fft.ifftshift(E.mask.pattern[0])
+    np.fft.ifft(z, axis=-1, out=z)
+    np.conj(z, out=z)
+    z *= maps
+    out = z.sum(axis=0)
+    return np.conj(out, out=out)
+
+
+def stacked_add_noise(y, sigma, seed, mask=None):
+    """``add_noise`` drawing one (C, H, W) real and one imaginary array."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma, size=y.data.shape) + 1j * rng.normal(
+        0.0, sigma, size=y.data.shape)
+    if mask is not None:
+        noise = np.where(mask.pattern[None, :, :], noise, 0.0)
+    return y.data + noise
+
+
 def identity_map(dim):
     return LinearMap(lambda v: v.copy(), dim)
 

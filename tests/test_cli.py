@@ -566,3 +566,36 @@ def test_image_shape_differing_from_sens_is_config_error(tmp_path, dataset, caps
         assert "data.dir" in err and "img_0001.ktn" in err, err
         assert "(24, 24)" in err and "(32, 32)" in err, err
     assert not (tmp_path / "runs").exists()
+
+
+def _count_payload_reads(monkeypatch):
+    """Record the file name of every ``ktn.read_ktn`` call, i.e. every payload read."""
+    reads = []
+    read_ktn = ktn.read_ktn
+
+    def counting(path):
+        reads.append(os.path.basename(path))
+        return read_ktn(path)
+
+    monkeypatch.setattr(ktn, "read_ktn", counting)
+    return reads
+
+
+def test_recon_reads_the_payload_of_its_slice_and_the_maps_only(tmp_path, monkeypatch):
+    assert run_cli("phantom", "--out", tmp_path / "data", "--size", "16", "--count", "8") == 0
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\nindex = 5\n[model]\nprox = tikhonov\n"
+                              "[unroll]\nalgorithm = vsqp\nt = 2\n")
+    reads = _count_payload_reads(monkeypatch)
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_OK
+    assert sorted(reads) == ["img_0005.ktn", "sens.ktn"]
+
+
+def test_recon_index_out_of_range_exits_before_any_payload_is_read(tmp_path, monkeypatch,
+                                                                    capsys):
+    assert run_cli("phantom", "--out", tmp_path / "data", "--size", "16", "--count", "8") == 0
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\nindex = 8\n")
+    reads = _count_payload_reads(monkeypatch)
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
+    assert "data.index" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "runs").exists()

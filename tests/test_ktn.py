@@ -105,3 +105,34 @@ def test_claimed_size_is_checked_before_allocating(tmp_path, count):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+def _tobytes_writer_bytes(arr):
+    """The file a writer that copies the payload with ``tobytes`` makes."""
+    arr = np.asarray(arr)
+    code = {"<c8": 0, "<c16": 1, "<f4": 2, "<f8": 3}[arr.dtype.str]
+    return (ktn.MAGIC + struct.pack("<II", code, arr.ndim)
+            + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.tobytes(order="C"))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.float32])
+def test_buffer_writer_matches_the_tobytes_writer(tmp_path, dtype):
+    rng = np.random.default_rng(0)
+    base = (rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4)))
+    base = base if np.dtype(dtype).kind == "c" else base.real
+    base = base.astype(dtype)
+    for arr in (base, base.transpose(2, 0, 1), base[::2, :, 1:], base[0, 0, 0], base[:0]):
+        path = tmp_path / "a.ktn"
+        ktn.write_ktn(path, arr)
+        assert path.read_bytes() == _tobytes_writer_bytes(arr), arr.shape
+
+
+def test_contiguous_array_is_written_without_a_copy(tmp_path):
+    arr = np.ones((8, 128, 128), dtype=np.complex128)  # sens.ktn at 128x128x8: 2 MiB
+    tracemalloc.start()
+    try:
+        ktn.write_ktn(tmp_path / "sens.ktn", arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**16

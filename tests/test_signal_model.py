@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from teunroll import signal_model as sm
 from teunroll.linops import normal_map_of
 
-from oracles import dense_from_probes, power_iteration_norm
+from oracles import (dense_from_probes, encodings, power_iteration_norm, stacked_add_noise,
+                     stacked_adjoint, stacked_forward, stacked_gram)
 
 
 def _random_image(rng, h, w):
@@ -126,6 +128,57 @@ def test_row_block_gram_matches_fft_gram(op):
     x = _random_image(rng, *E.shape).data
     fft = E_fft.normal_array(x)
     assert np.linalg.norm(E.normal_array(x) - fft) <= 1e-12 * np.linalg.norm(fft)
+
+
+@settings(max_examples=40, deadline=None)
+@given(E=encodings(), seed=st.integers(0, 10_000))
+def test_coil_at_a_time_ops_equal_the_stacked_ones_bit_for_bit(E, seed):
+    """forward, adjoint, add_noise and the FFT-path Gram work one coil at a
+    time and give the bits of the same maps on one (C, H, W) stack."""
+    rng = np.random.default_rng(seed)
+    h, w = E.shape
+    x = _random_image(rng, h, w)
+    y = _random_kspace(rng, E.num_coils, h, w)
+    with mock.patch.object(sm, "GRAM_BLOCK_BYTES", 0):
+        E_fft = sm.EncodingOperator(E.mask, E.sens)
+    assert E._gram_blocks is not None and E_fft._gram_blocks is None
+    for op in (E, E_fft):
+        assert np.array_equal(op.forward(x).data, stacked_forward(op, x))
+        assert np.array_equal(op.adjoint(y).data, stacked_adjoint(op, y))
+    gram = stacked_gram(E, x.data)
+    assert np.array_equal(E_fft.normal_array(x.data), gram)
+    # the cached row blocks are the same map, to rounding
+    assert np.linalg.norm(E.normal_array(x.data) - gram) <= 1e-12 * np.linalg.norm(gram)
+    for mask in (None, E.mask):
+        assert np.array_equal(sm.add_noise(y, 0.3, seed, mask=mask).data,
+                              stacked_add_noise(y, 0.3, seed, mask=mask))
+
+
+def test_each_op_holds_its_output_and_at_most_two_coil_images():
+    h = w = 128
+    coils = 8
+    mask = sm.make_equispaced_mask(h, w, 4, 4)
+    E = sm.EncodingOperator(mask, sm.make_smooth_sensitivities(h, w, coils, seed=0))
+    assert E._gram_blocks is None  # 128 x 128 takes the FFT path
+    x = sm.make_phantom(h, w, 6, seed=1)
+    y = E.forward(x)
+    coil = h * w * 16
+    slack = 32 * 2**10  # the index bookkeeping of the shift and FFT calls
+    ops = {
+        "forward": (lambda: E.forward(x), coils * coil),
+        "adjoint": (lambda: E.adjoint(y), coil),
+        "normal_array": (lambda: E.normal_array(x.data), coil),
+        "add_noise": (lambda: sm.add_noise(y, 0.01, 3, mask=mask), coils * coil),
+    }
+    for name, (op, out_bytes) in ops.items():
+        op()  # FFT plans and the like are cached by the first call
+        tracemalloc.start()
+        try:
+            op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out_bytes + 2 * coil + slack, (name, peak / 2**20)
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,3 +352,10 @@ def test_add_noise_moments_and_masking():
 
     same = sm.add_noise(y, 0.0, seed=5, mask=mask)
     np.testing.assert_array_equal(same.data, y.data)
+
+
+def test_add_noise_rejects_a_mask_of_another_shape():
+    y = sm.KSpaceData(np.ones((2, 16, 16), dtype=complex))
+    for shape in ((16, 12), (12, 16)):
+        with pytest.raises(ValueError):
+            sm.add_noise(y, 0.5, seed=4, mask=sm.make_equispaced_mask(*shape, 4, 2))

@@ -286,7 +286,7 @@ def test_every_parameter_reaches_the_output(algorithm, sharing, arch, arch_kwarg
     holds no network or scalar that cannot move its output."""
     E, y, truth = _toy_problem()
     target = Tensor(complex_to_channels(truth.data))
-    for T in (2, 3):
+    for T in (1, 2, 3):
         eng = TrainableEngine(algorithm, T=T, cg_iters=4, sharing=sharing, arch=arch,
                               seed=0, **arch_kwargs)
         with en.Tape() as tape:
