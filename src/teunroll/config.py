@@ -4,11 +4,12 @@
 Every key has a documented default (see SCHEMA); unknown sections or keys
 are rejected with their full key path, and so is every value the engines
 would reject or silently misread: non-finite reals, negative seeds,
-regularization weights, block and epoch counts and crops, zero widths,
-unroll counts and iteration budgets, and a non-positive ``unroll.mu``
-other than its -1 default sentinel.  Relative paths resolve against the
-directory containing the config file, and the fully resolved document can
-be echoed back out so a run is reproducible from its own artifacts.
+regularization weights, learning rates, block and epoch counts and crops,
+zero widths, unroll counts and iteration budgets, and a non-positive
+``unroll.mu`` other than its -1 default sentinel.  Relative paths resolve
+against the directory containing the config file, and the fully resolved
+document can be echoed back out so a run is reproducible from its own
+artifacts.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ SCHEMA = {
     },
     "train": {
         "epochs": (_NONNEG_INT, "10", False),
-        "lr": (_FLOAT, "5e-4", False),
+        "lr": (_NONNEG_FLOAT, "5e-4", False),
         "seed": (_NONNEG_INT, "0", False),
         "out": (_path, "runs/train", True),
     },

@@ -28,9 +28,13 @@ operators (used to push encoding-operator physics through the tape).
 Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
 ``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
 
-``conv2d`` keeps no im2col matrix: its closure holds one zero-padded,
-flattened copy of the input, and each of the k*k taps is a GEMM on a
-contiguous slice of that copy.
+``conv2d`` keeps no im2col matrix.  One tap loop, ``_taps``, serves its
+forward and its input gradient: each of the k*k taps is a GEMM on a
+contiguous slice of a zero-padded, flattened image.  The forward runs it
+over the input, whose padded copy is the only array the closure holds.
+The input gradient runs it over the padded output gradient, with the
+transposed taps at mirrored offsets: the sums of a scatter-add, in its
+order, so bit for bit.  The kernel size (1 or 3) is the weight's.
 
 Only leaves keep gradients: ``Tape.backward`` sets a node's ``grad`` to
 None once its closure has passed it on, so a finished sweep holds no
@@ -355,37 +359,45 @@ def _pad_flat(data, pad):
     return flat
 
 
-def conv2d(x, w, b=None, kernel=3):
+def _taps(flat, taps, offsets, n):
+    """``sum_k taps[k] @ flat[:, offsets[k]:offsets[k]+n]``, summed in tap
+    order: a stride-1 stencil over a ``_pad_flat`` layout, one GEMM per
+    tap on a contiguous slice."""
+    out = taps[0] @ flat[:, offsets[0]:offsets[0] + n]
+    for wk, off in zip(taps[1:], offsets[1:]):
+        out += wk @ flat[:, off:off + n]
+    return out
+
+
+def conv2d(x, w, b=None):
     """2-D convolution, stride 1, zero padding to keep the spatial shape.
 
-    x: (C_in, H, W), w: (C_out, C_in, k, k), optional b: (C_out,).
-    Kernel sizes 1 and 3.  One zero-padded, flattened copy of ``x`` is the
-    only array kept for the backward: each of the k*k taps is a GEMM of the
-    tap's (C_out, C_in) weight against a contiguous slice of that copy.
-    The output rows come out W+k-1 wide; their k-1 junk columns are
-    dropped.  The backward sums ``g @ slice.T`` per tap for ``w`` and
-    scatter-adds ``w_tap.T @ g`` into a padded buffer for ``x``.
+    x: (C_in, H, W), w: (C_out, C_in, k, k) with k 1 or 3, read from ``w``;
+    optional b: (C_out,).  The forward is the tap loop ``_taps`` over a
+    padded copy of ``x``, the only array kept for the backward; its output
+    rows come out W+k-1 wide, and their k-1 junk columns are dropped.  The
+    input gradient is the same loop over the padded ``g`` with the
+    transposed taps at mirrored offsets.  It adds the terms of a
+    scatter-add of ``w_tap.T @ g`` into a padded buffer in that scatter's
+    order, so its sums are the scatter's, bit for bit.  The weight gradient
+    sums ``g @ slice.T`` per tap, with ``g`` read from its padded copy in
+    the forward's wide-row layout (the junk columns read padding zeros).
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
-    if kernel not in (1, 3):
-        raise ValueError("conv2d supports kernel sizes 1 and 3")
-    if w.shape[2] != kernel or w.shape[3] != kernel:
-        raise ValueError("weight shape disagrees with kernel size")
+    if len(w.shape) != 4 or w.shape[2] != w.shape[3] or w.shape[2] not in (1, 3):
+        raise ValueError(f"conv2d needs a square 1x1 or 3x3 kernel, got weight shape {w.shape}")
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"weight takes {w.shape[1]} input channels, input has {x.shape[0]}")
     cin, h, wd = x.shape
-    cout = w.shape[0]
-    pad = (kernel - 1) // 2
+    cout, _, k, _ = w.shape
+    pad = (k - 1) // 2
     wp = wd + 2 * pad
     n = h * wp
-    offsets = [di * wp + dj for di in range(kernel) for dj in range(kernel)]
+    offsets = [di * wp + dj for di in range(k) for dj in range(k)]
     xf = _pad_flat(x.data, pad)
     w_taps = w.data.transpose(2, 3, 0, 1).reshape(-1, cout, cin)
-    wide = w_taps[0] @ xf[:, :n]
-    for wk, off in zip(w_taps[1:], offsets[1:]):
-        wide += wk @ xf[:, off:off + n]
-    val = wide.reshape(cout, h, wp)[:, :, :wd].copy()
+    val = _taps(xf, w_taps, offsets, n).reshape(cout, h, wp)[:, :, :wd].copy()
     tb = None
     if b is not None:
         b = _as_tensor(b)
@@ -394,18 +406,13 @@ def conv2d(x, w, b=None, kernel=3):
     tx, tw = _target(x), _target(w)
 
     def backward(g):
-        if tb is not None:
-            _accumulate(tb, g.sum(axis=(1, 2)))
-        g_wide = np.zeros((cout, h, wp))
-        g_wide[:, :, :wd] = g
-        g_wide = g_wide.reshape(cout, n)
+        _accumulate(tb, g.sum(axis=(1, 2)))
+        gf = _pad_flat(g, pad)
+        g_wide = gf[:, pad * wp + pad:pad * wp + pad + n]
         gw = np.stack([g_wide @ xf[:, off:off + n].T for off in offsets])
-        _accumulate(tw, gw.reshape(kernel, kernel, cout, cin).transpose(2, 3, 0, 1))
-        gxf = np.zeros_like(xf)
-        for wk, off in zip(w_taps, offsets):
-            gxf[:, off:off + n] += wk.T @ g_wide
-        hp = h + 2 * pad
-        _accumulate(tx, gxf[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + wd].copy())
+        _accumulate(tw, gw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
+        gx = _taps(gf, [wk.T for wk in w_taps], offsets[::-1], n)
+        _accumulate(tx, gx.reshape(cin, h, wp)[:, :, :wd].copy())
 
     return _make(val, (tx, tw, tb), backward)
 

@@ -47,13 +47,12 @@ class Linear:
 
 class Conv2d:
     def __init__(self, store: ParamStore, name, in_ch, out_ch, rng, kernel=3):
-        self.kernel = kernel
         w = kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel)
         self.w = store.create(f"{name}.w", w)
         self.b = store.create(f"{name}.b", np.zeros(out_ch))
 
     def __call__(self, x):
-        return en.conv2d(x, self.w, self.b, kernel=self.kernel)
+        return en.conv2d(x, self.w, self.b)
 
 
 def sinusoidal_encode(t, embed_dim=EMBED_DIM, period=PERIOD):

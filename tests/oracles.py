@@ -103,11 +103,11 @@ def dense_vamp_operator(A, y):
 
 
 @st.composite
-def encodings(draw, max_side=33, max_coils=5):
-    """Odd, even and non-square shapes from 8 to max_side, 1 to max_coils
-    coils, equispaced or random masks at R = 1..4."""
-    h = draw(st.integers(8, max_side))
-    w = draw(st.integers(8, max_side))
+def encodings(draw, max_side=33, max_coils=5, step=1):
+    """Odd, even and non-square shapes from 8 to max_side (multiples of
+    ``step``), 1 to max_coils coils, equispaced or random masks at
+    R = 1..4."""
+    h, w = (step * draw(st.integers(-(-8 // step), max_side // step)) for _ in range(2))
     coils = draw(st.integers(1, max_coils))
     R = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 10_000))
@@ -120,10 +120,10 @@ def encodings(draw, max_side=33, max_coils=5):
 
 
 @st.composite
-def problems(draw, max_side=20, max_coils=4):
+def problems(draw, max_side=20, max_coils=4, step=1):
     """An encoding operator drawn by ``encodings`` with noisy k-space data
     of a random phantom."""
-    E = draw(encodings(max_side, max_coils))
+    E = draw(encodings(max_side, max_coils, step))
     seed = draw(st.integers(0, 10_000))
     truth = sm.make_phantom(*E.shape, 5, seed=seed)
     return E, sm.add_noise(E.forward(truth), 0.01, seed=seed + 1, mask=E.mask)
@@ -288,6 +288,39 @@ def conv2d_reference(x, w, b, g):
                     gx[:, p, q] += w[:, :, di, dj].T @ g[:, i, j]
                     gw[:, :, di, dj] += np.outer(g[:, i, j], x[:, p, q])
     return out, gx, gw, g.sum(axis=(1, 2))
+
+
+def conv2d_scatter_reference(x, w, b, g):
+    """The engine's earlier conv2d, forward and VJPs for cotangent ``g``,
+    on plain arrays.  The forward gathers one GEMM per tap over a
+    zero-padded, flattened copy of ``x``; the input gradient scatter-adds
+    ``w_tap.T @ g`` into a second padded buffer, tap by tap.  The engine
+    computes the same sums in the same order, so it must match every bit.
+
+    Returns (out, grad_x, grad_w, grad_b).
+    """
+    cout, cin, k, _ = w.shape
+    _, h, wd = x.shape
+    pad = (k - 1) // 2
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    n = h * wp
+    xf = np.zeros((cin, hp * wp + 2 * pad))
+    xf[:, :hp * wp] = np.pad(x, ((0, 0), (pad, pad), (pad, pad))).reshape(cin, -1)
+    offsets = [di * wp + dj for di in range(k) for dj in range(k)]
+    w_taps = w.transpose(2, 3, 0, 1).reshape(-1, cout, cin)
+    wide = w_taps[0] @ xf[:, :n]
+    for wk, off in zip(w_taps[1:], offsets[1:]):
+        wide += wk @ xf[:, off:off + n]
+    out = wide.reshape(cout, h, wp)[:, :, :wd] + b[:, None, None]
+    g_wide = np.zeros((cout, h, wp))
+    g_wide[:, :, :wd] = g
+    g_wide = g_wide.reshape(cout, n)
+    gw = np.stack([g_wide @ xf[:, off:off + n].T for off in offsets])
+    gxf = np.zeros_like(xf)
+    for wk, off in zip(w_taps, offsets):
+        gxf[:, off:off + n] += wk.T @ g_wide
+    gx = gxf[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + wd]
+    return out, gx, gw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
 
 
 def sum_all(a):

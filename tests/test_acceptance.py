@@ -406,10 +406,19 @@ def directional_experiment():
     psnr_zf = float(np.mean(
         [metrics.psnr(np.abs(t.data), np.abs(E.adjoint(y).data)) for t, y in test_set]
     ))
+
+    def schedule(engine):
+        """The learned per-unroll scalars, as the report line prints them."""
+        mu, rho, _ = engine._per_unroll()
+        text = "mu_t " + "/".join(f"{float(v.data):.4g}" for v in mu)
+        return text + ("; rho_t " + "/".join(f"{float(v.data):.3g}" for v in rho) if rho else "")
+
     return {
         "psnr_shared": psnr_shared,
         "psnr_te": psnr_te,
         "psnr_zf": psnr_zf,
+        "schedule_shared": schedule(shared),
+        "schedule_te": schedule(te),
         "te_gaps": te_gaps,
         "elapsed": time.time() - start,
     }
@@ -424,8 +433,9 @@ def test_criterion_9_te_vs_shared_directional(directional_experiment):
     assert r["elapsed"] < 1800.0
     report(
         9,
-        f"zero-filled {r['psnr_zf']:.2f} dB, shared {r['psnr_shared']:.2f} dB, "
-        f"TE {r['psnr_te']:.2f} dB, {r['elapsed']:.0f}s",
+        f"zero-filled {r['psnr_zf']:.2f} dB, shared {r['psnr_shared']:.2f} dB "
+        f"({r['schedule_shared']}), TE {r['psnr_te']:.2f} dB ({r['schedule_te']}), "
+        f"{r['elapsed']:.0f}s",
     )
 
 

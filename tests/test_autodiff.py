@@ -11,7 +11,7 @@ from teunroll.nn import engine as en
 from teunroll.nn.engine import Tape, Tensor
 from teunroll.nn.networks import ResNetProx, complex_to_channels
 
-from oracles import conv2d_reference, sum_all
+from oracles import conv2d_reference, conv2d_scatter_reference, sum_all
 
 
 RNG = np.random.default_rng(1234)
@@ -84,7 +84,7 @@ OPS = {
     "reshape": (lambda x: en.reshape(x, (20,)), (4, 5)),
     "concat": (lambda x: en.concat([x, en.mul(x, Tensor(2.0))], axis=0), (2, 4, 4)),
     "conv2d_3x3": (lambda x: en.conv2d(x, Tensor(W_CONV)), (4, 6, 6)),
-    "conv2d_1x1": (lambda x: en.conv2d(x, Tensor(W_CONV1), kernel=1), (4, 6, 6)),
+    "conv2d_1x1": (lambda x: en.conv2d(x, Tensor(W_CONV1)), (4, 6, 6)),
     "group_norm": (lambda x: en.group_norm(x, 2), (4, 6, 6)),
     "avg_pool2": (lambda x: en.avg_pool2(x), (3, 8, 8)),
     "upsample_nearest2": (lambda x: en.upsample_nearest2(x), (3, 4, 4)),
@@ -157,6 +157,12 @@ def test_conv2d_rejects_a_weight_for_another_channel_count():
     for cin in (3, 5):
         with pytest.raises(ValueError, match="input channels"):
             en.conv2d(Tensor(np.ones((cin, 8, 8))), Tensor(np.ones((2, 4, 3, 3))))
+    # the kernel size is the weight's: only square 1x1 and 3x3 kernels exist
+    for shape in ((2, 2, 3, 1), (2, 2, 5, 5), (2, 2, 3), (2, 2, 2, 3, 3)):
+        with pytest.raises(ValueError, match="1x1 or 3x3"):
+            en.conv2d(Tensor(np.ones((2, 8, 8))), Tensor(np.ones(shape)))
+    out = en.conv2d(Tensor(np.ones((2, 8, 8))), Tensor(np.full((3, 2, 1, 1), 0.5)))
+    np.testing.assert_array_equal(out.data, np.ones((3, 8, 8)))
 
 
 def check_conv2d_against_oracle(h, w, cin, cout, kernel, seed):
@@ -166,13 +172,16 @@ def check_conv2d_against_oracle(h, w, cin, cout, kernel, seed):
     b = Tensor(rng.standard_normal(cout), requires_grad=True)
     g = rng.standard_normal((cout, h, w))
     with Tape() as tape:
-        out = en.conv2d(x, wt, b, kernel=kernel)
+        out = en.conv2d(x, wt, b)
         loss = sum_all(en.mul(out, Tensor(g)))
     tape.backward(loss)
-    expected = conv2d_reference(x.data, wt.data, b.data, g)
-    for got, want in zip((out.data, x.grad, wt.grad, b.grad), expected):
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    got = (out.data, x.grad, wt.grad, b.grad)
+    for have, want in zip(got, conv2d_reference(x.data, wt.data, b.data, g)):
+        assert have.shape == want.shape
+        assert np.linalg.norm(have - want) <= 1e-12 * np.linalg.norm(want)
+    # the one tap loop adds the scatter-add's terms in its order: same bits
+    for have, want in zip(got, conv2d_scatter_reference(x.data, wt.data, b.data, g)):
+        np.testing.assert_array_equal(have, want)
 
 
 def test_taped_conv2d_keeps_about_one_copy_of_its_input():

@@ -177,6 +177,8 @@ def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
     ("recon", "tikhonov", "vsqp", "unroll.mu", "0"),
     ("recon", "tikhonov", "alg1", "unroll.mu", "-3.5"),
     ("train", "resnet", "alg1", "train.lr", "-inf"),
+    # a negative rate trained uphill and exited 0
+    ("train", "resnet", "alg1", "train.lr", "-0.05"),
     ("recon", "tikhonov", "alg1", "data.noise_seed", "-1"),
     ("recon", "tikhonov", "alg1", "mask.seed", "-1"),
     ("train", "resnet", "alg1", "model.net_seed", "-1"),
@@ -233,8 +235,8 @@ SETUPS = [("recon", "tikhonov", "alg1"), ("recon", "soft_threshold", "vamp"),
           ("recon", "resnet", "admm_te"), ("recon", "unet", "vsqp"),
           ("train", "resnet", "alg1"), ("train", "unet", "admm")]
 SMALL_REALS = [-1.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
-# counts that 0 leaves legal but no negative does
-NON_NEGATIVE_KEYS = [("model", "blocks"), ("train", "epochs"), ("eval", "crop")]
+# keys that 0 leaves legal but no negative does
+NON_NEGATIVE_KEYS = [("model", "blocks"), ("train", "epochs"), ("train", "lr"), ("eval", "crop")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,6 +285,12 @@ def test_negative_seed_flag_is_config_error(tmp_path, dataset, capsys, command):
     assert run_cli("phantom", "--out", tmp_path / "p", "--seed", "-2") == cli.EXIT_CONFIG
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+def test_zero_learning_rate_is_legal(tmp_path):
+    # like epochs = 0, lr = 0 leaves the weights where they start
+    cfg = write_cfg(tmp_path, "[train]\nlr = 0\n")
+    assert load_config(cfg)["train"]["lr"] == 0.0
 
 
 def test_unknown_key_rejected(tmp_path):
