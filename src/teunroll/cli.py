@@ -108,14 +108,16 @@ def _analytic_prox(cfg):
     return tikhonov_prox(model["gamma"])
 
 
-def _build_engine(cfg):
+def _load_engine(cfg):
+    """The configured TrainableEngine, with model.checkpoint's parameters
+    when the key is set."""
     model = cfg["model"]
     un = cfg["unroll"]
     if model["prox"] == "resnet":
         kwargs = {"blocks": model["blocks"], "channels": model["channels"]}
     else:
         kwargs = {"base_channels": model["base_channels"], "res_blocks": model["res_blocks"]}
-    return TrainableEngine(
+    engine = TrainableEngine(
         un["algorithm"],
         T=un["t"],
         cg_iters=un["cg_iters"],
@@ -127,13 +129,9 @@ def _build_engine(cfg):
         lam_init=un["lam"],
         **kwargs,
     )
-
-
-def _load_engine(cfg, checkpoint):
-    engine = _build_engine(cfg)
-    if checkpoint:
+    if model["checkpoint"]:
         try:
-            engine.load_state(load_checkpoint(checkpoint))
+            engine.load_state(load_checkpoint(model["checkpoint"]))
         except (ValueError, OSError) as exc:
             raise ConfigError(f"model.checkpoint: {exc}") from None
     return engine
@@ -160,7 +158,7 @@ def _reconstruct(cfg, E, y, reference=None):
                             reference=reference)
         return ComplexImage(x), diags
     if learned:
-        return _load_engine(cfg, cfg["model"]["checkpoint"]).run(E, y, reference=reference)
+        return _load_engine(cfg).run(E, y, reference=reference)
     p = _analytic_prox(cfg)
     T = un["t"]
     return run_unrolled(un["algorithm"], E, y, [un["mu"]] * T, lambda img, t: p.apply(img),
@@ -282,7 +280,7 @@ def cmd_train(args):
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     dataset = [(E, _measure(E, img, cfg, i), img) for i, img in enumerate(images)]
-    engine = _load_engine(cfg, cfg["model"]["checkpoint"])
+    engine = _load_engine(cfg)
     curve = train(engine, dataset, cfg["train"]["epochs"], cfg["train"]["lr"],
                   seed=cfg["train"]["seed"])
     out = cfg["train"]["out"]

@@ -1,24 +1,18 @@
-"""Linear-operator plumbing: the Gram map, conjugate gradients on the
-regularized normal equations and Hutchinson trace estimation.
+"""Linear-operator plumbing: conjugate gradients on the regularized normal
+equations and Hutchinson trace estimation.
 
-All inner products are conjugate-linear in the first argument.  LinearMap
-closures must be immutable; every routine here is pure.
+A linear map is a plain function from an array to an array of the same
+shape, such as ``EncodingOperator.normal_array`` on an H x W image; inner
+products and norms read the array in C order, as they would its ravel.
+All inner products are conjugate-linear in the first argument.  Maps must
+not keep or change what they are given; every routine here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """A matrix-free linear map on complex (or real) vectors of length dim."""
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    dim: int
 
 
 @dataclass
@@ -28,44 +22,37 @@ class CgReport:
     converged: bool
 
 
-def shifted(A: LinearMap, mu):
+def shifted(A, mu):
     """The map v -> A v + mu v."""
-    return LinearMap(lambda v: A.apply(v) + mu * v, A.dim)
+    return lambda v: A(v) + mu * v
 
 
-def to_dense(A: LinearMap):
-    """Materialize the matrix by probing with unit basis vectors."""
-    out = np.empty((A.dim, A.dim), dtype=np.complex128)
-    probe = np.zeros(A.dim, dtype=np.complex128)
-    for i in range(A.dim):
+def to_dense(A, n):
+    """Materialize the n x n matrix of a map on length-n vectors by probing
+    with unit basis vectors."""
+    out = np.empty((n, n), dtype=np.complex128)
+    probe = np.zeros(n, dtype=np.complex128)
+    for i in range(n):
         probe[i] = 1.0
-        out[:, i] = A.apply(probe.copy())
+        out[:, i] = A(probe.copy())
         probe[i] = 0.0
     return out
 
 
-def normal_map_of(E):
-    """E^H E of an EncodingOperator on flat image vectors, unchecked: the
-    map of every CG solve in ``run_unrolled`` and VAMP.  ``cg_solve``
-    checks finiteness itself."""
-    shape = E.shape
-    return LinearMap(lambda v: E.normal_array(v.reshape(shape)).ravel(), shape[0] * shape[1])
-
-
-def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):
+def cg_solve(A, b, max_iters=15, tol=1e-12):
     """Conjugate gradients for self-adjoint PSD A from a zero initial
-    guess.  Stops early once ||r|| <= tol * ||b||.
+    guess, on a right-hand side b of any shape.  Stops early once
+    ||r|| <= tol * ||b||.
 
     Returns (x, CgReport).  Raises FloatingPointError on a non-finite
     right-hand side, curvature or residual, which signal broken inputs or
     an indefinite or broken operator; A itself need not check its values.
+    Raises ValueError if A(v) comes back in another shape than v's.
 
     x, r and p are updated in place: all three are allocated here, and
-    nothing returned by A.apply is written to.
+    nothing returned by A is written to.
     """
     b = np.asarray(b)
-    if b.shape != (A.dim,):
-        raise ValueError(f"rhs length {b.shape} != operator dim {A.dim}")
     b_norm = np.linalg.norm(b)
     if not np.isfinite(b_norm):
         raise FloatingPointError("CG right-hand side is not finite")
@@ -80,7 +67,9 @@ def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):
         if np.sqrt(rs) <= tol * b_norm:
             it -= 1
             break
-        Ap = A.apply(p)
+        Ap = A(p)
+        if Ap.shape != p.shape:
+            raise ValueError(f"operator maps shape {p.shape} to {Ap.shape}")
         if Ap.dtype != x.dtype:
             # e.g. a complex A under a real b: the iterates take A's type
             dtype = np.result_type(x, Ap)
@@ -103,17 +92,18 @@ def cg_solve(A: LinearMap, b, max_iters=15, tol=1e-12):
     return x, CgReport(it, resid, resid <= tol * b_norm or resid == 0.0)
 
 
-def estimate_trace_inverse(A: LinearMap, mu, num_probes, seed, cg_iters=100):
-    """Hutchinson estimate of (1/N) Tr[(A + mu I)^{-1}] with Rademacher
-    probes, each solved by CG.  Deterministic given the seed."""
+def estimate_trace_inverse(A, shape, mu, num_probes, seed, cg_iters=100):
+    """Hutchinson estimate of (1/N) Tr[(A + mu I)^{-1}] for a map A on
+    arrays of ``shape`` (N entries), with Rademacher probes, each solved by
+    CG.  Deterministic given the seed."""
     if num_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
     shifted_A = shifted(A, mu)
     total = 0.0
     for _ in range(num_probes):
-        v = rng.integers(0, 2, size=A.dim).astype(np.float64) * 2.0 - 1.0
+        v = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
         sol, _ = cg_solve(shifted_A, v.astype(np.complex128), max_iters=cg_iters)
         total += np.vdot(v, sol).real
-    return float(total / (num_probes * A.dim))
+    return float(total / (num_probes * v.size))
 

@@ -28,13 +28,11 @@ operators (used to push encoding-operator physics through the tape).
 Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
 ``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
 
-``conv2d`` keeps no im2col matrix.  One tap loop, ``_taps``, serves its
-forward and its input gradient: each of the k*k taps is a GEMM on a
-contiguous slice of a zero-padded, flattened image.  The forward runs it
-over the input, whose padded copy is the only array the closure holds.
-The input gradient runs it over the padded output gradient, with the
-transposed taps at mirrored offsets: the sums of a scatter-add, in its
-order, so bit for bit.  The kernel size (1 or 3) is the weight's.
+``conv2d`` keeps no im2col matrix.  Its forward runs one GEMM per tap
+(k*k of them) on a contiguous slice of a zero-padded, flattened copy of
+the input, the only array the closure holds.  The input gradient
+scatter-adds each tap's transposed product with the output gradient into
+a padded buffer.  The kernel size (1 or 3) is the weight's.
 
 Only leaves keep gradients: ``Tape.backward`` sets a node's ``grad`` to
 None once its closure has passed it on, so a finished sweep holds no
@@ -359,29 +357,21 @@ def _pad_flat(data, pad):
     return flat
 
 
-def _taps(flat, taps, offsets, n):
-    """``sum_k taps[k] @ flat[:, offsets[k]:offsets[k]+n]``, summed in tap
-    order: a stride-1 stencil over a ``_pad_flat`` layout, one GEMM per
-    tap on a contiguous slice."""
-    out = taps[0] @ flat[:, offsets[0]:offsets[0] + n]
-    for wk, off in zip(taps[1:], offsets[1:]):
-        out += wk @ flat[:, off:off + n]
-    return out
-
-
 def conv2d(x, w, b=None):
     """2-D convolution, stride 1, zero padding to keep the spatial shape.
 
     x: (C_in, H, W), w: (C_out, C_in, k, k) with k 1 or 3, read from ``w``;
-    optional b: (C_out,).  The forward is the tap loop ``_taps`` over a
+    optional b: (C_out,).  The forward sums one GEMM per tap over a
     padded copy of ``x``, the only array kept for the backward; its output
     rows come out W+k-1 wide, and their k-1 junk columns are dropped.  The
-    input gradient is the same loop over the padded ``g`` with the
-    transposed taps at mirrored offsets.  It adds the terms of a
-    scatter-add of ``w_tap.T @ g`` into a padded buffer in that scatter's
-    order, so its sums are the scatter's, bit for bit.  The weight gradient
-    sums ``g @ slice.T`` per tap, with ``g`` read from its padded copy in
-    the forward's wide-row layout (the junk columns read padding zeros).
+    input gradient scatter-adds ``w_tap.T @ g`` into a flat buffer in the
+    padded layout, tap by tap.  (A gather of the transposed taps at
+    mirrored offsets of a padded ``g`` takes the same sums, but not the
+    same bits: with one input channel each product is a GEMV, whose
+    rounding of an entry depends on its position in the row.)  The weight
+    gradient sums ``g @ slice.T`` per tap, with ``g`` read from its padded
+    copy in the forward's wide-row layout (the junk columns read padding
+    zeros).
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -397,7 +387,10 @@ def conv2d(x, w, b=None):
     offsets = [di * wp + dj for di in range(k) for dj in range(k)]
     xf = _pad_flat(x.data, pad)
     w_taps = w.data.transpose(2, 3, 0, 1).reshape(-1, cout, cin)
-    val = _taps(xf, w_taps, offsets, n).reshape(cout, h, wp)[:, :, :wd].copy()
+    wide = w_taps[0] @ xf[:, :n]
+    for wk, off in zip(w_taps[1:], offsets[1:]):
+        wide += wk @ xf[:, off:off + n]
+    val = wide.reshape(cout, h, wp)[:, :, :wd].copy()
     tb = None
     if b is not None:
         b = _as_tensor(b)
@@ -407,11 +400,19 @@ def conv2d(x, w, b=None):
 
     def backward(g):
         _accumulate(tb, g.sum(axis=(1, 2)))
-        gf = _pad_flat(g, pad)
-        g_wide = gf[:, pad * wp + pad:pad * wp + pad + n]
+        start = pad * wp + pad
+        g_wide = _pad_flat(g, pad)[:, start:start + n]
         gw = np.stack([g_wide @ xf[:, off:off + n].T for off in offsets])
         _accumulate(tw, gw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
-        gx = _taps(gf, [wk.T for wk in w_taps], offsets[::-1], n)
+        # each product fills the first n columns of rows as wide as xf's, so
+        # one flat add per tap scatters it; the zero tail adds nothing
+        cols = xf.shape[1]
+        prod = np.zeros((cin, cols))
+        gxf = np.zeros(cin * cols + offsets[-1])
+        for wk, off in zip(w_taps, offsets):
+            np.matmul(wk.T, g_wide, out=prod[:, :n])
+            gxf[off:off + cin * cols] += prod.ravel()
+        gx = gxf[:cin * cols].reshape(cin, cols)[:, start:start + n]
         _accumulate(tx, gx.reshape(cin, h, wp)[:, :, :wd].copy())
 
     return _make(val, (tx, tw, tb), backward)

@@ -14,7 +14,8 @@ schedules reduce to the static baselines bit for bit.  Initialization is
 x0 = r0 = z0 = E^H y and u0 = 0.
 
 The recursion is written once, in ``unroll_steps``: ``run_unrolled`` runs
-it on complex ndarrays and ``nn.TrainableEngine.forward`` on tape Tensors.
+it on H x W complex images and ``nn.TrainableEngine.forward`` on tape
+Tensors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import cg_solve, normal_map_of, shifted
+from .linops import cg_solve, shifted
 from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 
@@ -105,13 +106,11 @@ class Diagnostics:
         return "\n".join(lines) + "\n"
 
 
-def reference_vector(reference):
-    """A ComplexImage or array reference as one flat array, or None."""
-    if reference is None:
-        return None
+def reference_array(reference):
+    """A ComplexImage or array reference as an array, or None."""
     if isinstance(reference, ComplexImage):
-        reference = reference.data
-    return np.asarray(reference).ravel()
+        return reference.data
+    return None if reference is None else np.asarray(reference)
 
 
 UNROLL_COLUMNS = ("unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref")
@@ -131,9 +130,9 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     Onsager-corrected estimate (alg1 only) and NMSE against an optional
     reference.
 
-    The CG solves apply the unchecked Gram ``linops.normal_map_of(E)``; a
-    non-finite prox output reaches the next solve's right-hand side, and
-    ``cg_solve`` raises FloatingPointError on it.
+    The CG solves run on the image and apply the unchecked Gram
+    ``E.normal_array``; a non-finite prox output reaches the next solve's
+    right-hand side, and ``cg_solve`` raises FloatingPointError on it.
     """
     T = len(mu)
     family = check_unrolls(algorithm, T, cg_iters)
@@ -141,21 +140,16 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     # alg1's Onsager weight or the ADMM dual step; both fill the rho_t column
     step = {"alg1": ("rho", rho), "admm": ("lam", lam)}.get(family)
     steps = _schedule(*step, T) if step else None
-    shape = E.shape
 
-    gram = normal_map_of(E)
-    rhs0 = E.adjoint(y).data.ravel()
-    ref = reference_vector(reference)
+    rhs0 = E.adjoint(y).data
+    ref = reference_array(reference)
 
     def solve(t, b):
-        return cg_solve(shifted(gram, mu[t]), b, max_iters=cg_iters, tol=1e-12)
-
-    def prox_flat(v, t):
-        return prox(v.reshape(shape), t).ravel()
+        return cg_solve(shifted(E.normal_array, mu[t]), b, max_iters=cg_iters, tol=1e-12)
 
     diags = Diagnostics(UNROLL_COLUMNS)
     for t, x, u, rep in unroll_steps(family, T, rhs0, np.zeros_like(rhs0), solve,
-                                     prox_flat, mu, steps, steps):
+                                     prox, mu, steps, steps):
         x_u_nmse = None
         if family == "alg1":
             x_u_nmse = float(
@@ -164,4 +158,4 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
         diags.record(t, mu[t], steps[t] if steps else None, rep.final_residual_norm,
                      x_u_nmse, None if ref is None else nmse(ref, x))
 
-    return ComplexImage(x.reshape(shape)), diags
+    return ComplexImage(x), diags

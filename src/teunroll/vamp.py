@@ -6,20 +6,22 @@ turns the trace of the resolvent into the outgoing message (mu_z, u); the
 denoising half-step applies a proximal map and its normalized divergence to
 send (mu_x, r) back.  Precisions are clamped at a small floor instead of
 aborting; clamp events are counted in the diagnostics.  A run works on
-one ``VampOperator``, built by ``as_vamp_operator``; its CG applies
-``linops.normal_map_of``, the Gram map of ``run_unrolled``.
+one ``VampOperator``, built by ``as_vamp_operator``; its messages are H x W
+images and its CG applies ``E.normal_array``, the Gram map of
+``run_unrolled``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .linops import LinearMap, cg_solve, estimate_trace_inverse, normal_map_of, shifted, to_dense
+from .linops import cg_solve, estimate_trace_inverse, shifted, to_dense
 from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
-from .unroll import Diagnostics, reference_vector
+from .unroll import Diagnostics, reference_array
 
 # Above this many unknowns the resolvent trace is a Hutchinson estimate.
 # The exact set-up holds only the H*W^2 row-block entries; the limit bounds
@@ -57,19 +59,18 @@ class VampState:
 
 @dataclass(frozen=True)
 class VampOperator:
-    """The Gram map on flat vectors, E^H y, the estimate's shape and, for
-    the exact resolvent trace, the Gram's eigenvalues."""
+    """The Gram map, E^H y (an array of the estimate's shape, on which the
+    Gram acts) and, for the exact resolvent trace, the Gram's eigenvalues."""
 
-    gram: LinearMap
+    gram: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray
-    shape: tuple
     eigvals: np.ndarray | None = None
 
     def trace_inverse_mean(self, mu, config: VampConfig, seed=0):
         if self.eigvals is not None:
             return float(np.mean(1.0 / (self.eigvals + mu)))
         return estimate_trace_inverse(
-            self.gram, mu, config.trace_probes, seed, cg_iters=config.cg_iters
+            self.gram, self.rhs.shape, mu, config.trace_probes, seed, cg_iters=config.cg_iters
         )
 
 
@@ -88,7 +89,7 @@ def gram_row_blocks(E: EncodingOperator):
             img[row] = v
             return E.normal(ComplexImage(img)).data[row]
 
-        blocks[row] = to_dense(LinearMap(probe, w))
+        blocks[row] = to_dense(probe, w)
     return blocks
 
 
@@ -97,11 +98,10 @@ def as_vamp_operator(E: EncodingOperator, y: KSpaceData):
     eigenvalues are exact: one batched ``eigvalsh`` over the Gram's row
     blocks, which ``gram_row_blocks`` probes one row block at a time in
     H*W^2 memory."""
-    gram = normal_map_of(E)
     eigvals = None
-    if gram.dim <= EXACT_TRACE_LIMIT:
+    if E.shape[0] * E.shape[1] <= EXACT_TRACE_LIMIT:
         eigvals = np.linalg.eigvalsh(gram_row_blocks(E)).ravel()
-    return VampOperator(gram, E.adjoint(y).data.ravel(), E.shape, eigvals)
+    return VampOperator(E.normal_array, E.adjoint(y).data, eigvals)
 
 
 def lmmse_step(op: VampOperator, state: VampState, config: VampConfig | None = None, seed=0):
@@ -163,12 +163,12 @@ VAMP_COLUMNS = ("iteration", "mu_x", "mu_z", "upsilon_x", "upsilon_z", "nmse", "
 def run_vamp(op: VampOperator, prox, config: VampConfig | None = None, reference=None):
     """Alternate LMMSE and denoising half-steps for max_iters iterations.
 
-    Returns (x, diagnostics), x reshaped to op.shape.  Never aborts on clamp
+    Returns (x, diagnostics), x in the shape of op.rhs.  Never aborts on clamp
     events; they are counted per iteration in the diagnostics.
     """
     config = config or VampConfig()
     state = VampState(r=np.zeros_like(op.rhs), mu_x=1.0)
-    ref = reference_vector(reference)
+    ref = reference_array(reference)
     diags = Diagnostics(VAMP_COLUMNS)
     x = state.r
     for it in range(config.max_iters):
@@ -182,4 +182,4 @@ def run_vamp(op: VampOperator, prox, config: VampConfig | None = None, reference
                      None if ref is None else nmse(ref, x), state.clamps)
         if not np.all(np.isfinite(x)):
             break
-    return x.reshape(op.shape), diags
+    return x, diags

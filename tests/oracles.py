@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from teunroll import signal_model as sm
 from teunroll import vamp
-from teunroll.linops import LinearMap
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
 from teunroll.nn.networks import ResNetProx, UNetProx
@@ -80,26 +79,50 @@ def stacked_add_noise(y, sigma, seed, mask=None):
     return y.data + noise
 
 
-def identity_map(dim):
-    return LinearMap(lambda v: v.copy(), dim)
+def identity_map():
+    return lambda v: v.copy()
 
 
 def from_dense(matrix):
-    """A square matrix as a LinearMap."""
+    """A square matrix as a map on vectors."""
     m = np.asarray(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError("from_dense needs a square matrix")
-    return LinearMap(lambda v: m @ v, m.shape[0])
+    return lambda v: m @ v
+
+
+def flat_gram(E):
+    """E^H E of an EncodingOperator on flat image vectors, for dense
+    probing: ``dense_from_probes(flat_gram(E), H * W)`` is its matrix."""
+    return lambda v: E.normal_array(v.reshape(E.shape)).ravel()
+
+
+def ridge_by_rows(E, b, lam):
+    """(E^H E + lam I)^{-1} b for an H x W image b, as H solves of size
+    W x W.  Whole columns are sampled, so the 2-D FFT's row transform
+    cancels and image row h meets only its own block
+    sum_c diag(conj(s_ch)) P diag(s_ch), with P = Fᴴ diag(m) F for the
+    centred, orthonormal 1-D DFT matrix F along a row and the column mask m.
+    """
+    h, w = E.shape
+    eye = np.eye(w)
+    F = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(eye, axes=0), axis=0, norm="ortho"),
+                        axes=0)
+    P = F.conj().T @ (E.mask.pattern[0][:, None] * F)
+    x = np.empty((h, w), dtype=np.complex128)
+    for row in range(h):
+        s = E.sens.maps[:, row, :]
+        block = sum(np.conj(s_c)[:, None] * P * s_c[None, :] for s_c in s)
+        x[row] = np.linalg.solve(block + lam * eye, b[row])
+    return x
 
 
 def dense_vamp_operator(A, y):
     """The VampOperator of a dense measurement matrix A and data y: the
-    Gram A^H A as a matrix product, its exact eigenvalues, and flat
-    vectors as the estimate's shape."""
+    Gram A^H A as a matrix product on vectors and its exact eigenvalues."""
     A = np.asarray(A)
     g = A.conj().T @ A
-    return vamp.VampOperator(from_dense(g), A.conj().T @ np.asarray(y), (A.shape[1],),
-                             np.linalg.eigvalsh(g))
+    return vamp.VampOperator(from_dense(g), A.conj().T @ np.asarray(y), np.linalg.eigvalsh(g))
 
 
 @st.composite
@@ -143,16 +166,17 @@ class ScaledSoftThreshold:
         return soft_threshold_divergence(u, self.c / np.sqrt(noise_precision))
 
 
-def power_iteration_norm(A, iters, seed):
-    """Rayleigh-quotient estimate of the largest eigenvalue of self-adjoint A."""
+def power_iteration_norm(A, dim, iters, seed):
+    """Rayleigh-quotient estimate of the largest eigenvalue of a self-adjoint
+    map A on length-dim vectors."""
     if iters < 1:
         raise ValueError("need at least one iteration")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = A.apply(v)
+        w = A(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0

@@ -11,7 +11,7 @@ import pytest
 
 from teunroll import metrics, prox, vamp
 from teunroll import signal_model as sm
-from teunroll.linops import cg_solve, normal_map_of
+from teunroll.linops import cg_solve
 from teunroll.nn import TrainableEngine, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tape, Tensor
@@ -20,7 +20,7 @@ from teunroll.nn.networks import ResNetProx, complex_to_channels
 from teunroll.unroll import run_unrolled
 
 from oracles import (ScaledSoftThreshold, dense_from_probes, dense_vamp_operator, fista_lasso,
-                     from_dense, resnet_full, spd_with_clusters, sum_all, unet_full)
+                     flat_gram, from_dense, resnet_full, spd_with_clusters, sum_all, unet_full)
 
 
 def report(criterion, detail):
@@ -159,7 +159,7 @@ def _fixed_point_problem():
     E = sm.EncodingOperator(mask, sens)
     truth = sm.make_phantom(16, 16, 5, seed=1)
     y = sm.add_noise(E.forward(truth), 0.01, seed=2, mask=mask)
-    G = dense_from_probes(normal_map_of(E).apply, 256)
+    G = dense_from_probes(flat_gram(E), 256)
     rhs = E.adjoint(y).data.ravel()
     return E, y, G, rhs
 

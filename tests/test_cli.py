@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from teunroll import cli, ktn
 from teunroll import signal_model as sm
 from teunroll.config import SCHEMA, ConfigError, load_config
-from teunroll.linops import normal_map_of
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
 
-from oracles import dense_from_probes
+from oracles import dense_from_probes, flat_gram
 
 
 def run_cli(*argv):
@@ -124,7 +123,7 @@ out = out_vamp
     mask = sm.make_equispaced_mask(32, 32, 2, 4)
     E = sm.EncodingOperator(mask, sens)
     y = sm.add_noise(E.forward(truth), 0.01, seed=3, mask=mask)
-    G = dense_from_probes(normal_map_of(E).apply, 32 * 32)
+    G = dense_from_probes(flat_gram(E), 32 * 32)
     ridge = np.linalg.solve(G + gamma * np.eye(32 * 32), E.adjoint(y).data.ravel())
     assert np.linalg.norm(recon.ravel() - ridge) <= 1e-6 * np.linalg.norm(ridge)
 

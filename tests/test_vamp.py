@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 
 from teunroll import prox, vamp
 from teunroll import signal_model as sm
-from teunroll.linops import normal_map_of, to_dense
+from teunroll.linops import to_dense
 
-from oracles import dense_from_probes, dense_row_blocks, dense_vamp_operator, encodings
+from oracles import dense_from_probes, dense_row_blocks, dense_vamp_operator, encodings, flat_gram
 
 
 def test_lmmse_identity_operator_closed_form():
@@ -167,7 +167,7 @@ def test_run_vamp_on_encoding_operator_matches_ridge():
     gamma = 0.3
     xh, diags = vamp.run_vamp(vamp.as_vamp_operator(E, y), prox.tikhonov_prox(gamma),
                               vamp.VampConfig(max_iters=25), reference=truth)
-    G = dense_from_probes(normal_map_of(E).apply, 256)
+    G = dense_from_probes(flat_gram(E), 256)
     rhs = E.adjoint(y).data.ravel()
     ridge = np.linalg.solve(G + gamma * np.eye(256), rhs)
     assert xh.shape == (16, 16)
@@ -181,8 +181,8 @@ def test_lmmse_solve_on_encoding_operator_fails_numerically_on_non_finite_messag
     E = sm.EncodingOperator(sm.make_equispaced_mask(8, 8, 2, 2),
                             sm.make_smooth_sensitivities(8, 8, 2, seed=0))
     y = sm.KSpaceData(np.zeros((2, 8, 8), dtype=complex))
-    r = np.zeros(64, dtype=complex)
-    r[5] = np.nan
+    r = np.zeros((8, 8), dtype=complex)
+    r[0, 5] = np.nan
     with pytest.raises(FloatingPointError, match="right-hand side"):
         vamp.lmmse_step(vamp.as_vamp_operator(E, y), vamp.VampState(r=r, mu_x=1.0))
 
@@ -191,14 +191,14 @@ def test_lmmse_solve_on_encoding_operator_fails_numerically_on_non_finite_messag
 @given(E=encodings())
 def test_exact_trace_from_row_blocks_matches_dense(E):
     h, w = E.shape
-    gram = to_dense(normal_map_of(E))
+    gram = to_dense(flat_gram(E), h * w)
     off_block = gram.reshape(h, w, h, w).copy()
     off_block[np.arange(h), :, np.arange(h), :] = 0.0
     assert np.all(off_block == 0.0)
 
     y = sm.KSpaceData(np.zeros((E.num_coils, h, w), dtype=complex))
     op = vamp.as_vamp_operator(E, y)
-    dense_eigs = np.linalg.eigvalsh(dense_from_probes(normal_map_of(E).apply, h * w))
+    dense_eigs = np.linalg.eigvalsh(dense_from_probes(flat_gram(E), h * w))
     assert np.max(np.abs(np.sort(op.eigvals) - dense_eigs)) <= 1e-12
     # below mu ~ 1e-6 near-null eigenvalues make both traces rounding-sensitive
     for mu in np.logspace(-3, 1, 9):
