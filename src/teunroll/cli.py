@@ -38,6 +38,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 METRIC_COLUMNS = ("psnr_db", "ssim", "nmse")
+NETWORK_PROXES = ("resnet", "unet")
 
 
 # -- dataset helpers ---------------------------------------------------------
@@ -64,20 +65,29 @@ def _scan_dataset(dirpath):
     return files, sens_path, sens_shape[1:]
 
 
-def _load_dataset(dirpath):
-    files, sens_path, _ = _scan_dataset(dirpath)
+def _read_dataset(files, sens_path):
     images = [ComplexImage(ktn.read_ktn(f)) for f in files]
     return images, CoilSensitivities(ktn.read_ktn(sens_path))
 
 
-def _check_ssim_window(shape, dirpath):
-    """recon and eval score every slice with SSIM, which needs the whole window."""
+def _scan_for_reconstruction(cfg):
+    """``_scan_dataset`` for recon and eval, after the checks that need no
+    payload: VAMP runs an analytic prox only, and every slice is scored with
+    SSIM, which needs the whole window."""
+    if cfg["unroll"]["algorithm"] == "vamp" and cfg["model"]["prox"] in NETWORK_PROXES:
+        raise ConfigError(
+            "unroll.algorithm: vamp needs an analytic model.prox "
+            "(identity, soft_threshold or tikhonov), not a network"
+        )
+    dirpath = cfg["data"]["dir"]
+    files, sens_path, shape = _scan_dataset(dirpath)
     side = min(shape)
     if side < metrics.SSIM_WINDOW:
         raise ConfigError(
             f"data.dir: images in {dirpath} are {side} pixels on their short side, "
             f"below the {metrics.SSIM_WINDOW}-pixel SSIM window"
         )
+    return files, sens_path
 
 
 def _build_mask(cfg, shape):
@@ -138,26 +148,20 @@ def _load_engine(cfg):
 
 
 def _reconstruct(cfg, E, y, reference=None):
-    """Run the configured algorithm on one slice; returns (image, diags)."""
+    """Run the configured algorithm on one slice; returns (image, diags).
+    A VAMP config has an analytic prox (``_scan_for_reconstruction``)."""
     un = cfg["unroll"]
-    learned = cfg["model"]["prox"] in ("resnet", "unet")
     if un["algorithm"] == "vamp":
-        if learned:
-            raise ConfigError(
-                "unroll.algorithm: vamp needs an analytic model.prox "
-                "(identity, soft_threshold or tikhonov), not a network"
-            )
         vcfg = VampConfig(
             max_iters=un["max_iters"],
             damping=un["damping"],
-            trace_probes=un["trace_probes"],
             mu_floor=un["mu_floor"],
             cg_iters=max(un["cg_iters"], 50),
         )
         x, diags = run_vamp(as_vamp_operator(E, y), _analytic_prox(cfg), vcfg,
                             reference=reference)
         return ComplexImage(x), diags
-    if learned:
+    if cfg["model"]["prox"] in NETWORK_PROXES:
         return _load_engine(cfg).run(E, y, reference=reference)
     p = _analytic_prox(cfg)
     T = un["t"]
@@ -237,8 +241,7 @@ def cmd_recon(args):
     if args.seed is not None:
         cfg["data"]["noise_seed"] = args.seed
     # every slice's header is checked, but only this slice's payload is read
-    files, sens_path, shape = _scan_dataset(cfg["data"]["dir"])
-    _check_ssim_window(shape, cfg["data"]["dir"])
+    files, sens_path = _scan_for_reconstruction(cfg)
     index = cfg["data"]["index"]
     if not 0 <= index < len(files):
         raise ConfigError(f"data.index: {index} out of range (0..{len(files) - 1})")
@@ -274,9 +277,10 @@ def cmd_train(args):
     un = cfg["unroll"]
     if un["algorithm"] == "vamp":
         raise ConfigError("unroll.algorithm: vamp has no trainable parameters")
-    if cfg["model"]["prox"] not in ("resnet", "unet"):
+    if cfg["model"]["prox"] not in NETWORK_PROXES:
         raise ConfigError("model.prox: training needs a network prox (resnet or unet)")
-    images, sens = _load_dataset(cfg["data"]["dir"])
+    files, sens_path, _ = _scan_dataset(cfg["data"]["dir"])
+    images, sens = _read_dataset(files, sens_path)
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     dataset = [(E, _measure(E, img, cfg, i), img) for i, img in enumerate(images)]
@@ -301,8 +305,7 @@ def cmd_eval(args):
     cfg = load_config(args.config)
     if args.checkpoint:
         cfg["model"]["checkpoint"] = os.path.abspath(args.checkpoint)
-    images, sens = _load_dataset(cfg["data"]["dir"])
-    _check_ssim_window(images[0].data.shape, cfg["data"]["dir"])
+    images, sens = _read_dataset(*_scan_for_reconstruction(cfg))
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     crop = cfg["eval"]["crop"]

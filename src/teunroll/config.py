@@ -106,7 +106,6 @@ SCHEMA = {
         "lam": (_FLOAT, "0.1", False),
         "damping": (_DAMPING, "0.9", False),
         "max_iters": (_POSITIVE_INT, "20", False),
-        "trace_probes": (_POSITIVE_INT, "32", False),
         "mu_floor": (_POSITIVE_FLOAT, "1e-8", False),
         "out": (_path, "runs/recon", True),
     },

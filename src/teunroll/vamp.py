@@ -1,11 +1,13 @@
 """Vector approximate message passing: alternating LMMSE and denoising
 estimators, each followed by its Onsager correction.
 
-The LMMSE half-step solves (E^H E + mu_x I) x = E^H y + mu_x r by CG and
-turns the trace of the resolvent into the outgoing message (mu_z, u); the
-denoising half-step applies a proximal map and its normalized divergence to
-send (mu_x, r) back.  Precisions are clamped at a small floor instead of
-aborting; clamp events are counted in the diagnostics.  A run works on
+The two half-steps trade explicit messages.  The LMMSE half-step takes
+(r, mu_x), solves (E^H E + mu_x I) x = E^H y + mu_x r by CG and turns the
+trace of the resolvent into the outgoing message (u, mu_z); the denoising
+half-step takes (u, mu_z), applies a proximal map and its normalized
+divergence and sends (r, mu_x) back.  Precisions are clamped at a small
+floor instead of aborting; each half-step returns its own clamp count and
+``run_vamp`` reports the running sum in the diagnostics.  A run works on
 one ``VampOperator``, built by ``as_vamp_operator``; its messages are H x W
 images and its CG applies ``E.normal_array``, the Gram map of
 ``run_unrolled``.
@@ -13,7 +15,7 @@ images and its CG applies ``E.normal_array``, the Gram map of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,34 +29,26 @@ from .unroll import Diagnostics, reference_array
 # The exact set-up holds only the H*W^2 row-block entries; the limit bounds
 # its N checked Gram applies (time), not an N x N matrix.
 EXACT_TRACE_LIMIT = 4096
+# Rademacher probes of the Hutchinson estimate.
+TRACE_PROBES = 32
 
 
 @dataclass
 class VampConfig:
     max_iters: int = 20
     damping: float = 0.9
-    trace_probes: int = 32
     mu_floor: float = 1e-8
     cg_iters: int = 100
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.cg_iters < 1:
+            raise ValueError("cg_iters must be >= 1")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if self.mu_floor <= 0:
             raise ValueError("mu_floor must be positive")
-
-
-@dataclass
-class VampState:
-    r: np.ndarray
-    mu_x: float
-    x: np.ndarray | None = None
-    upsilon_x: float | None = None
-    mu_z: float | None = None
-    u: np.ndarray | None = None
-    z: np.ndarray | None = None
-    upsilon_z: float | None = None
-    clamps: int = 0
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class VampOperator:
         if self.eigvals is not None:
             return float(np.mean(1.0 / (self.eigvals + mu)))
         return estimate_trace_inverse(
-            self.gram, self.rhs.shape, mu, config.trace_probes, seed, cg_iters=config.cg_iters
+            self.gram, self.rhs.shape, mu, TRACE_PROBES, seed, cg_iters=config.cg_iters
         )
 
 
@@ -104,57 +98,59 @@ def as_vamp_operator(E: EncodingOperator, y: KSpaceData):
     return VampOperator(E.normal_array, E.adjoint(y).data, eigvals)
 
 
-def lmmse_step(op: VampOperator, state: VampState, config: VampConfig | None = None, seed=0):
+def lmmse_step(op: VampOperator, r, mu_x, config: VampConfig | None = None, seed=0):
     """Data-fidelity half-step: LMMSE solve plus its Onsager correction.
 
     x   = (E^H E + mu_x I)^{-1} (E^H y + mu_x r)
     v_x = (1/N) Tr[(E^H E + mu_x I)^{-1}]
     mu_z = 1/v_x - mu_x           u = (x / v_x - mu_x r) / mu_z
+
+    Returns (x, v_x, u, mu_z, clamps), clamps counting this half-step's
+    clamp events.
     """
     config = config or VampConfig()
-    if not state.mu_x > 0:
+    if not mu_x > 0:
         raise FloatingPointError("mu_x must be positive")
-    b = op.rhs + state.mu_x * state.r
-    x, _ = cg_solve(shifted(op.gram, state.mu_x), b, max_iters=config.cg_iters)
-    upsilon_x = op.trace_inverse_mean(state.mu_x, config, seed=seed)
-    mu_z = 1.0 / upsilon_x - state.mu_x
-    clamps = state.clamps
+    b = op.rhs + mu_x * r
+    x, _ = cg_solve(shifted(op.gram, mu_x), b, max_iters=config.cg_iters)
+    upsilon_x = op.trace_inverse_mean(mu_x, config, seed=seed)
+    mu_z = 1.0 / upsilon_x - mu_x
+    clamps = 0
     if mu_z <= config.mu_floor:
         mu_z = config.mu_floor
         clamps += 1
-    u = (x / upsilon_x - state.mu_x * state.r) / mu_z
-    return replace(state, x=x, upsilon_x=upsilon_x, mu_z=mu_z, u=u, z=None, upsilon_z=None,
-                   clamps=clamps)
+    u = (x / upsilon_x - mu_x * r) / mu_z
+    return x, upsilon_x, u, mu_z, clamps
 
 
-def denoise_step(prox, state: VampState, config: VampConfig | None = None):
+def denoise_step(prox, u, mu_z, r, mu_x, config: VampConfig | None = None):
     """Denoising half-step with its Onsager correction.
 
     z   = prox(u; mu_z)
     v_z = prox.divergence(u; mu_z) / mu_z      mu_x+ = 1/v_z - mu_z
     r+  = (z / v_z - mu_z u) / mu_x+
-    with damping applied to the (r, mu_x) updates.
+    with damping towards the previous message (r, mu_x).
+
+    Returns the damped (r+, mu_x+), then (z, v_z, clamps), clamps counting
+    this half-step's clamp events.
     """
     config = config or VampConfig()
-    if state.mu_z is None or state.u is None:
-        raise ValueError("denoise_step needs the LMMSE outputs (u, mu_z)")
-    if not state.mu_z > 0:
+    if not mu_z > 0:
         raise FloatingPointError("mu_z must be positive")
-    z = prox.apply(state.u, state.mu_z)
-    upsilon_z = prox.divergence(state.u, state.mu_z) / state.mu_z
-    clamps = state.clamps
+    z = prox.apply(u, mu_z)
+    upsilon_z = prox.divergence(u, mu_z) / mu_z
+    clamps = 0
     if upsilon_z <= 0.0:
         upsilon_z = config.mu_floor
         clamps += 1
-    mu_x_new = 1.0 / upsilon_z - state.mu_z
+    mu_x_new = 1.0 / upsilon_z - mu_z
     if mu_x_new <= config.mu_floor:
         mu_x_new = config.mu_floor
         clamps += 1
-    r_new = (z / upsilon_z - state.mu_z * state.u) / mu_x_new
+    r_new = (z / upsilon_z - mu_z * u) / mu_x_new
     d = config.damping
-    return replace(state, r=d * r_new + (1.0 - d) * state.r,
-                   mu_x=d * mu_x_new + (1.0 - d) * state.mu_x, z=z, upsilon_z=upsilon_z,
-                   clamps=clamps)
+    return (d * r_new + (1.0 - d) * r, d * mu_x_new + (1.0 - d) * mu_x, z, upsilon_z,
+            clamps)
 
 
 VAMP_COLUMNS = ("iteration", "mu_x", "mu_z", "upsilon_x", "upsilon_z", "nmse", "clamps")
@@ -164,22 +160,23 @@ def run_vamp(op: VampOperator, prox, config: VampConfig | None = None, reference
     """Alternate LMMSE and denoising half-steps for max_iters iterations.
 
     Returns (x, diagnostics), x in the shape of op.rhs.  Never aborts on clamp
-    events; they are counted per iteration in the diagnostics.
+    events; the diagnostics count them, summed over the iterations so far.
     """
     config = config or VampConfig()
-    state = VampState(r=np.zeros_like(op.rhs), mu_x=1.0)
+    r, mu_x = np.zeros_like(op.rhs), 1.0
     ref = reference_array(reference)
     diags = Diagnostics(VAMP_COLUMNS)
-    x = state.r
+    clamps = 0
     for it in range(config.max_iters):
-        mu_x_used = state.mu_x
-        state = lmmse_step(op, state, config, seed=2 * it)
-        state = denoise_step(prox, state, config)
-        x = state.x
+        x, upsilon_x, u, mu_z, lmmse_clamps = lmmse_step(op, r, mu_x, config, seed=2 * it)
+        r_next, mu_x_next, _, upsilon_z, denoise_clamps = denoise_step(prox, u, mu_z, r, mu_x,
+                                                                       config)
+        clamps += lmmse_clamps + denoise_clamps
         # the row reports the mu_x the LMMSE half-step consumed, so the
         # precision identity 1/v_x = mu_x + mu_z reads off directly
-        diags.record(it, mu_x_used, state.mu_z, state.upsilon_x, state.upsilon_z,
-                     None if ref is None else nmse(ref, x), state.clamps)
+        diags.record(it, mu_x, mu_z, upsilon_x, upsilon_z,
+                     None if ref is None else nmse(ref, x), clamps)
         if not np.all(np.isfinite(x)):
             break
+        r, mu_x = r_next, mu_x_next
     return x, diags

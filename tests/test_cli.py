@@ -134,13 +134,18 @@ def test_invalid_algorithm_exit_code_and_message(tmp_path, dataset, capsys):
     assert "unroll.algorithm" in capsys.readouterr().err
 
 
-def test_recon_vamp_with_network_prox_is_config_error(tmp_path, dataset, capsys):
+def test_recon_vamp_with_network_prox_is_config_error(tmp_path, dataset, monkeypatch, capsys):
+    reads = _count_payload_reads(monkeypatch)
     for net in ("resnet", "unet"):
         cfg = write_cfg(tmp_path, f"[data]\ndir = data\n[model]\nprox = {net}\n"
                                   "[unroll]\nalgorithm = vamp\n")
-        assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "unroll.algorithm" in err and "model.prox" in err
+        for command in ("recon", "eval"):
+            assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "unroll.algorithm" in err and "model.prox" in err
+    # rejected from the config alone, before any payload is read
+    assert reads == []
+    assert not (tmp_path / "runs").exists()
 
 
 def test_eval_crop_below_ssim_window_is_config_error(tmp_path, dataset, capsys):
@@ -154,14 +159,17 @@ def test_eval_crop_below_ssim_window_is_config_error(tmp_path, dataset, capsys):
     assert mean.startswith("mean,") and np.isfinite(float(mean.split(",")[2]))
 
 
-def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
+def test_images_below_ssim_window_are_config_error(tmp_path, monkeypatch, capsys):
     assert run_cli("phantom", "--out", tmp_path / "data", "--size", "8") == 0
     cfg = write_cfg(tmp_path, "[data]\ndir = data\n[model]\nprox = tikhonov\n"
                               "[unroll]\nalgorithm = vsqp\n")
+    reads = _count_payload_reads(monkeypatch)
     for command in ("eval", "recon"):
         assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "data.dir" in err and "11-pixel SSIM window" in err
+    # the window is checked against the KTN headers, before any payload
+    assert reads == []
     assert not (tmp_path / "runs").exists()
 
 
@@ -189,6 +197,7 @@ def test_images_below_ssim_window_are_config_error(tmp_path, capsys):
     ("recon", "tikhonov", "alg1", "unroll.t", "0"),
     ("train", "resnet", "alg1", "unroll.cg_iters", "0"),
     ("recon", "tikhonov", "vamp", "unroll.max_iters", "0"),
+    # no longer a key (the probe count is vamp.TRACE_PROBES), so an unknown-key error
     ("recon", "tikhonov", "vamp", "unroll.trace_probes", "0"),
     ("recon", "tikhonov", "vamp", "unroll.damping", "0"),
     ("recon", "tikhonov", "vamp", "unroll.damping", "1.5"),
@@ -296,6 +305,11 @@ def test_unknown_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "[unroll]\nwarp_speed = 9\n")
     with pytest.raises(ConfigError, match="unroll.warp_speed"):
         load_config(cfg)
+    # the Hutchinson probe count is vamp.TRACE_PROBES, not a key
+    cfg1 = write_cfg(tmp_path, "[unroll]\nalgorithm = vamp\ntrace_probes = 0\n",
+                     name="exp1.ini")
+    with pytest.raises(ConfigError, match="unknown key unroll.trace_probes"):
+        load_config(cfg1)
     cfg2 = write_cfg(tmp_path, "[warp]\nx = 1\n", name="exp2.ini")
     with pytest.raises(ConfigError, match=r"\[warp\]"):
         load_config(cfg2)
@@ -348,9 +362,8 @@ out = out_eval
         fake_reconstruct.calls += 1
         return images[idx], None
 
-    from teunroll.cli import _load_dataset
-
-    images, _ = _load_dataset(config["data"]["dir"])
+    files, sens_path, _ = cli._scan_dataset(config["data"]["dir"])
+    images, _ = cli._read_dataset(files, sens_path)
     fake_reconstruct.calls = 0
     monkeypatch.setattr(cli, "_reconstruct", fake_reconstruct)
     assert run_cli("eval", "--config", cfg) == 0

@@ -155,10 +155,9 @@ def test_alg1_matches_vamp_messages_with_exact_onsager_weight(problem, mu_x, see
     r = rng.standard_normal(E.shape) + 1j * rng.standard_normal(E.shape)
     op = vamp.as_vamp_operator(E, y)
     config = vamp.VampConfig(cg_iters=100)
-    vstates = [vamp.lmmse_step(op, vamp.VampState(r=r_t, mu_x=mu_x), config)
-               for r_t in (op.rhs, r)]
-    assume(all(s.clamps == 0 for s in vstates))
-    rho = [mu_x / s.mu_z for s in vstates]
+    messages = [vamp.lmmse_step(op, r_t, mu_x, config) for r_t in (op.rhs, r)]
+    assume(all(clamps == 0 for *_, clamps in messages))
+    rho = [mu_x / mu_z for _, _, _, mu_z, _ in messages]
 
     # each unroll's prox sees the Onsager-corrected u
     seen = []
@@ -168,8 +167,8 @@ def test_alg1_matches_vamp_messages_with_exact_onsager_weight(problem, mu_x, see
         return r
 
     unroll.run_unrolled("alg1", E, y, [mu_x] * 2, hand_over_r, rho=rho, cg_iters=100)
-    for u, vstate in zip(seen, vstates):
-        assert np.linalg.norm(u - vstate.u) <= 1e-10 * np.linalg.norm(vstate.u)
+    for seen_u, (_, _, u, _, _) in zip(seen, messages):
+        assert np.linalg.norm(seen_u - u) <= 1e-10 * np.linalg.norm(u)
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,24 +16,25 @@ def test_lmmse_identity_operator_closed_form():
     n = 16
     y = rng.standard_normal(n)
     r = rng.standard_normal(n)
-    state = vamp.VampState(r=r, mu_x=1.0)
-    new = vamp.lmmse_step(dense_vamp_operator(np.eye(n), y), state)
-    np.testing.assert_allclose(new.x, (y + r) / 2, atol=1e-12)
-    assert new.upsilon_x == pytest.approx(0.5, abs=1e-12)
-    assert new.mu_z == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(new.u, y, atol=1e-12)
+    x, upsilon_x, u, mu_z, clamps = vamp.lmmse_step(dense_vamp_operator(np.eye(n), y), r, 1.0)
+    np.testing.assert_allclose(x, (y + r) / 2, atol=1e-12)
+    assert upsilon_x == pytest.approx(0.5, abs=1e-12)
+    assert mu_z == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(u, y, atol=1e-12)
+    assert clamps == 0
     # precision identity 1/v_x = mu_x + mu_z
-    assert 1.0 / new.upsilon_x == pytest.approx(new.mu_x + new.mu_z, abs=1e-10)
+    assert 1.0 / upsilon_x == pytest.approx(1.0 + mu_z, abs=1e-10)
 
 
 def test_lmmse_zero_operator_hits_clamp():
     rng = np.random.default_rng(1)
     n = 8
-    state = vamp.VampState(r=rng.standard_normal(n), mu_x=1.0)
-    new = vamp.lmmse_step(dense_vamp_operator(np.zeros((n, n)), np.zeros(n)), state)
-    assert new.clamps == 1
-    np.testing.assert_allclose(new.x, state.r, atol=1e-12)
-    assert new.upsilon_x == pytest.approx(1.0)
+    r = rng.standard_normal(n)
+    x, upsilon_x, _, _, clamps = vamp.lmmse_step(
+        dense_vamp_operator(np.zeros((n, n)), np.zeros(n)), r, 1.0)
+    assert clamps == 1
+    np.testing.assert_allclose(x, r, atol=1e-12)
+    assert upsilon_x == pytest.approx(1.0)
 
 
 def test_lmmse_matches_dense_oracle():
@@ -43,58 +44,57 @@ def test_lmmse_matches_dense_oracle():
     y = rng.standard_normal(m)
     r = rng.standard_normal(n)
     mu = 0.7
-    state = vamp.VampState(r=r, mu_x=mu)
-    new = vamp.lmmse_step(dense_vamp_operator(E, y), state)
+    x, upsilon_x, _, _, _ = vamp.lmmse_step(dense_vamp_operator(E, y), r, mu)
     A = E.T @ E + mu * np.eye(n)
     expected_x = np.linalg.solve(A, E.T @ y + mu * r)
-    assert np.linalg.norm(new.x - expected_x) <= 1e-8 * np.linalg.norm(expected_x)
+    assert np.linalg.norm(x - expected_x) <= 1e-8 * np.linalg.norm(expected_x)
     expected_trace = np.trace(np.linalg.inv(A)) / n
-    assert new.upsilon_x == pytest.approx(expected_trace, abs=1e-10)
+    assert upsilon_x == pytest.approx(expected_trace, abs=1e-10)
 
 
-def test_half_steps_set_only_their_own_fields():
+def test_half_steps_leave_their_inputs_untouched():
+    # every incoming array is read-only, so a write into one raises, and
+    # no outgoing array is a view of an incoming one
     rng = np.random.default_rng(8)
     n = 6
     E = rng.standard_normal((9, n))
     y = rng.standard_normal(9)
-    full = vamp.VampState(r=rng.standard_normal(n), mu_x=0.8, x=rng.standard_normal(n),
-                          upsilon_x=0.3, mu_z=0.4, u=rng.standard_normal(n),
-                          z=rng.standard_normal(n), upsilon_z=0.2, clamps=2)
-    lm = vamp.lmmse_step(dense_vamp_operator(E, y), full)
-    # the LMMSE half-step keeps the incoming message and clears the
-    # previous denoiser outputs
-    assert lm.r is full.r and lm.mu_x == full.mu_x and lm.clamps == full.clamps
-    assert lm.z is None and lm.upsilon_z is None
-    assert lm.x is not full.x and lm.u is not full.u and lm.mu_z != full.mu_z
-    dn = vamp.denoise_step(prox.tikhonov_prox(1.0), lm)
-    # the denoising half-step passes the LMMSE outputs through untouched
-    assert dn.x is lm.x and dn.u is lm.u
-    assert (dn.upsilon_x, dn.mu_z) == (lm.upsilon_x, lm.mu_z)
-    assert dn.z is not None and dn.upsilon_z is not None and dn.mu_x != lm.mu_x
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    op = dense_vamp_operator(E, y)
+    for a in (r, op.rhs):
+        a.setflags(write=False)
+    cfg = vamp.VampConfig(damping=0.6)  # damping reads the previous r
+    x, _, u, mu_z, _ = vamp.lmmse_step(op, r, 0.8, cfg)
+    u.setflags(write=False)
+    r_next, _, z, _, _ = vamp.denoise_step(prox.soft_threshold_prox(0.3), u, mu_z, r, 0.8, cfg)
+    for out in (x, u, r_next, z):
+        for given_array in (r, op.rhs):
+            assert not np.shares_memory(out, given_array)
+    assert not np.shares_memory(r_next, u) and not np.shares_memory(z, u)
 
 
 def test_denoise_identity_clamp_path():
     rng = np.random.default_rng(3)
     n = 8
     u = rng.standard_normal(n)
-    state = vamp.VampState(r=np.zeros(n), mu_x=1.0, x=u, upsilon_x=0.5, mu_z=2.0, u=u)
-    new = vamp.denoise_step(prox.identity_prox(), state, vamp.VampConfig(damping=1.0))
-    assert new.upsilon_z == pytest.approx(0.5)
-    assert new.clamps >= 1
-    assert new.mu_x == pytest.approx(1e-8)  # clamped at the floor
+    _, mu_x, _, upsilon_z, clamps = vamp.denoise_step(
+        prox.identity_prox(), u, 2.0, np.zeros(n), 1.0, vamp.VampConfig(damping=1.0))
+    assert upsilon_z == pytest.approx(0.5)
+    assert clamps >= 1
+    assert mu_x == pytest.approx(1e-8)  # clamped at the floor
 
 
 def test_denoise_tikhonov_closed_form():
     rng = np.random.default_rng(4)
     n = 8
     u = rng.standard_normal(n)
-    state = vamp.VampState(r=np.zeros(n), mu_x=1.0, x=u, upsilon_x=0.5, mu_z=1.0, u=u)
-    new = vamp.denoise_step(prox.tikhonov_prox(1.0), state, vamp.VampConfig(damping=1.0))
-    np.testing.assert_allclose(new.z, u / 2, atol=1e-12)
-    assert new.upsilon_z == pytest.approx(0.5)
-    assert new.mu_x == pytest.approx(1.0)
+    r, mu_x, z, upsilon_z, _ = vamp.denoise_step(
+        prox.tikhonov_prox(1.0), u, 1.0, np.zeros(n), 1.0, vamp.VampConfig(damping=1.0))
+    np.testing.assert_allclose(z, u / 2, atol=1e-12)
+    assert upsilon_z == pytest.approx(0.5)
+    assert mu_x == pytest.approx(1.0)
     # r+ = (z/v_z - mu_z u)/mu_x+ = 2z - u = 0 for the linear half gain
-    np.testing.assert_allclose(new.r, np.zeros(n), atol=1e-12)
+    np.testing.assert_allclose(r, np.zeros(n), atol=1e-12)
 
 
 def test_gaussian_prior_fixed_point_equals_ridge():
@@ -141,10 +141,8 @@ def test_damped_linear_iteration_is_affine():
     mu0 = 0.9
 
     def one_iteration(r):
-        st = vamp.VampState(r=r, mu_x=mu0)
-        st = vamp.lmmse_step(op, st, cfg)
-        st = vamp.denoise_step(prox.tikhonov_prox(gamma), st, cfg)
-        return st.r
+        _, _, u, mu_z, _ = vamp.lmmse_step(op, r, mu0, cfg)
+        return vamp.denoise_step(prox.tikhonov_prox(gamma), u, mu_z, r, mu0, cfg)[0]
 
     # affine map r -> M r + c probed column by column
     c = one_iteration(np.zeros(n))
@@ -184,7 +182,7 @@ def test_lmmse_solve_on_encoding_operator_fails_numerically_on_non_finite_messag
     r = np.zeros((8, 8), dtype=complex)
     r[0, 5] = np.nan
     with pytest.raises(FloatingPointError, match="right-hand side"):
-        vamp.lmmse_step(vamp.as_vamp_operator(E, y), vamp.VampState(r=r, mu_x=1.0))
+        vamp.lmmse_step(vamp.as_vamp_operator(E, y), r, 1.0)
 
 
 @settings(max_examples=12, deadline=None)
@@ -278,6 +276,31 @@ def test_diagnostics_csv_shape():
     assert len(lines) == 4
 
 
+def test_clamps_column_is_the_running_sum_of_the_half_steps_counts(monkeypatch):
+    # the identity prox has v_z = 1/mu_z, so mu_x+ = 1/v_z - mu_z rounds to
+    # about 0 and the denoiser clamps it at the floor every iteration
+    counts = []
+
+    def counting(step):
+        def wrapped(*args, **kwargs):
+            out = step(*args, **kwargs)
+            counts.append(out[-1])
+            return out
+        return wrapped
+
+    monkeypatch.setattr(vamp, "lmmse_step", counting(vamp.lmmse_step))
+    monkeypatch.setattr(vamp, "denoise_step", counting(vamp.denoise_step))
+    rng = np.random.default_rng(9)
+    E = rng.standard_normal((10, 16)) / np.sqrt(10)
+    y = rng.standard_normal(10)
+    _, diags = vamp.run_vamp(dense_vamp_operator(E, y), prox.identity_prox(),
+                             vamp.VampConfig(max_iters=5))
+    assert len(diags.rows) == 5 and len(counts) == 10
+    per_iteration = [a + b for a, b in zip(counts[::2], counts[1::2])]
+    assert all(c >= 1 for c in counts[1::2])
+    assert [row["clamps"] for row in diags.rows] == list(np.cumsum(per_iteration))
+
+
 def test_all_diagnostics_finite_over_seeds():
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -297,8 +320,11 @@ def test_config_validation():
         vamp.VampConfig(damping=0.0)
     with pytest.raises(ValueError):
         vamp.VampConfig(mu_floor=0.0)
-    with pytest.raises(ValueError):
-        vamp.denoise_step(prox.identity_prox(), vamp.VampState(r=np.zeros(4), mu_x=1.0))
+    # a zero iteration budget returned x = 0 without an error
+    with pytest.raises(ValueError, match="max_iters"):
+        vamp.VampConfig(max_iters=0)
+    with pytest.raises(ValueError, match="cg_iters"):
+        vamp.VampConfig(cg_iters=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
@@ -306,8 +332,6 @@ def test_half_steps_fail_numerically_on_a_non_positive_precision(bad):
     # a precision that is not positive (NaN included) is a numeric failure
     # (exit 3 from the CLI), not a config error
     with pytest.raises(FloatingPointError, match="mu_x must be positive"):
-        vamp.lmmse_step(dense_vamp_operator(np.eye(4), np.zeros(4)),
-                        vamp.VampState(r=np.zeros(4), mu_x=bad))
+        vamp.lmmse_step(dense_vamp_operator(np.eye(4), np.zeros(4)), np.zeros(4), bad)
     with pytest.raises(FloatingPointError, match="mu_z must be positive"):
-        vamp.denoise_step(prox.identity_prox(),
-                          vamp.VampState(r=np.zeros(4), mu_x=1.0, mu_z=bad, u=np.zeros(4)))
+        vamp.denoise_step(prox.identity_prox(), np.zeros(4), bad, np.zeros(4), 1.0)
