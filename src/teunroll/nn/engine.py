@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
+GROUP_NORM_EPS = 1e-5  # added to each group's variance before the square root
 _ACTIVE_TAPE = None
 
 
@@ -331,18 +332,17 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (ta,), backward)
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Stack tensors along their first (channel) axis."""
     tensors = [_as_tensor(t) for t in tensors]
     targets = [_target(t) for t in tensors]
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(t, g[lo:hi])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), targets, backward)
+    return _make(np.concatenate([t.data for t in tensors]), targets, backward)
 
 
 def _pad_flat(data, pad):
@@ -418,7 +418,7 @@ def conv2d(x, w, b=None):
     return _make(val, (tx, tw, tb), backward)
 
 
-def group_norm(x, groups, eps=1e-5):
+def group_norm(x, groups):
     """Normalize to zero mean / unit variance within channel groups of a
     (C, H, W) tensor.  No learned affine; FiLM supplies scale and shift."""
     x = _as_tensor(x)
@@ -430,7 +430,7 @@ def group_norm(x, groups, eps=1e-5):
     m = xg.mean(axis=1, keepdims=True)
     centered = xg - m
     var = (centered**2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
     yg = centered * inv
 
     def backward(g):

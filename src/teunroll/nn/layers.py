@@ -55,13 +55,11 @@ class Conv2d:
         return en.conv2d(x, self.w, self.b)
 
 
-def sinusoidal_encode(t, embed_dim=EMBED_DIM, period=PERIOD):
+def sinusoidal_encode(t):
     """Sinusoidal position code of the unroll index: the first half holds
-    sin(t / period^(2k/dim)), the second half the matching cosines."""
-    if embed_dim % 2 != 0:
-        raise ValueError("embed_dim must be even")
-    k = np.arange(embed_dim // 2)
-    freqs = 1.0 / period ** (2.0 * k / embed_dim)
+    sin(t / PERIOD^(2k/EMBED_DIM)), the second half the matching cosines."""
+    k = np.arange(EMBED_DIM // 2)
+    freqs = 1.0 / PERIOD ** (2.0 * k / EMBED_DIM)
     angles = float(t) * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)])
 

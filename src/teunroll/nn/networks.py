@@ -185,11 +185,11 @@ class UNetProx(ProxNetworkBase):
         for blk in self.mid:
             h = blk(h, feat)
         h = en.upsample_nearest2(h)
-        h = en.concat([h, skip1], axis=0)
+        h = en.concat([h, skip1])
         for blk in self.up1:
             h = blk(h, feat)
         h = en.upsample_nearest2(h)
-        h = en.concat([h, skip0], axis=0)
+        h = en.concat([h, skip0])
         for blk in self.up0:
             h = blk(h, feat)
         return self.conv_out(h)
@@ -203,6 +203,10 @@ def build_network(arch, time_embedded=False, seed=0, **kwargs):
     raise ValueError(f"unknown architecture {arch!r}")
 
 
+def _shape_text(shape):
+    return "x".join(str(d) for d in shape) if shape else "scalar"
+
+
 def save_checkpoint(directory, named_params):
     """Write each parameter as a KTN1 tensor plus a manifest of
     (name, shape, dtype, file) lines."""
@@ -212,20 +216,25 @@ def save_checkpoint(directory, named_params):
         fname = f"p{i:05d}.ktn"
         data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
         ktn.write_ktn(os.path.join(directory, fname), data.astype(np.float64))
-        shape = "x".join(str(d) for d in data.shape) if data.ndim else "scalar"
-        lines.append(f"{name}\t{shape}\tf64\t{fname}")
+        lines.append(f"{name}\t{_shape_text(data.shape)}\tf64\t{fname}")
     with open(os.path.join(directory, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(directory):
-    """Return the name -> ndarray map recorded by save_checkpoint."""
+    """Return the name -> ndarray map recorded by save_checkpoint.  Each
+    file must hold the f64 array of the shape its manifest line names."""
     state = {}
     with open(os.path.join(directory, "manifest.txt")) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            name, _shape, _dtype, fname = line.split("\t")
-            state[name] = ktn.read_ktn(os.path.join(directory, fname))
+            name, shape, dtype, fname = line.split("\t")
+            arr = ktn.read_ktn(os.path.join(directory, fname))
+            found = _shape_text(arr.shape)
+            if dtype != "f64" or arr.dtype != np.float64 or found != shape:
+                raise ValueError(f"parameter {name!r}: {fname} holds {arr.dtype} {found}, "
+                                 f"its manifest line says {dtype} {shape}")
+            state[name] = arr
     return state

@@ -69,20 +69,27 @@ def _name_list(names):
     return ", ".join(names[:4]) + (", ..." if len(names) > 4 else "")
 
 
-class TrainableEngine:
-    """An unrolled reconstruction network with trainable proximal operators
-    and scalar schedules.
+def _scalar(value, trainable=True):
+    return Tensor(np.float64(value), requires_grad=trainable)
 
-    algorithm in {vsqp, admm, alg1, vsqp_te, admm_te}; sharing selects one
-    static network (shared), one network per network call (unshared; T-1,
-    as the last unroll makes none, see ``_prox``) or one time-embedded
-    network (time_embedded).  Static algorithms train a single
-    data-fidelity weight; the time-embedded ones train one per unroll, plus
-    a dual step size for the ADMM family and, for alg1, Onsager weights for
-    the first T-1 unrolls (the last one feeds only a diagnostic and stays
-    ``rho_init``).  At T=1 no network is called and the dual step reaches
-    nothing, so such an engine holds its data-fidelity weight only; the
-    dual step stays ``lam_init``.
+
+def _distinct(items):
+    """Each object of ``items`` once, in order of first appearance."""
+    return list({id(item): item for item in items}.values())
+
+
+class TrainableEngine:
+    """An unrolled reconstruction network, held as its per-unroll schedule.
+
+    algorithm in {vsqp, admm, alg1, vsqp_te, admm_te}.  ``net_t`` holds the
+    network of each of the T-1 network calls (the last unroll makes none,
+    see ``_prox``); ``mu_t``, ``rho_t`` (alg1 only, else empty) and
+    ``lam_t`` (ADMM family only, else empty) hold one scalar tensor per
+    unroll.  A shared value is the same object at every index: one static
+    network (shared), one per call (unshared) or one time-embedded network
+    (time_embedded); static algorithms share one mu and the ADMM family one
+    dual step.  A value that reaches no output is a constant: alg1's last
+    Onsager weight feeds only a diagnostic, and at T=1 the dual step.
     """
 
     def __init__(self, algorithm, T, cg_iters=15, sharing="shared", arch="resnet",
@@ -95,35 +102,30 @@ class TrainableEngine:
         self.cg_iters = cg_iters
         time_embedded = sharing == "time_embedded"
         n_nets = T - 1 if sharing == "unshared" else min(T - 1, 1)
-        self.networks = [
-            build_network(arch, time_embedded=time_embedded, seed=seed + i, **arch_kwargs)
-            for i in range(n_nets)
-        ]
+        nets = [build_network(arch, time_embedded=time_embedded, seed=seed + i, **arch_kwargs)
+                for i in range(n_nets)]
+        self.net_t = [nets[min(t, n_nets - 1)] for t in range(T - 1)]
         if mu_init is None:
             mu_init = default_mu(algorithm)
         n_mu = T if algorithm in ("alg1", "vsqp_te", "admm_te") else 1
-        self.mu = [Tensor(np.float64(mu_init), requires_grad=True) for _ in range(n_mu)]
-        self.rho = []
-        if self.family == "alg1":
-            self.rho = [Tensor(np.float64(rho_init), requires_grad=True) for _ in range(T - 1)]
-            self._rho_last = Tensor(np.float64(rho_init))
+        self.mu_t = [_scalar(mu_init) for _ in range(n_mu)] * (T // n_mu)
+        self.rho_t = ([_scalar(rho_init) for _ in range(T - 1)] + [_scalar(rho_init, False)]
+                      if self.family == "alg1" else [])
         # the ADMM family's one dual step reaches x only through a later unroll
-        self._lam = Tensor(np.float64(lam_init), requires_grad=T > 1)
-        self.lam = [self._lam] if self.family == "admm" and T > 1 else []
+        self.lam_t = [_scalar(lam_init, T > 1)] * T if self.family == "admm" else []
 
     # -- parameter plumbing --------------------------------------------------
     def parameters(self):
+        """Each distinct trainable object once: networks, mu, rho, then lam."""
         params = {}
-        for i, net in enumerate(self.networks):
-            prefix = f"net{i}" if len(self.networks) > 1 else "net"
+        nets = _distinct(self.net_t)
+        for i, net in enumerate(nets):
+            prefix = f"net{i}" if len(nets) > 1 else "net"
             for name, t in net.parameters().items():
                 params[f"{prefix}.{name}"] = t
-        for i, t in enumerate(self.mu):
-            params[f"mu.{i:04d}"] = t
-        for i, t in enumerate(self.rho):
-            params[f"rho.{i:04d}"] = t
-        for i, t in enumerate(self.lam):
-            params[f"lam.{i:04d}"] = t
+        for kind, values in (("mu", self.mu_t), ("rho", self.rho_t), ("lam", self.lam_t)):
+            for i, t in enumerate(v for v in _distinct(values) if v.requires_grad):
+                params[f"{kind}.{i:04d}"] = t
         return params
 
     def count_parameters(self):
@@ -149,22 +151,9 @@ class TrainableEngine:
             t.data = arr.copy()
 
     def project(self):
-        for t in self.mu:
+        for t in self.mu_t:
             if t.data < MU_FLOOR:
                 t.data = np.float64(MU_FLOOR)
-
-    def _per_unroll(self):
-        """(mu, rho, lam) with one scalar tensor per unroll; rho is empty
-        outside alg1 and lam outside the ADMM family.  Static algorithms
-        repeat their one mu, the ADMM family shares one dual step, and
-        alg1's last Onsager weight is the untrained constant."""
-        mu = self.mu if len(self.mu) > 1 else self.mu * self.T
-        rho = self.rho + [self._rho_last] if self.family == "alg1" else []
-        lam = [self._lam] * self.T if self.family == "admm" else []
-        return mu, rho, lam
-
-    def _net_at(self, t):
-        return self.networks[t] if len(self.networks) > 1 else self.networks[0]
 
     def _prox(self, call):
         """The per-unroll prox(v, t) of either backend: call(network, v, t)
@@ -173,7 +162,7 @@ class TrainableEngine:
         output, so that network call would be dead and is skipped."""
 
         def prox(v, t):
-            return v if t == self.T - 1 else call(self._net_at(t), v, t)
+            return v if t == self.T - 1 else call(self.net_t[t], v, t)
 
         return prox
 
@@ -186,18 +175,17 @@ class TrainableEngine:
         """
         fn = normal_fn(E)
         rhs0 = Tensor(complex_to_channels(E.adjoint(y).data))
-        mu, rho, lam = self._per_unroll()
 
         def solve(t, b):
             def apply_A(v):
-                return en.axpy(mu[t], v, en.linear_selfadjoint(v, fn))
+                return en.axpy(self.mu_t[t], v, en.linear_selfadjoint(v, fn))
 
             return cg_tape(apply_A, b, self.cg_iters), None
 
         prox = self._prox(lambda net, v, t: net.forward(v, t))
         for _, x, _, _ in unroll_steps(self.family, self.T, rhs0,
                                        Tensor(np.zeros_like(rhs0.data)), solve, prox,
-                                       mu, rho, lam):
+                                       self.mu_t, self.rho_t, self.lam_t):
             pass
         return x
 
@@ -208,7 +196,8 @@ class TrainableEngine:
         Like ``forward``, it calls the networks at unrolls 0..T-2 only (see
         ``_prox``); the image and every diagnostic equal those of a run
         that also makes the last, dead network call."""
-        mu, rho, lam = ([float(v.data) for v in vals] for vals in self._per_unroll())
+        mu, rho, lam = ([float(v.data) for v in vals]
+                        for vals in (self.mu_t, self.rho_t, self.lam_t))
         prox = self._prox(lambda net, img, t: net.apply_complex(img, t))
         return run_unrolled(self.algorithm, E, y, mu, prox, rho=rho, lam=lam,
                             cg_iters=self.cg_iters, reference=reference)

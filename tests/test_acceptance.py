@@ -288,7 +288,7 @@ def test_criterion_7_autodiff_finite_differences():
         (lambda x: en.group_norm(x, 2), (4, 6, 6)),
         (lambda x: en.mean(x), (4, 5)),
         (lambda x: en.mse(x, Tensor(np.zeros((4, 5)))), (4, 5)),
-        (lambda x: en.concat([x, x], axis=0), (2, 4, 4)),
+        (lambda x: en.concat([x, x]), (2, 4, 4)),
         (lambda x: en.avg_pool2(x), (3, 8, 8)),
         (lambda x: en.upsample_nearest2(x), (3, 4, 4)),
         (lambda x: en.linear_selfadjoint(x, lambda v: sym @ v), (6,)),
@@ -350,7 +350,7 @@ def test_criterion_8_film_and_time_embedding():
     out = film_residual_modulate(Tensor(f), Tensor(alpha), Tensor(beta), 0.0, 2)
     assert np.array_equal(out.data, f)
 
-    codes = np.stack([sinusoidal_encode(t, 32, 10_000.0) for t in range(64)])
+    codes = np.stack([sinusoidal_encode(t) for t in range(64)])
     dists = np.linalg.norm(codes[:, None] - codes[None, :], axis=-1)
     assert np.all(dists[np.triu_indices(64, 1)] > 0)
 
@@ -409,8 +409,8 @@ def directional_experiment():
 
     def schedule(engine):
         """The learned per-unroll scalars, as the report line prints them."""
-        mu, rho, _ = engine._per_unroll()
-        text = "mu_t " + "/".join(f"{float(v.data):.4g}" for v in mu)
+        text = "mu_t " + "/".join(f"{float(v.data):.4g}" for v in engine.mu_t)
+        rho = engine.rho_t
         return text + ("; rho_t " + "/".join(f"{float(v.data):.3g}" for v in rho) if rho else "")
 
     return {

@@ -82,7 +82,7 @@ OPS = {
     "sum": (lambda x: sum_all(x), (4, 5)),
     "mse": (lambda x: en.mse(x, Tensor(np.ones((4, 5)))), (4, 5)),
     "reshape": (lambda x: en.reshape(x, (20,)), (4, 5)),
-    "concat": (lambda x: en.concat([x, en.mul(x, Tensor(2.0))], axis=0), (2, 4, 4)),
+    "concat": (lambda x: en.concat([x, en.mul(x, Tensor(2.0))]), (2, 4, 4)),
     "conv2d_3x3": (lambda x: en.conv2d(x, Tensor(W_CONV)), (4, 6, 6)),
     "conv2d_1x1": (lambda x: en.conv2d(x, Tensor(W_CONV1)), (4, 6, 6)),
     "group_norm": (lambda x: en.group_norm(x, 2), (4, 6, 6)),

@@ -523,6 +523,49 @@ out = eval_mismatch
     assert "model.checkpoint" in err and "net.block0.film.alpha.b" in err
 
 
+@pytest.mark.parametrize("corrupt", ["complex_file", "manifest_shape"])
+def test_checkpoint_file_must_match_its_manifest(tmp_path, capsys, corrupt):
+    """A parameter file whose dtype or shape is not the one its manifest
+    line records is a config error naming the parameter; a complex file
+    would otherwise load as its real part."""
+    assert run_cli("phantom", "--out", tmp_path / "data", "--size", "16", "--coils", "2",
+                   "--count", "1") == 0
+    body = """
+[data]
+dir = data
+[model]
+prox = resnet
+blocks = 1
+channels = 4
+checkpoint = {ckpt}
+[unroll]
+algorithm = vsqp
+t = 2
+out = out_bad
+[train]
+epochs = 0
+out = trained
+[eval]
+out = eval_bad
+"""
+    assert run_cli("train", "--config", write_cfg(tmp_path, body.format(ckpt=""))) == 0
+    ckpt = tmp_path / "trained" / "checkpoint"
+    manifest = ckpt / "manifest.txt"
+    name, shape, _, fname = manifest.read_text().split("\n")[0].split("\t")
+    if corrupt == "complex_file":
+        arr = ktn.read_ktn(ckpt / fname)
+        ktn.write_ktn(ckpt / fname, arr.astype(np.complex128))
+    else:
+        text = manifest.read_text()
+        manifest.write_text(text.replace(f"{name}\t{shape}\t", f"{name}\t1x{shape}\t", 1))
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, body.format(ckpt="trained/checkpoint"), name="bad.ini")
+    for command in ("recon", "eval"):
+        assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.checkpoint" in err and name in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_checkpoint_is_numeric_failure(tmp_path, capsys):
     """A NaN network bias makes the first unroll's prox output non-finite;

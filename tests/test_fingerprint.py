@@ -411,8 +411,8 @@ def _run_unrolled(algorithm, sharing, arch, shape):
     # jitter every weight so that the zero-initialized FiLM heads and the
     # residual branches move the output
     rng = np.random.default_rng(4)
-    for net in engine.networks:
-        for t in net.parameters().values():
+    for name, t in engine.parameters().items():
+        if name.startswith("net"):
             t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
     return engine.run(E, y, reference=truth)
 

@@ -22,25 +22,20 @@ from oracles import group_norm_reference, resnet_full, unet_full
 # -- sinusoidal encoder ---------------------------------------------------
 
 def test_encode_at_zero():
-    np.testing.assert_allclose(sinusoidal_encode(0, 4, 10_000.0), [0, 0, 1, 1])
+    np.testing.assert_allclose(sinusoidal_encode(0), [0] * 16 + [1] * 16)
 
 
 def test_encode_t0_vs_t1_differ_in_every_sin_coordinate():
-    a = sinusoidal_encode(0, 32, 10_000.0)
-    b = sinusoidal_encode(1, 32, 10_000.0)
+    a = sinusoidal_encode(0)
+    b = sinusoidal_encode(1)
     assert np.all(np.abs(a[:16] - b[:16]) > 0)
 
 
 def test_encode_injective_over_unroll_range():
-    codes = np.stack([sinusoidal_encode(t, 32, 10_000.0) for t in range(64)])
+    codes = np.stack([sinusoidal_encode(t) for t in range(64)])
     for i in range(64):
         for j in range(i + 1, 64):
             assert np.linalg.norm(codes[i] - codes[j]) > 0
-
-
-def test_encode_rejects_odd_dim():
-    with pytest.raises(ValueError):
-        sinusoidal_encode(1, 5, 10_000.0)
 
 
 # -- FiLM ----------------------------------------------------------------

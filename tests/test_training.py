@@ -9,7 +9,7 @@ from teunroll.linops import cg_solve
 from teunroll.nn import TrainableEngine, TrainingError, train
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
-from teunroll.nn.networks import channels_to_complex, complex_to_channels
+from teunroll.nn.networks import build_network, channels_to_complex, complex_to_channels
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
 from teunroll.nn.training import SHARING_MODES, cg_tape, normal_fn
 from teunroll.unroll import ALGORITHMS, run_unrolled
@@ -78,10 +78,10 @@ def test_cg_tape_matches_composed_reference(h, w, mu, iters, seed):
 # difference of the loss.  The gap is taken relative to the larger of the
 # two derivatives and the loss itself: a derivative far below the loss is
 # zero to the precision that a difference resolves (a fully sampled T=1
-# engine's loss does not depend on mu at all).  The examples are
-# derandomized, so the worst case written beside each bound is that of the
-# examples the test runs; over 400 random examples it was 1.1e-8 for the
-# engine and 3.9e-9 for CG.
+# engine's loss does not depend on mu at all).  The suite's hypothesis
+# profile fixes the draw (tests/conftest.py), so the worst case written
+# beside each bound is that of the examples the test runs; over 400 random
+# examples it was 1.1e-8 for the engine and 3.9e-9 for CG.
 FD_STEP = 1e-6
 NETWORKS = [("resnet", {"blocks": 1, "channels": 4}, 1),
             ("unet", {"base_channels": 4, "res_blocks": 1}, 4)]  # (arch, kwargs, side step)
@@ -91,7 +91,20 @@ def _gap(taped, central, loss):
     return abs(taped - central) / max(abs(taped), abs(central), abs(loss))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+def _draw_scalar(rng, name):
+    """A random value for the scalar parameter ``name``: a positive mu, and
+    an Onsager weight or dual step of either sign."""
+    if name.startswith("mu."):
+        return np.float64(rng.uniform(0.01, 0.2))
+    return np.float64(rng.uniform(-0.2, 0.5))
+
+
+def _networks(eng):
+    """Each distinct network of ``eng.net_t`` once, in call order."""
+    return list({id(net): net for net in eng.net_t}.values())
+
+
+@settings(max_examples=40, deadline=None)
 @given(algorithm=st.sampled_from(ALGORITHMS), sharing=st.sampled_from(SHARING_MODES),
        network=st.sampled_from(NETWORKS), T=st.integers(1, 3), seed=st.integers(0, 2**16),
        data=st.data())
@@ -108,13 +121,11 @@ def test_engine_gradient_matches_central_difference(algorithm, sharing, network,
                           seed=seed, **arch_kwargs)
     rng = np.random.default_rng(seed)
     # jitter the weights so that the zero-initialized FiLM heads act
-    for net in eng.networks:
-        for t in net.parameters().values():
+    for name, t in eng.parameters().items():
+        if name.startswith("net"):
             t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
-    for t in eng.mu:
-        t.data = np.float64(rng.uniform(0.01, 0.2))
-    for t in eng.rho + eng.lam:
-        t.data = np.float64(rng.uniform(-0.2, 0.5))
+        else:
+            t.data = _draw_scalar(rng, name)
     params = eng.parameters()
     with en.Tape() as tape:
         loss = en.mse(eng.forward(E, y), target)
@@ -134,7 +145,7 @@ def test_engine_gradient_matches_central_difference(algorithm, sharing, network,
     assert _gap(taped, central, loss.data) <= 1e-6, (taped, central)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 @given(problem=problems(max_side=16, max_coils=3), mu=st.floats(1e-3, 1.0),
        iters=st.integers(1, 15), seed=st.integers(0, 2**16))
 def test_cg_mu_gradient_matches_central_difference(problem, mu, iters, seed):
@@ -185,12 +196,11 @@ def test_tape_engine_equals_run_unrolled_everywhere(algorithm, sharing, T, seed,
     eng = TrainableEngine(algorithm, T=T, cg_iters=15, sharing=sharing,
                           arch="resnet", seed=seed, blocks=1, channels=4)
     rng = np.random.default_rng(seed)
-    for t in eng.mu:
-        t.data = np.float64(rng.uniform(0.01, 0.2))
-    for t in eng.rho + eng.lam:
-        t.data = np.float64(rng.uniform(-0.2, 0.5))
+    for name, t in eng.parameters().items():
+        if not name.startswith("net"):
+            t.data = _draw_scalar(rng, name)
     calls = []
-    for net in eng.networks:
+    for net in _networks(eng):
         def counted(img, t, apply=net.apply_complex):
             calls.append(t)
             return apply(img, t)
@@ -225,14 +235,14 @@ def test_run_skips_only_the_dead_last_network_call(algorithm, sharing, arch, arc
         calls.append(t)
         if t == T - 1:
             return np.zeros_like(img)
-        return eng._net_at(t).apply_complex(img, t)
+        return eng.net_t[t].apply_complex(img, t)
 
-    mu, rho, lam = ([float(v.data) for v in vals] for vals in eng._per_unroll())
+    mu, rho, lam = ([float(v.data) for v in vals] for vals in (eng.mu_t, eng.rho_t, eng.lam_t))
     want_img, want_diags = run_unrolled(algorithm, E, y, mu, every_unroll, rho=rho, lam=lam,
                                         reference=truth)
     assert calls == list(range(T))
     calls.clear()
-    for net in eng.networks:
+    for net in _networks(eng):
         def counted(img, t, apply=net.apply_complex):
             calls.append(t)
             return apply(img, t)
@@ -283,7 +293,7 @@ def test_non_finite_loss_reports_sample_index():
     E, y, truth = _toy_problem()
     eng = TrainableEngine("vsqp", T=2, sharing="shared", arch="resnet",
                           seed=0, blocks=1, channels=4)
-    eng.mu[0].data = np.float64(np.inf)
+    eng.mu_t[0].data = np.float64(np.inf)
     with pytest.raises(TrainingError, match="sample 0"):
         train(eng, [(E, y, truth)], epochs=1, lr=1e-3)
 
@@ -293,7 +303,7 @@ def test_mu_projection_keeps_floor():
     eng = TrainableEngine("vsqp", T=2, sharing="shared", arch="resnet",
                           seed=0, blocks=1, channels=4, mu_init=2e-6)
     train(eng, [(E, y, truth)], epochs=3, lr=1e-1, seed=0)
-    assert float(eng.mu[0].data) >= 1e-6
+    assert float(eng.mu_t[0].data) >= 1e-6
 
 
 def test_gradients_reach_scalars_and_networks():
@@ -308,7 +318,7 @@ def test_gradients_reach_scalars_and_networks():
         tape.backward(loss)
         for t in eng.parameters().values():
             assert t.grad is not None and np.all(np.isfinite(t.grad))
-        grads = [t.grad for t in eng.networks[0].parameters().values()]
+        grads = [t.grad for t in eng.net_t[0].parameters().values()]
         assert any(g is not None and np.any(g != 0) for g in grads)
 
 
@@ -359,9 +369,36 @@ def test_unshared_engine_has_one_network_per_call():
     # T unrolls make T-1 network calls (the last unroll's is dead)
     eng = TrainableEngine("vsqp", T=3, sharing="unshared", arch="resnet",
                           seed=0, blocks=1, channels=4)
-    assert len(eng.networks) == 2
-    single = eng.networks[0].count_parameters()
+    assert len(_networks(eng)) == 2
+    single = eng.net_t[0].count_parameters()
     assert eng.count_parameters() == 2 * single + 1  # plus the shared mu scalar
+
+
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_parameter_names_follow_the_documented_rule(algorithm, sharing):
+    """Checkpoint names and their order, as the README states them: the
+    networks (none at T=1; ``net.*`` for one, ``net{i}.*`` for several),
+    then ``mu.*``, ``rho.*`` and ``lam.*``."""
+    net_names = list(build_network("resnet", time_embedded=sharing == "time_embedded",
+                                   blocks=1, channels=4).parameters())
+    for T in (1, 2, 3):
+        eng = TrainableEngine(algorithm, T=T, sharing=sharing, arch="resnet",
+                              seed=0, blocks=1, channels=4)
+        if T == 1:
+            prefixes = []
+        elif sharing == "unshared" and T >= 3:
+            prefixes = [f"net{i}" for i in range(T - 1)]
+        else:
+            prefixes = ["net"]
+        want = [f"{prefix}.{name}" for prefix in prefixes for name in net_names]
+        n_mu = T if algorithm in ("alg1", "vsqp_te", "admm_te") else 1
+        want += [f"mu.{i:04d}" for i in range(n_mu)]
+        if algorithm == "alg1":
+            want += [f"rho.{i:04d}" for i in range(T - 1)]
+        if algorithm in ("admm", "admm_te") and T > 1:
+            want += ["lam.0000"]
+        assert list(eng.parameters()) == want, T
 
 
 @pytest.mark.parametrize("arch, arch_kwargs", [("resnet", {"blocks": 1, "channels": 4}),
