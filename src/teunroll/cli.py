@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import sys
@@ -23,7 +24,6 @@ from .signal_model import (
     ComplexImage,
     CoilSensitivities,
     EncodingOperator,
-    KSpaceData,
     add_noise,
     make_equispaced_mask,
     make_phantom,
@@ -147,27 +147,35 @@ def _load_engine(cfg):
     return engine
 
 
-def _reconstruct(cfg, E, y, reference=None):
-    """Run the configured algorithm on one slice; returns (image, diags).
-    A VAMP config has an analytic prox (``_scan_for_reconstruction``)."""
+def _reconstructor(cfg, E):
+    """The configured algorithm as ``reconstruct(y, reference=None)``, which
+    returns (image, diags) for one slice measured through E.  A learned
+    engine is built, and its checkpoint read, per slice.  VAMP's set-up
+    depends on E alone: it runs at the first slice, and each later slice
+    brings only its own E^H y.  A VAMP config has an analytic prox
+    (``_scan_for_reconstruction``)."""
     un = cfg["unroll"]
-    if un["algorithm"] == "vamp":
-        vcfg = VampConfig(
-            max_iters=un["max_iters"],
-            damping=un["damping"],
-            mu_floor=un["mu_floor"],
-            cg_iters=max(un["cg_iters"], 50),
-        )
-        x, diags = run_vamp(as_vamp_operator(E, y), _analytic_prox(cfg), vcfg,
-                            reference=reference)
-        return ComplexImage(x), diags
     if cfg["model"]["prox"] in NETWORK_PROXES:
-        return _load_engine(cfg).run(E, y, reference=reference)
+        return lambda y, reference=None: _load_engine(cfg).run(E, y, reference=reference)
     p = _analytic_prox(cfg)
-    T = un["t"]
-    return run_unrolled(un["algorithm"], E, y, [un["mu"]] * T, lambda img, t: p.apply(img),
-                        rho=[un["rho"]] * T, lam=[un["lam"]] * T, cg_iters=un["cg_iters"],
-                        reference=reference)
+    if un["algorithm"] != "vamp":
+        T = un["t"]
+        return lambda y, reference=None: run_unrolled(
+            un["algorithm"], E, y, [un["mu"]] * T, lambda img, t: p.apply(img),
+            rho=[un["rho"]] * T, lam=[un["lam"]] * T, cg_iters=un["cg_iters"],
+            reference=reference)
+    vcfg = VampConfig(max_iters=un["max_iters"], damping=un["damping"],
+                      mu_floor=un["mu_floor"], cg_iters=max(un["cg_iters"], 50))
+    op = None
+
+    def vamp(y, reference=None):
+        nonlocal op
+        op = (as_vamp_operator(E, y) if op is None
+              else dataclasses.replace(op, rhs=E.adjoint(y).data))
+        x, diags = run_vamp(op, p, vcfg, reference=reference)
+        return ComplexImage(x), diags
+
+    return vamp
 
 
 def _metric_row(reference, test, crop):
@@ -205,10 +213,10 @@ def _check_seeds(args):
             raise ConfigError(f"--seed: {seed} is not a non-negative integer")
 
 
-def _run_seed(args, fallback=0):
-    if getattr(args, "sub_seed", None) is not None:
-        return args.sub_seed
-    return args.seed if args.seed is not None else fallback
+def _run_seed(args):
+    """phantom's and mask's seed: their own --seed, else the global one, else 0."""
+    seed = args.sub_seed if args.sub_seed is not None else args.seed
+    return 0 if seed is None else seed
 
 
 def cmd_phantom(args):
@@ -250,7 +258,7 @@ def cmd_recon(args):
     mask = _build_mask(cfg, truth.data.shape)
     E = EncodingOperator(mask, sens)
     y = _measure(E, truth, cfg, index)
-    recon, diags = _reconstruct(cfg, E, y, reference=truth)
+    recon, diags = _reconstructor(cfg, E)(y, reference=truth)
     if not np.all(np.isfinite(recon.data)):
         raise FloatingPointError("reconstruction contains non-finite values")
 
@@ -303,16 +311,15 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    if args.checkpoint:
-        cfg["model"]["checkpoint"] = os.path.abspath(args.checkpoint)
     images, sens = _read_dataset(*_scan_for_reconstruction(cfg))
     mask = _build_mask(cfg, images[0].data.shape)
     E = EncodingOperator(mask, sens)
     crop = cfg["eval"]["crop"]
+    reconstruct = _reconstructor(cfg, E)
 
     rows = []
     for i, truth in enumerate(images):
-        recon, _ = _reconstruct(cfg, E, _measure(E, truth, cfg, i))
+        recon, _ = reconstruct(_measure(E, truth, cfg, i))
         rows.append(_metric_row(truth, recon, crop))
 
     out = cfg["eval"]["out"]
@@ -374,7 +381,6 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a config over a dataset")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", default=None)
     p.set_defaults(fn=cmd_eval)
     return parser
 

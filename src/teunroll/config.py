@@ -24,7 +24,6 @@ from .unroll import ALGORITHMS
 
 ALGORITHM_CHOICES = ALGORITHMS + ("vamp",)
 PROX_CHOICES = ("identity", "soft_threshold", "tikhonov", "resnet", "unet")
-SHARING_CHOICES = SHARING_MODES
 MASK_CHOICES = ("equispaced", "random")
 
 
@@ -71,53 +70,53 @@ _MU_DEFAULT = -1.0
 _MU = _typed(float, "finite positive real number or -1 (per-algorithm default)",
              lambda v: v == _MU_DEFAULT or (math.isfinite(v) and v > 0))
 
-# (parser, default, is_path)
+# (parser, default); a key is a path exactly when its parser is _path
 SCHEMA = {
     "data": {
-        "dir": (_path, ".", True),
-        "index": (_INT, "0", False),
-        "noise_sigma": (_NONNEG_FLOAT, "0.01", False),
-        "noise_seed": (_NONNEG_INT, "0", False),
+        "dir": (_path, "."),
+        "index": (_INT, "0"),
+        "noise_sigma": (_NONNEG_FLOAT, "0.01"),
+        "noise_seed": (_NONNEG_INT, "0"),
     },
     "mask": {
-        "kind": (_choice(MASK_CHOICES), "equispaced", False),
-        "accel": (_POSITIVE_INT, "4", False),
-        "acs": (_INT, "4", False),
-        "seed": (_NONNEG_INT, "0", False),
+        "kind": (_choice(MASK_CHOICES), "equispaced"),
+        "accel": (_POSITIVE_INT, "4"),
+        "acs": (_INT, "4"),
+        "seed": (_NONNEG_INT, "0"),
     },
     "model": {
-        "prox": (_choice(PROX_CHOICES), "tikhonov", False),
-        "theta": (_NONNEG_FLOAT, "0.05", False),
-        "gamma": (_NONNEG_FLOAT, "1.0", False),
-        "blocks": (_NONNEG_INT, "3", False),
-        "channels": (_POSITIVE_INT, "16", False),
-        "base_channels": (_POSITIVE_INT, "16", False),
-        "res_blocks": (_POSITIVE_INT, "1", False),
-        "net_seed": (_NONNEG_INT, "0", False),
-        "checkpoint": (_path, "", True),
+        "prox": (_choice(PROX_CHOICES), "tikhonov"),
+        "theta": (_NONNEG_FLOAT, "0.05"),
+        "gamma": (_NONNEG_FLOAT, "1.0"),
+        "blocks": (_NONNEG_INT, "3"),
+        "channels": (_POSITIVE_INT, "16"),
+        "base_channels": (_POSITIVE_INT, "16"),
+        "res_blocks": (_POSITIVE_INT, "1"),
+        "net_seed": (_NONNEG_INT, "0"),
+        "checkpoint": (_path, ""),
     },
     "unroll": {
-        "algorithm": (_choice(ALGORITHM_CHOICES), "alg1", False),
-        "t": (_POSITIVE_INT, "5", False),
-        "cg_iters": (_POSITIVE_INT, "15", False),
-        "sharing": (_choice(SHARING_CHOICES), "time_embedded", False),
-        "mu": (_MU, "-1", False),  # -1 = per-algorithm default
-        "rho": (_FLOAT, "0.1", False),
-        "lam": (_FLOAT, "0.1", False),
-        "damping": (_DAMPING, "0.9", False),
-        "max_iters": (_POSITIVE_INT, "20", False),
-        "mu_floor": (_POSITIVE_FLOAT, "1e-8", False),
-        "out": (_path, "runs/recon", True),
+        "algorithm": (_choice(ALGORITHM_CHOICES), "alg1"),
+        "t": (_POSITIVE_INT, "5"),
+        "cg_iters": (_POSITIVE_INT, "15"),
+        "sharing": (_choice(SHARING_MODES), "time_embedded"),
+        "mu": (_MU, "-1"),  # -1 = per-algorithm default
+        "rho": (_FLOAT, "0.1"),
+        "lam": (_FLOAT, "0.1"),
+        "damping": (_DAMPING, "0.9"),
+        "max_iters": (_POSITIVE_INT, "20"),
+        "mu_floor": (_POSITIVE_FLOAT, "1e-8"),
+        "out": (_path, "runs/recon"),
     },
     "train": {
-        "epochs": (_NONNEG_INT, "10", False),
-        "lr": (_NONNEG_FLOAT, "5e-4", False),
-        "seed": (_NONNEG_INT, "0", False),
-        "out": (_path, "runs/train", True),
+        "epochs": (_NONNEG_INT, "10"),
+        "lr": (_NONNEG_FLOAT, "5e-4"),
+        "seed": (_NONNEG_INT, "0"),
+        "out": (_path, "runs/train"),
     },
     "eval": {
-        "out": (_path, "runs/eval", True),
-        "crop": (_NONNEG_INT, "0", False),
+        "out": (_path, "runs/eval"),
+        "crop": (_NONNEG_INT, "0"),
     },
 }
 
@@ -147,10 +146,10 @@ def load_config(path):
     out = {}
     for section, keys in SCHEMA.items():
         out[section] = {}
-        for key, (parse, default, is_path) in keys.items():
+        for key, (parse, default) in keys.items():
             raw = parser.get(section, key, fallback=default)
             value = parse(raw, f"{section}.{key}")
-            if is_path and value:
+            if parse is _path and value:
                 value = os.path.normpath(os.path.join(base, value))
             out[section][key] = value
     if 0 < out["eval"]["crop"] < SSIM_WINDOW:

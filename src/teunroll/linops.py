@@ -47,7 +47,9 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
     Returns (x, CgReport).  Raises FloatingPointError on a non-finite
     right-hand side, curvature or residual, which signal broken inputs or
     an indefinite or broken operator; A itself need not check its values.
-    Raises ValueError if A(v) comes back in another shape than v's.
+    Raises ValueError if A(v) comes back in another shape or dtype than
+    v's, which is b's (an integer b is taken as float64): a complex A
+    needs a complex b.
 
     x, r and p are updated in place: all three are allocated here, and
     nothing returned by A is written to.
@@ -70,10 +72,8 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
         Ap = A(p)
         if Ap.shape != p.shape:
             raise ValueError(f"operator maps shape {p.shape} to {Ap.shape}")
-        if Ap.dtype != x.dtype:
-            # e.g. a complex A under a real b: the iterates take A's type
-            dtype = np.result_type(x, Ap)
-            x, r, p = x.astype(dtype), r.astype(dtype), p.astype(dtype)
+        if Ap.dtype != p.dtype:
+            raise ValueError(f"operator maps dtype {p.dtype} to {Ap.dtype}")
         pAp = np.vdot(p, Ap).real
         if not np.isfinite(pAp) or pAp <= 0.0:
             if rs <= (tol * b_norm) ** 2 or pAp == 0.0:

@@ -21,12 +21,12 @@ no rule reads is freed as soon as the forward drops its last reference
 to it, and the tape holds what the backward needs, not every value the
 forward made.
 
-The op set is deliberately small: arithmetic with broadcasting, matmul,
-3x3/1x1 convolution, ReLU/SiLU, GroupNorm, the mean, concat, 2x pooling
-and nearest-neighbor upsampling, plus a hook for self-adjoint linear
-operators (used to push encoding-operator physics through the tape).
-Two fused nodes serve the taped CG solve: ``dot`` (``sum(a * b)``) and
-``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
+The op set is deliberately small: arithmetic with broadcasting, the
+matrix-vector product, 3x3/1x1 convolution, ReLU/SiLU, GroupNorm, the
+mean, concat, 2x pooling and nearest-neighbor upsampling, plus a hook for
+self-adjoint linear operators (used to push encoding-operator physics
+through the tape).  Two fused nodes serve the taped CG solve: ``dot``
+(``sum(a * b)``) and ``axpy`` (``alpha * x + y`` for a scalar ``alpha``).
 
 ``conv2d`` keeps no im2col matrix.  Its forward runs one GEMM per tap
 (k*k of them) on a contiguous slice of a zero-padded, flattened copy of
@@ -268,18 +268,15 @@ def axpy(alpha, x, y):
 
 
 def matmul(a, b):
+    """The product of an (m, n) matrix ``a`` and a length-n vector ``b``."""
     a, b = _as_tensor(a), _as_tensor(b)
     ta, tb, ad, bd = _target(a), _target(b), a.data, b.data
-    if ad.ndim != 2 or bd.ndim not in (1, 2):
-        raise ValueError("matmul supports (m,n)@(n,) and (m,n)@(n,k)")
+    if ad.ndim != 2 or bd.ndim != 1:
+        raise ValueError("matmul supports (m,n)@(n,) only")
 
     def backward(g):
-        if bd.ndim == 1:
-            _accumulate(ta, np.outer(g, bd))
-            _accumulate(tb, ad.T @ g)
-        else:
-            _accumulate(ta, g @ bd.T)
-            _accumulate(tb, ad.T @ g)
+        _accumulate(ta, np.outer(g, bd))
+        _accumulate(tb, ad.T @ g)
 
     return _make(ad @ bd, (ta, tb), backward)
 

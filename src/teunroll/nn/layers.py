@@ -24,10 +24,11 @@ class ParamStore:
     def __init__(self):
         self.params = {}
 
-    def create(self, name, data, requires_grad=True):
+    def create(self, name, data):
+        """A new trainable leaf under ``name``."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
         self.params[name] = t
         return t
 

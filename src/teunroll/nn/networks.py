@@ -53,9 +53,6 @@ class ProxNetworkBase:
     def parameters(self):
         return self.store.params
 
-    def count_parameters(self):
-        return sum(int(t.data.size) for t in self.store.params.values())
-
     def _time_features(self, t):
         """The shared time features that feed every FiLM head at unroll
         index ``t``; None for a static network."""

@@ -128,9 +128,6 @@ class TrainableEngine:
                 params[f"{kind}.{i:04d}"] = t
         return params
 
-    def count_parameters(self):
-        return sum(int(t.data.size) for t in self.parameters().values())
-
     def load_state(self, state):
         """Install a checkpoint's arrays.  Its parameter names must be
         exactly the engine's and each shape must match."""

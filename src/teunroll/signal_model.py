@@ -303,10 +303,10 @@ class EncodingOperator:
         return np.conj(out, out=out)
 
 
-def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask | None = None):
+def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask):
     """Add circular complex Gaussian noise (std ``sigma`` per real/imag
-    component).  When ``mask`` is given, noise enters only at sampled
-    locations so unacquired entries stay exactly zero.
+    component) at the locations ``mask`` samples, so unacquired entries
+    stay exactly zero.
 
     The real parts of all coils are drawn first, then the imaginary parts,
     each one coil at a time into the one complex array that becomes the
@@ -316,7 +316,7 @@ def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask | None = None):
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return KSpaceData(y.data.copy())
-    if mask is not None and mask.pattern.shape != y.data.shape[1:]:
+    if mask.pattern.shape != y.data.shape[1:]:
         raise ValueError(
             f"mask shape {mask.pattern.shape} != k-space image shape {y.data.shape[1:]}")
     rng = np.random.default_rng(seed)
@@ -324,7 +324,6 @@ def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask | None = None):
     for part in (noisy.real, noisy.imag):
         for p in part:
             p[...] = rng.normal(0.0, sigma, size=p.shape)
-    if mask is not None:
-        noisy[:, ~mask.pattern] = 0.0
+    noisy[:, ~mask.pattern] = 0.0
     noisy += y.data
     return KSpaceData(noisy)

@@ -69,14 +69,12 @@ def stacked_gram(E, img):
     return np.conj(out, out=out)
 
 
-def stacked_add_noise(y, sigma, seed, mask=None):
+def stacked_add_noise(y, sigma, seed, mask):
     """``add_noise`` drawing one (C, H, W) real and one imaginary array."""
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=y.data.shape) + 1j * rng.normal(
         0.0, sigma, size=y.data.shape)
-    if mask is not None:
-        noise = np.where(mask.pattern[None, :, :], noise, 0.0)
-    return y.data + noise
+    return y.data + np.where(mask.pattern[None, :, :], noise, 0.0)
 
 
 def identity_map():
@@ -356,6 +354,11 @@ def sum_all(a):
         en._accumulate(ta, np.full(shape, float(g)))
 
     return en._make(a.data.sum(), (ta,), backward)
+
+
+def count_parameters(params):
+    """The number of scalars in a name -> Tensor map such as ``parameters()``."""
+    return sum(int(t.data.size) for t in params.values())
 
 
 def resnet_full(time_embedded=False, seed=0):

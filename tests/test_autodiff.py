@@ -75,7 +75,6 @@ OPS = {
     "mul_scalar_broadcast": (lambda x: en.mul(Tensor(np.float64(1.7)), x), (4, 5)),
     "div": (lambda x: en.div(x, Tensor(D_CONST)), (4, 5)),
     "matmul_vec": (lambda x: en.matmul(Tensor(M_MAT), x), (10,)),
-    "matmul_mat": (lambda x: en.matmul(Tensor(M_MAT), x), (10, 3)),
     "relu": (lambda x: en.relu(x), (4, 5)),
     "silu": (lambda x: en.silu(x), (4, 5)),
     "mean": (lambda x: en.mean(x), (4, 5)),

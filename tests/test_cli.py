@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from teunroll import cli, ktn
 from teunroll import signal_model as sm
-from teunroll.config import SCHEMA, ConfigError, load_config
+from teunroll.config import SCHEMA, ConfigError, _path, load_config
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
+from teunroll.unroll import Diagnostics
 
 from oracles import dense_from_probes, flat_gram
 
@@ -237,7 +238,7 @@ def small_dataset(tmp_path_factory):
 # (section, key, int or float), read off each key's parsed default
 NUMERIC_KEYS = [(section, key, type(parse(default, key)))
                 for section, keys in SCHEMA.items()
-                for key, (parse, default, _) in keys.items()
+                for key, (parse, default) in keys.items()
                 if isinstance(parse(default, key), (int, float))]
 SETUPS = [("recon", "tikhonov", "alg1"), ("recon", "soft_threshold", "vamp"),
           ("recon", "resnet", "admm_te"), ("recon", "unet", "vsqp"),
@@ -315,6 +316,49 @@ def test_unknown_key_rejected(tmp_path):
         load_config(cfg2)
 
 
+def test_path_keys_and_no_others_resolve_against_the_config_directory(tmp_path):
+    """A key is a path exactly when its parser is ``_path``; a relative one
+    resolves against the config file's directory, an absolute one stays."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    raw = {("data", "dir"): "data", ("model", "checkpoint"): "../runs/ckpt",
+           ("unroll", "out"): "out", ("train", "out"): "t/./run",
+           ("eval", "out"): str(tmp_path / "abs_eval")}
+    assert [(s, k) for s, keys in SCHEMA.items() for k, (parse, _) in keys.items()
+            if parse is _path] == list(raw)
+    strings = {("mask", "kind"): "random", ("model", "prox"): "resnet",
+               ("unroll", "algorithm"): "admm", ("unroll", "sharing"): "unshared"}
+    sections = {}
+    for (section, key), value in {**raw, **strings}.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    cfg = load_config(write_cfg(sub, "".join(
+        f"[{s}]\n" + "".join(lines) for s, lines in sections.items())))
+    for (section, key), value in raw.items():
+        assert cfg[section][key] == os.path.normpath(os.path.join(sub, value))
+    for (section, key), value in strings.items():
+        assert cfg[section][key] == value
+    # defaults: the data dir is the config's own, and an unset checkpoint stays empty
+    cfg = load_config(write_cfg(sub, "[model]\nprox = resnet\n", name="defaults.ini"))
+    assert cfg["data"]["dir"] == str(sub)
+    assert cfg["unroll"]["out"] == str(sub / "runs" / "recon")
+    assert cfg["model"]["checkpoint"] == ""
+    assert cfg["model"]["prox"] == "resnet"
+
+
+def test_readme_config_schema_lists_exactly_the_schema_keys():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = readme.split("## Config schema", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    section = None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+            documented[section] = []
+        elif line and not line[0].isspace() and not line.startswith(";"):
+            documented[section].append(line.split("=", 1)[0].strip())
+    assert documented == {s: list(keys) for s, keys in SCHEMA.items()}
+
+
 def test_recon_determinism_and_echo_round_trip(tmp_path, dataset):
     body = """
 [data]
@@ -357,15 +401,13 @@ out = out_eval
 """)
     config = load_config(cfg)
 
-    def fake_reconstruct(cfg_, E, y, reference=None):
-        idx = fake_reconstruct.calls
-        fake_reconstruct.calls += 1
-        return images[idx], None
+    def fake_reconstructor(cfg_, E):
+        slices = iter(images)
+        return lambda y, reference=None: (next(slices), None)
 
     files, sens_path, _ = cli._scan_dataset(config["data"]["dir"])
     images, _ = cli._read_dataset(files, sens_path)
-    fake_reconstruct.calls = 0
-    monkeypatch.setattr(cli, "_reconstruct", fake_reconstruct)
+    monkeypatch.setattr(cli, "_reconstructor", fake_reconstructor)
     assert run_cli("eval", "--config", cfg) == 0
     lines = (tmp_path / "out_eval" / "metrics.csv").read_text().strip().split("\n")
     per_slice = [l for l in lines[1:] if l.split(",")[0].isdigit()]
@@ -401,6 +443,47 @@ out = out_eval2
     std_vals = list(map(float, std_line.split(",")[1:]))
     np.testing.assert_allclose(arr.mean(axis=0), mean_vals, atol=1e-10)
     np.testing.assert_allclose(arr.std(axis=0), std_vals, atol=1e-10)
+
+
+def test_vamp_eval_sets_up_once_and_scores_each_slice_as_its_own_set_up_would(
+        tmp_path, monkeypatch):
+    """VAMP's set-up depends on E alone: an eval over 4 slices makes one,
+    and each slice's row is byte for byte that of a run with its own."""
+    data = tmp_path / "data"
+    assert run_cli("phantom", "--out", data, "--size", "32", "--coils", "4",
+                   "--count", "4") == 0
+    path = write_cfg(tmp_path, """
+[data]
+dir = data
+[model]
+prox = soft_threshold
+[unroll]
+algorithm = vamp
+[eval]
+out = out_vamp
+""")
+    setups = []
+    as_vamp_operator = cli.as_vamp_operator
+
+    def counted(E, y):
+        setups.append(y)
+        return as_vamp_operator(E, y)
+
+    monkeypatch.setattr(cli, "as_vamp_operator", counted)
+    assert run_cli("eval", "--config", path) == 0
+    assert len(setups) == 1
+    lines = (tmp_path / "out_vamp" / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "mean", "std"]
+
+    cfg = load_config(path)
+    images, sens = cli._read_dataset(*cli._scan_for_reconstruction(cfg))
+    E = sm.EncodingOperator(cli._build_mask(cfg, images[0].data.shape), sens)
+    for i, truth in enumerate(images):
+        recon, _ = cli._reconstructor(cfg, E)(cli._measure(E, truth, cfg, i))
+        row = Diagnostics(("slice",) + cli.METRIC_COLUMNS)
+        row.record(i, *cli._metric_row(truth, recon, cfg["eval"]["crop"]))
+        assert row.to_csv().splitlines()[1] == lines[1 + i]
+    assert len(setups) == 1 + len(images)
 
 
 def test_train_cli_round_trip(tmp_path):
@@ -460,8 +543,12 @@ out = {out}/eval
         ).read_bytes()
 
     # evaluate the trained checkpoint over the dataset
-    assert run_cli("eval", "--config", cfg3, "--checkpoint",
-                   tmp_path / "run3" / "checkpoint") == 0
+    cfg_eval = write_cfg(tmp_path, body.format(epochs=3, out="run3").replace(
+        "[model]\n", "[model]\ncheckpoint = run3/checkpoint\n"), name="e3.ini")
+    assert run_cli("eval", "--config", cfg_eval) == 0
+    # model.checkpoint is the one spelling: eval has no --checkpoint flag
+    with pytest.raises(SystemExit):
+        run_cli("eval", "--config", cfg_eval, "--checkpoint", tmp_path / "run3" / "checkpoint")
     lines = (tmp_path / "run3" / "eval" / "metrics.csv").read_text().strip().split("\n")
     assert lines[0] == "slice,psnr_db,ssim,nmse"
     assert len([l for l in lines[1:] if l.split(",")[0].isdigit()]) == 4

@@ -59,6 +59,9 @@ def test_cg_on_an_image_is_cg_on_its_ravel_bit_for_bit(E, mu, seed):
 def test_cg_rejects_bad_rhs_and_indefinite_operator():
     with pytest.raises(ValueError, match="maps shape"):
         linops.cg_solve(lambda v: v.ravel(), np.ones((2, 3), dtype=complex))
+    # the iterates keep b's dtype: a complex operator needs a complex b
+    with pytest.raises(ValueError, match="maps dtype float64 to complex128"):
+        linops.cg_solve(from_dense(np.eye(3) + 0j), np.ones(3))
     # a dense map of another size fails in its own matrix product
     with pytest.raises(ValueError):
         linops.cg_solve(from_dense(np.eye(6)), np.ones(3, dtype=complex))
@@ -117,16 +120,6 @@ def test_cg_in_place_updates_match_out_of_place_bits_and_leave_inputs_alone():
     assert b.tobytes() == b_before.tobytes()
     # nothing the operator returned was written to
     assert all(out.tobytes() == kept.tobytes() for out, kept in applied)
-
-
-def test_cg_promotes_a_real_rhs_under_a_complex_operator():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    A = M @ M.conj().T + np.eye(6)
-    for b in (rng.standard_normal(6), np.arange(1, 7)):
-        x, _ = linops.cg_solve(from_dense(A), b, max_iters=6, tol=1e-14)
-        expected = np.linalg.solve(A, b)
-        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_cg_rejects_a_non_finite_rhs():
