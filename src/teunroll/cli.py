@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import os
 import sys
@@ -151,8 +150,8 @@ def _reconstructor(cfg, E):
     """The configured algorithm as ``reconstruct(y, reference=None)``, which
     returns (image, diags) for one slice measured through E.  A learned
     engine is built, and its checkpoint read, per slice.  VAMP's set-up
-    depends on E alone: it runs at the first slice, and each later slice
-    brings only its own E^H y.  A VAMP config has an analytic prox
+    depends on E alone: it runs once, here, and each slice brings only its
+    own E^H y.  A VAMP config has an analytic prox
     (``_scan_for_reconstruction``)."""
     un = cfg["unroll"]
     if cfg["model"]["prox"] in NETWORK_PROXES:
@@ -166,13 +165,10 @@ def _reconstructor(cfg, E):
             reference=reference)
     vcfg = VampConfig(max_iters=un["max_iters"], damping=un["damping"],
                       mu_floor=un["mu_floor"], cg_iters=max(un["cg_iters"], 50))
-    op = None
+    op = as_vamp_operator(E)
 
     def vamp(y, reference=None):
-        nonlocal op
-        op = (as_vamp_operator(E, y) if op is None
-              else dataclasses.replace(op, rhs=E.adjoint(y).data))
-        x, diags = run_vamp(op, p, vcfg, reference=reference)
+        x, diags = run_vamp(op, E.adjoint(y).data, p, vcfg, reference=reference)
         return ComplexImage(x), diags
 
     return vamp
@@ -259,8 +255,6 @@ def cmd_recon(args):
     E = EncodingOperator(mask, sens)
     y = _measure(E, truth, cfg, index)
     recon, diags = _reconstructor(cfg, E)(y, reference=truth)
-    if not np.all(np.isfinite(recon.data)):
-        raise FloatingPointError("reconstruction contains non-finite values")
 
     out = cfg["unroll"]["out"]
     os.makedirs(out, exist_ok=True)

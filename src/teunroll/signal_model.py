@@ -314,11 +314,11 @@ def add_noise(y: KSpaceData, sigma, seed, mask: SamplingMask):
     array."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if sigma == 0:
-        return KSpaceData(y.data.copy())
     if mask.pattern.shape != y.data.shape[1:]:
         raise ValueError(
             f"mask shape {mask.pattern.shape} != k-space image shape {y.data.shape[1:]}")
+    if sigma == 0:
+        return KSpaceData(y.data.copy())
     rng = np.random.default_rng(seed)
     noisy = np.empty(y.data.shape, dtype=np.complex128)
     for part in (noisy.real, noisy.imag):

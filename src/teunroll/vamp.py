@@ -8,9 +8,10 @@ half-step takes (u, mu_z), applies a proximal map and its normalized
 divergence and sends (r, mu_x) back.  Precisions are clamped at a small
 floor instead of aborting; each half-step returns its own clamp count and
 ``run_vamp`` reports the running sum in the diagnostics.  A run works on
-one ``VampOperator``, built by ``as_vamp_operator``; its messages are H x W
-images and its CG applies ``E.normal_array``, the Gram map of
-``run_unrolled``.
+one ``VampOperator``, built by ``as_vamp_operator`` from E alone, and on
+the E^H y of one measurement, passed in beside it; so one set-up serves
+every slice measured through the same E.  The messages are H x W images
+and the CG applies ``E.normal_array``, the Gram map of ``run_unrolled``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .linops import cg_solve, estimate_trace_inverse, shifted, to_dense
 from .metrics import nmse
-from .signal_model import ComplexImage, EncodingOperator, KSpaceData
+from .signal_model import ComplexImage, EncodingOperator
 from .unroll import Diagnostics, reference_array
 
 # Above this many unknowns the resolvent trace is a Hutchinson estimate.
@@ -53,18 +54,19 @@ class VampConfig:
 
 @dataclass(frozen=True)
 class VampOperator:
-    """The Gram map, E^H y (an array of the estimate's shape, on which the
-    Gram acts) and, for the exact resolvent trace, the Gram's eigenvalues."""
+    """What VAMP needs of E: the Gram map, the shape of the arrays it acts
+    on and, for the exact resolvent trace, the Gram's eigenvalues.  It
+    holds no measurement."""
 
     gram: Callable[[np.ndarray], np.ndarray]
-    rhs: np.ndarray
+    shape: tuple
     eigvals: np.ndarray | None = None
 
     def trace_inverse_mean(self, mu, config: VampConfig, seed=0):
         if self.eigvals is not None:
             return float(np.mean(1.0 / (self.eigvals + mu)))
         return estimate_trace_inverse(
-            self.gram, self.rhs.shape, mu, TRACE_PROBES, seed, cg_iters=config.cg_iters
+            self.gram, self.shape, mu, TRACE_PROBES, seed, cg_iters=config.cg_iters
         )
 
 
@@ -87,19 +89,20 @@ def gram_row_blocks(E: EncodingOperator):
     return blocks
 
 
-def as_vamp_operator(E: EncodingOperator, y: KSpaceData):
-    """The VampOperator of E and y.  Up to EXACT_TRACE_LIMIT unknowns the
+def as_vamp_operator(E: EncodingOperator):
+    """The VampOperator of E.  Up to EXACT_TRACE_LIMIT unknowns the
     eigenvalues are exact: one batched ``eigvalsh`` over the Gram's row
     blocks, which ``gram_row_blocks`` probes one row block at a time in
     H*W^2 memory."""
     eigvals = None
     if E.shape[0] * E.shape[1] <= EXACT_TRACE_LIMIT:
         eigvals = np.linalg.eigvalsh(gram_row_blocks(E)).ravel()
-    return VampOperator(E.normal_array, E.adjoint(y).data, eigvals)
+    return VampOperator(E.normal_array, E.shape, eigvals)
 
 
-def lmmse_step(op: VampOperator, r, mu_x, config: VampConfig | None = None, seed=0):
-    """Data-fidelity half-step: LMMSE solve plus its Onsager correction.
+def lmmse_step(op: VampOperator, rhs, r, mu_x, config: VampConfig | None = None, seed=0):
+    """Data-fidelity half-step: LMMSE solve plus its Onsager correction,
+    with rhs = E^H y.
 
     x   = (E^H E + mu_x I)^{-1} (E^H y + mu_x r)
     v_x = (1/N) Tr[(E^H E + mu_x I)^{-1}]
@@ -111,7 +114,7 @@ def lmmse_step(op: VampOperator, r, mu_x, config: VampConfig | None = None, seed
     config = config or VampConfig()
     if not mu_x > 0:
         raise FloatingPointError("mu_x must be positive")
-    b = op.rhs + mu_x * r
+    b = rhs + mu_x * r
     x, _ = cg_solve(shifted(op.gram, mu_x), b, max_iters=config.cg_iters)
     upsilon_x = op.trace_inverse_mean(mu_x, config, seed=seed)
     mu_z = 1.0 / upsilon_x - mu_x
@@ -156,19 +159,20 @@ def denoise_step(prox, u, mu_z, r, mu_x, config: VampConfig | None = None):
 VAMP_COLUMNS = ("iteration", "mu_x", "mu_z", "upsilon_x", "upsilon_z", "nmse", "clamps")
 
 
-def run_vamp(op: VampOperator, prox, config: VampConfig | None = None, reference=None):
-    """Alternate LMMSE and denoising half-steps for max_iters iterations.
+def run_vamp(op: VampOperator, rhs, prox, config: VampConfig | None = None, reference=None):
+    """Alternate LMMSE and denoising half-steps for max_iters iterations on
+    the data rhs = E^H y.
 
-    Returns (x, diagnostics), x in the shape of op.rhs.  Never aborts on clamp
+    Returns (x, diagnostics), x in the shape of rhs.  Never aborts on clamp
     events; the diagnostics count them, summed over the iterations so far.
     """
     config = config or VampConfig()
-    r, mu_x = np.zeros_like(op.rhs), 1.0
+    r, mu_x = np.zeros_like(rhs), 1.0
     ref = reference_array(reference)
     diags = Diagnostics(VAMP_COLUMNS)
     clamps = 0
     for it in range(config.max_iters):
-        x, upsilon_x, u, mu_z, lmmse_clamps = lmmse_step(op, r, mu_x, config, seed=2 * it)
+        x, upsilon_x, u, mu_z, lmmse_clamps = lmmse_step(op, rhs, r, mu_x, config, seed=2 * it)
         r_next, mu_x_next, _, upsilon_z, denoise_clamps = denoise_step(prox, u, mu_z, r, mu_x,
                                                                        config)
         clamps += lmmse_clamps + denoise_clamps

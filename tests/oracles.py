@@ -115,12 +115,13 @@ def ridge_by_rows(E, b, lam):
     return x
 
 
-def dense_vamp_operator(A, y):
-    """The VampOperator of a dense measurement matrix A and data y: the
-    Gram A^H A as a matrix product on vectors and its exact eigenvalues."""
+def dense_vamp_operator(A):
+    """The VampOperator of a dense measurement matrix A: the Gram A^H A as
+    a matrix product on vectors and its exact eigenvalues.  The data term
+    A^H y goes to ``lmmse_step`` and ``run_vamp`` beside it."""
     A = np.asarray(A)
     g = A.conj().T @ A
-    return vamp.VampOperator(from_dense(g), A.conj().T @ np.asarray(y), np.linalg.eigvalsh(g))
+    return vamp.VampOperator(from_dense(g), (A.shape[1],), np.linalg.eigvalsh(g))
 
 
 @st.composite

@@ -102,7 +102,8 @@ def test_criterion_3_vamp_gaussian_prior_equivalence():
             gamma = float(rng.uniform(0.3, 1.5))
             ridge = np.linalg.solve(E.T @ E + gamma * np.eye(n), E.T @ y)
             cfg = vamp.VampConfig(max_iters=20, damping=1.0)
-            xh, diags = vamp.run_vamp(dense_vamp_operator(E, y), prox.tikhonov_prox(gamma), cfg)
+            xh, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(gamma),
+                                      cfg)
             rel = np.linalg.norm(xh - ridge) / np.linalg.norm(ridge)
             assert rel <= 1e-6
             worst = max(worst, rel)
@@ -134,7 +135,7 @@ def test_criterion_4_vamp_sparse_recovery():
     cfg = vamp.VampConfig(max_iters=50, damping=1.0)
     best = None
     for c in (0.5, 1.0, 2.0):
-        xh, diags = vamp.run_vamp(dense_vamp_operator(Ew, yw), ScaledSoftThreshold(c), cfg)
+        xh, diags = vamp.run_vamp(dense_vamp_operator(Ew), Ew.T @ yw, ScaledSoftThreshold(c), cfg)
         db = 10 * np.log10(np.linalg.norm(xh - x0) ** 2 / np.linalg.norm(x0) ** 2)
         if best is None or db < best[1]:
             best = (c, db, diags.rows[-1]["mu_z"])

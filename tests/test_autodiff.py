@@ -1,4 +1,5 @@
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -14,12 +15,21 @@ from teunroll.nn.networks import ResNetProx, complex_to_channels
 from oracles import conv2d_reference, conv2d_scatter_reference, sum_all
 
 
-RNG = np.random.default_rng(1234)
+def named_rng(name):
+    """A generator seeded from ``name`` alone, so adding or removing a
+    constant, an ``OPS`` row or a test changes no other one's draws."""
+    return np.random.default_rng(zlib.crc32(name.encode()))
 
 
-def analytic_grad(fn, x_data):
+@pytest.fixture
+def rng(request):
+    """The test's own generator, seeded from its name (parameters included)."""
+    return named_rng(request.node.name)
+
+
+def analytic_grad(fn, x_data, rng):
     """Gradient of sum(fn(x) * probe) via the tape."""
-    probe = RNG.standard_normal(fn(Tensor(x_data)).shape)
+    probe = rng.standard_normal(fn(Tensor(x_data)).shape)
     x = Tensor(x_data.copy(), requires_grad=True)
     with Tape() as tape:
         loss = sum_all(en.mul(fn(x), Tensor(probe)))
@@ -40,11 +50,11 @@ def fd_grad(fn, x_data, probe, coords, h=1e-5):
     return numeric
 
 
-def check_op(fn, x_data, rel_tol=1e-6, n_coords=8):
-    grads, probe = analytic_grad(fn, x_data)
+def check_op(fn, x_data, rng, rel_tol=1e-6, n_coords=8):
+    grads, probe = analytic_grad(fn, x_data, rng)
     coords = [
         np.unravel_index(i, x_data.shape)
-        for i in RNG.choice(x_data.size, size=min(n_coords, x_data.size), replace=False)
+        for i in rng.choice(x_data.size, size=min(n_coords, x_data.size), replace=False)
     ]
     numeric = fd_grad(fn, x_data, probe, coords)
     for ix, num in numeric.items():
@@ -60,15 +70,15 @@ def test_square_scalar_gradient():
     assert w.grad == pytest.approx(6.0)
 
 
-W_CONV = RNG.standard_normal((3, 4, 3, 3)) * 0.4
-W_CONV1 = RNG.standard_normal((5, 4, 1, 1)) * 0.4
-M_MAT = RNG.standard_normal((6, 10))
-D_CONST = np.abs(RNG.standard_normal((4, 5))) + 1.5
-SYM = RNG.standard_normal((7, 7))
+W_CONV = named_rng("W_CONV").standard_normal((3, 4, 3, 3)) * 0.4
+W_CONV1 = named_rng("W_CONV1").standard_normal((5, 4, 1, 1)) * 0.4
+M_MAT = named_rng("M_MAT").standard_normal((6, 10))
+D_CONST = np.abs(named_rng("D_CONST").standard_normal((4, 5))) + 1.5
+SYM = named_rng("SYM").standard_normal((7, 7))
 SYM = SYM + SYM.T
 
 OPS = {
-    "add": (lambda x: en.add(x, Tensor(RNG_CONST := 2.5)), (4, 5)),
+    "add": (lambda x: en.add(x, Tensor(2.5)), (4, 5)),
     "add_broadcast": (lambda x: en.add(x, Tensor(np.arange(5.0))), (4, 5)),
     "sub": (lambda x: en.sub(Tensor(np.ones((4, 5))), x), (4, 5)),
     "mul": (lambda x: en.mul(x, Tensor(D_CONST)), (4, 5)),
@@ -100,22 +110,22 @@ OPS = {
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
-def test_primitive_gradients_match_finite_differences(name):
+def test_primitive_gradients_match_finite_differences(name, rng):
     fn, shape = OPS[name]
-    check_op(fn, RNG.standard_normal(shape))
+    check_op(fn, rng.standard_normal(shape), rng)
 
 
-def test_conv2d_weight_and_bias_gradients():
-    x0 = RNG.standard_normal((2, 5, 5))
-    w = Tensor(RNG.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
+def test_conv2d_weight_and_bias_gradients(rng):
+    x0 = rng.standard_normal((2, 5, 5))
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    probe = RNG.standard_normal((3, 5, 5))
+    probe = rng.standard_normal((3, 5, 5))
     with Tape() as tape:
         loss = sum_all(en.mul(en.conv2d(Tensor(x0), w, b), Tensor(probe)))
     tape.backward(loss)
     h = 1e-5
     for tensor in (w, b):
-        flat_idx = RNG.choice(tensor.data.size, size=min(4, tensor.data.size), replace=False)
+        flat_idx = rng.choice(tensor.data.size, size=min(4, tensor.data.size), replace=False)
         for i in flat_idx:
             ix = np.unravel_index(i, tensor.data.shape)
             saved = tensor.data[ix]
@@ -257,10 +267,10 @@ def test_backward_leaves_gradients_only_on_leaves():
     assert all(t.grad is not None for t in net.parameters().values())
 
 
-def test_matmul_parameter_gradient():
-    w = Tensor(RNG.standard_normal((3, 5)), requires_grad=True)
-    x = RNG.standard_normal(5)
-    probe = RNG.standard_normal(3)
+def test_matmul_parameter_gradient(rng):
+    w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    x = rng.standard_normal(5)
+    probe = rng.standard_normal(3)
     with Tape() as tape:
         loss = sum_all(en.mul(en.matmul(w, Tensor(x)), Tensor(probe)))
     tape.backward(loss)
@@ -344,12 +354,12 @@ def test_gradient_accumulates_across_reuse():
     assert x.grad == pytest.approx(7.0)
 
 
-def test_reused_tensor_gets_summed_gradient():
+def test_reused_tensor_gets_summed_gradient(rng):
     # the first gradient a tensor receives is stored without a copy; a
     # second contribution must still add to it, not overwrite or alias it
     # (in either order, so that some gradient is shared by two nodes when
     # the second contribution arrives)
-    x0 = RNG.standard_normal((3, 4))
+    x0 = rng.standard_normal((3, 4))
     for first, second in ((en.add, en.mul), (en.mul, en.add)):
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:

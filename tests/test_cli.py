@@ -465,9 +465,9 @@ out = out_vamp
     setups = []
     as_vamp_operator = cli.as_vamp_operator
 
-    def counted(E, y):
-        setups.append(y)
-        return as_vamp_operator(E, y)
+    def counted(E):
+        setups.append(E)
+        return as_vamp_operator(E)
 
     monkeypatch.setattr(cli, "as_vamp_operator", counted)
     assert run_cli("eval", "--config", path) == 0

@@ -164,10 +164,10 @@ def test_recon_gram_counts_match_the_traced_benchmark():
             mp.setattr(sm.EncodingOperator, name, counted(name))
         for module in (linops, unroll, vamp):
             mp.setattr(module, "cg_solve", counted_cg)
-        op = vamp.as_vamp_operator(E, y)
+        op = vamp.as_vamp_operator(E)
         assert counts == {"normal": 32 * 32, "normal_array": 32 * 32, "cg_calls": 0,
                           "cg_iters": 0, "prox": 0}
-        vamp.run_vamp(op, soft, vamp.VampConfig(max_iters=20, cg_iters=50))
+        vamp.run_vamp(op, E.adjoint(y).data, soft, vamp.VampConfig(max_iters=20, cg_iters=50))
         assert counts["normal"] == 32 * 32
         assert counts["normal_array"] == 32 * 32 + counts["cg_iters"]
         assert counts["cg_calls"] == 20
@@ -432,14 +432,14 @@ def test_run_unrolled_matches_recorded():
 def _vamp_runs():
     cfg = vamp.VampConfig(max_iters=8, cg_iters=50)
     E, y, truth = _problem(16, 24)
-    yield "encoding", vamp.run_vamp(vamp.as_vamp_operator(E, y), prox.soft_threshold_prox(0.05),
-                                    cfg, reference=truth)
+    yield "encoding", vamp.run_vamp(vamp.as_vamp_operator(E), E.adjoint(y).data,
+                                    prox.soft_threshold_prox(0.05), cfg, reference=truth)
     rng = np.random.default_rng(5)
     A = rng.standard_normal((40, 64)) / np.sqrt(40)
     x0 = np.where(rng.random(64) < 0.2, rng.standard_normal(64), 0.0)
     b = A @ x0 + 0.01 * rng.standard_normal(40)
-    yield "dense", vamp.run_vamp(dense_vamp_operator(A, b), prox.soft_threshold_prox(0.1), cfg,
-                                 reference=x0)
+    yield "dense", vamp.run_vamp(dense_vamp_operator(A), A.T @ b, prox.soft_threshold_prox(0.1),
+                                 cfg, reference=x0)
 
 
 def test_vamp_diagnostics_match_recorded():

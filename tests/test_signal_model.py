@@ -358,3 +358,11 @@ def test_add_noise_rejects_a_mask_of_another_shape():
     for shape in ((16, 12), (12, 16)):
         with pytest.raises(ValueError):
             sm.add_noise(y, 0.5, seed=4, mask=sm.make_equispaced_mask(*shape, 4, 2))
+
+
+def test_noiseless_add_noise_still_checks_the_mask_shape():
+    # sigma = 0 returns a copy of y, but a mask that does not fit y is the
+    # same error as with noise
+    y = sm.KSpaceData(np.ones((2, 16, 16), dtype=complex))
+    with pytest.raises(ValueError, match="mask shape"):
+        sm.add_noise(y, 0.0, seed=4, mask=sm.make_equispaced_mask(8, 8, 4, 2))

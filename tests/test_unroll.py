@@ -153,9 +153,9 @@ def test_alg1_matches_vamp_messages_with_exact_onsager_weight(problem, mu_x, see
     E, y = problem
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(E.shape) + 1j * rng.standard_normal(E.shape)
-    op = vamp.as_vamp_operator(E, y)
+    op, rhs = vamp.as_vamp_operator(E), E.adjoint(y).data
     config = vamp.VampConfig(cg_iters=100)
-    messages = [vamp.lmmse_step(op, r_t, mu_x, config) for r_t in (op.rhs, r)]
+    messages = [vamp.lmmse_step(op, rhs, r_t, mu_x, config) for r_t in (rhs, r)]
     assume(all(clamps == 0 for *_, clamps in messages))
     rho = [mu_x / mu_z for _, _, _, mu_z, _ in messages]
 

@@ -16,7 +16,7 @@ def test_lmmse_identity_operator_closed_form():
     n = 16
     y = rng.standard_normal(n)
     r = rng.standard_normal(n)
-    x, upsilon_x, u, mu_z, clamps = vamp.lmmse_step(dense_vamp_operator(np.eye(n), y), r, 1.0)
+    x, upsilon_x, u, mu_z, clamps = vamp.lmmse_step(dense_vamp_operator(np.eye(n)), y, r, 1.0)
     np.testing.assert_allclose(x, (y + r) / 2, atol=1e-12)
     assert upsilon_x == pytest.approx(0.5, abs=1e-12)
     assert mu_z == pytest.approx(1.0, abs=1e-12)
@@ -31,7 +31,7 @@ def test_lmmse_zero_operator_hits_clamp():
     n = 8
     r = rng.standard_normal(n)
     x, upsilon_x, _, _, clamps = vamp.lmmse_step(
-        dense_vamp_operator(np.zeros((n, n)), np.zeros(n)), r, 1.0)
+        dense_vamp_operator(np.zeros((n, n))), np.zeros(n), r, 1.0)
     assert clamps == 1
     np.testing.assert_allclose(x, r, atol=1e-12)
     assert upsilon_x == pytest.approx(1.0)
@@ -44,7 +44,7 @@ def test_lmmse_matches_dense_oracle():
     y = rng.standard_normal(m)
     r = rng.standard_normal(n)
     mu = 0.7
-    x, upsilon_x, _, _, _ = vamp.lmmse_step(dense_vamp_operator(E, y), r, mu)
+    x, upsilon_x, _, _, _ = vamp.lmmse_step(dense_vamp_operator(E), E.T @ y, r, mu)
     A = E.T @ E + mu * np.eye(n)
     expected_x = np.linalg.solve(A, E.T @ y + mu * r)
     assert np.linalg.norm(x - expected_x) <= 1e-8 * np.linalg.norm(expected_x)
@@ -60,15 +60,15 @@ def test_half_steps_leave_their_inputs_untouched():
     E = rng.standard_normal((9, n))
     y = rng.standard_normal(9)
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    op = dense_vamp_operator(E, y)
-    for a in (r, op.rhs):
+    rhs = E.T @ y
+    for a in (r, rhs):
         a.setflags(write=False)
     cfg = vamp.VampConfig(damping=0.6)  # damping reads the previous r
-    x, _, u, mu_z, _ = vamp.lmmse_step(op, r, 0.8, cfg)
+    x, _, u, mu_z, _ = vamp.lmmse_step(dense_vamp_operator(E), rhs, r, 0.8, cfg)
     u.setflags(write=False)
     r_next, _, z, _, _ = vamp.denoise_step(prox.soft_threshold_prox(0.3), u, mu_z, r, 0.8, cfg)
     for out in (x, u, r_next, z):
-        for given_array in (r, op.rhs):
+        for given_array in (r, rhs):
             assert not np.shares_memory(out, given_array)
     assert not np.shares_memory(r_next, u) and not np.shares_memory(z, u)
 
@@ -106,7 +106,7 @@ def test_gaussian_prior_fixed_point_equals_ridge():
     gamma = 0.8
     ridge = np.linalg.solve(E.T @ E + gamma * np.eye(n), E.T @ y)
     cfg = vamp.VampConfig(max_iters=20, damping=1.0)
-    xh, diags = vamp.run_vamp(dense_vamp_operator(E, y), prox.tikhonov_prox(gamma), cfg)
+    xh, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(gamma), cfg)
     assert np.linalg.norm(xh - ridge) <= 1e-6 * np.linalg.norm(ridge)
     for row in diags.rows:
         assert row["clamps"] == 0
@@ -126,7 +126,7 @@ def test_orthonormal_rows_noiseless_recovery():
     pinv_solution = np.linalg.pinv(E) @ y
     np.testing.assert_allclose(pinv_solution, x0, atol=1e-12)
     cfg = vamp.VampConfig(max_iters=40, damping=1.0, mu_floor=1e-14)
-    xh, _ = vamp.run_vamp(dense_vamp_operator(E, y), prox.tikhonov_prox(1e-9), cfg)
+    xh, _ = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(1e-9), cfg)
     assert np.linalg.norm(xh - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
@@ -136,12 +136,12 @@ def test_damped_linear_iteration_is_affine():
     E = rng.standard_normal((m, n)) / np.sqrt(m)
     y = rng.standard_normal(m)
     cfg = vamp.VampConfig(damping=1.0)
-    op = dense_vamp_operator(E, y)
+    op = dense_vamp_operator(E)
     gamma = 1.3
     mu0 = 0.9
 
     def one_iteration(r):
-        _, _, u, mu_z, _ = vamp.lmmse_step(op, r, mu0, cfg)
+        _, _, u, mu_z, _ = vamp.lmmse_step(op, E.T @ y, r, mu0, cfg)
         return vamp.denoise_step(prox.tikhonov_prox(gamma), u, mu_z, r, mu0, cfg)[0]
 
     # affine map r -> M r + c probed column by column
@@ -163,11 +163,11 @@ def test_run_vamp_on_encoding_operator_matches_ridge():
     truth = sm.make_phantom(16, 16, 4, seed=1)
     y = sm.add_noise(E.forward(truth), 0.02, seed=2, mask=mask)
     gamma = 0.3
-    xh, diags = vamp.run_vamp(vamp.as_vamp_operator(E, y), prox.tikhonov_prox(gamma),
+    rhs = E.adjoint(y).data
+    xh, diags = vamp.run_vamp(vamp.as_vamp_operator(E), rhs, prox.tikhonov_prox(gamma),
                               vamp.VampConfig(max_iters=25), reference=truth)
     G = dense_from_probes(flat_gram(E), 256)
-    rhs = E.adjoint(y).data.ravel()
-    ridge = np.linalg.solve(G + gamma * np.eye(256), rhs)
+    ridge = np.linalg.solve(G + gamma * np.eye(256), rhs.ravel())
     assert xh.shape == (16, 16)
     assert np.linalg.norm(xh.ravel() - ridge) <= 1e-6 * np.linalg.norm(ridge)
     assert diags.rows[-1]["nmse"] is not None
@@ -178,11 +178,10 @@ def test_lmmse_solve_on_encoding_operator_fails_numerically_on_non_finite_messag
     # non-finite message is a numeric failure raised by cg_solve
     E = sm.EncodingOperator(sm.make_equispaced_mask(8, 8, 2, 2),
                             sm.make_smooth_sensitivities(8, 8, 2, seed=0))
-    y = sm.KSpaceData(np.zeros((2, 8, 8), dtype=complex))
     r = np.zeros((8, 8), dtype=complex)
     r[0, 5] = np.nan
     with pytest.raises(FloatingPointError, match="right-hand side"):
-        vamp.lmmse_step(vamp.as_vamp_operator(E, y), r, 1.0)
+        vamp.lmmse_step(vamp.as_vamp_operator(E), np.zeros((8, 8), dtype=complex), r, 1.0)
 
 
 @settings(max_examples=12, deadline=None)
@@ -194,8 +193,7 @@ def test_exact_trace_from_row_blocks_matches_dense(E):
     off_block[np.arange(h), :, np.arange(h), :] = 0.0
     assert np.all(off_block == 0.0)
 
-    y = sm.KSpaceData(np.zeros((E.num_coils, h, w), dtype=complex))
-    op = vamp.as_vamp_operator(E, y)
+    op = vamp.as_vamp_operator(E)
     dense_eigs = np.linalg.eigvalsh(dense_from_probes(flat_gram(E), h * w))
     assert np.max(np.abs(np.sort(op.eigvals) - dense_eigs)) <= 1e-12
     # below mu ~ 1e-6 near-null eigenvalues make both traces rounding-sensitive
@@ -221,8 +219,7 @@ def test_row_blocks_equal_the_dense_extraction_bit_for_bit(E):
     # so blocks and eigenvalues match the dense set-up exactly
     expected = dense_row_blocks(E)
     assert np.array_equal(vamp.gram_row_blocks(E), expected)
-    y = sm.KSpaceData(np.zeros((E.num_coils,) + E.shape, dtype=complex))
-    op = vamp.as_vamp_operator(E, y)
+    op = vamp.as_vamp_operator(E)
     assert np.array_equal(op.eigvals, np.linalg.eigvalsh(expected).ravel())
 
 
@@ -230,10 +227,9 @@ def test_exact_set_up_never_holds_the_dense_gram():
     # at 32x32 the dense Gram alone is 16 MiB, the 32 row blocks 0.5 MiB
     E = sm.EncodingOperator(sm.make_equispaced_mask(32, 32, 4, 4),
                             sm.make_smooth_sensitivities(32, 32, 4, seed=0))
-    y = sm.KSpaceData(np.zeros((4, 32, 32), dtype=complex))
     tracemalloc.start()
     try:
-        op = vamp.as_vamp_operator(E, y)
+        op = vamp.as_vamp_operator(E)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,14 +246,14 @@ def test_above_the_exact_limit_the_trace_is_estimated():
     E = sm.EncodingOperator(mask, sm.make_smooth_sensitivities(h, w, 2, seed=0))
     truth = sm.make_phantom(h, w, 6, seed=1)
     y = sm.add_noise(E.forward(truth), 0.01, seed=2, mask=mask)
-    op = vamp.as_vamp_operator(E, y)
+    op = vamp.as_vamp_operator(E)
     assert op.eigvals is None
     eigs = np.linalg.eigvalsh(vamp.gram_row_blocks(E)).ravel()
     for mu in (0.05, 0.3, 1.0):
         exact = np.mean(1.0 / (eigs + mu))
         got = op.trace_inverse_mean(mu, vamp.VampConfig())
         assert abs(got - exact) <= 0.01 * exact, (mu, got, exact)
-    x, diags = vamp.run_vamp(op, prox.soft_threshold_prox(0.05),
+    x, diags = vamp.run_vamp(op, E.adjoint(y).data, prox.soft_threshold_prox(0.05),
                              vamp.VampConfig(max_iters=2), reference=truth)
     assert x.shape == (h, w) and np.all(np.isfinite(x))
     assert all(np.isfinite(v) for row in diags.rows for v in row.values()
@@ -268,7 +264,7 @@ def test_diagnostics_csv_shape():
     rng = np.random.default_rng(8)
     E = rng.standard_normal((8, 12))
     y = rng.standard_normal(8)
-    _, diags = vamp.run_vamp(dense_vamp_operator(E, y), prox.tikhonov_prox(1.0),
+    _, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(1.0),
                              vamp.VampConfig(max_iters=3))
     csv = diags.to_csv()
     lines = csv.strip().split("\n")
@@ -293,7 +289,7 @@ def test_clamps_column_is_the_running_sum_of_the_half_steps_counts(monkeypatch):
     rng = np.random.default_rng(9)
     E = rng.standard_normal((10, 16)) / np.sqrt(10)
     y = rng.standard_normal(10)
-    _, diags = vamp.run_vamp(dense_vamp_operator(E, y), prox.identity_prox(),
+    _, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.identity_prox(),
                              vamp.VampConfig(max_iters=5))
     assert len(diags.rows) == 5 and len(counts) == 10
     per_iteration = [a + b for a, b in zip(counts[::2], counts[1::2])]
@@ -308,7 +304,8 @@ def test_all_diagnostics_finite_over_seeds():
         E = rng.standard_normal((m, n)) / np.sqrt(m)
         y = E @ rng.standard_normal(n) + 0.05 * rng.standard_normal(m)
         _, diags = vamp.run_vamp(
-            dense_vamp_operator(E, y), prox.tikhonov_prox(0.5), vamp.VampConfig(max_iters=10)
+            dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(0.5),
+            vamp.VampConfig(max_iters=10)
         )
         for row in diags.rows:
             for key in ("mu_x", "mu_z", "upsilon_x", "upsilon_z"):
@@ -332,6 +329,6 @@ def test_half_steps_fail_numerically_on_a_non_positive_precision(bad):
     # a precision that is not positive (NaN included) is a numeric failure
     # (exit 3 from the CLI), not a config error
     with pytest.raises(FloatingPointError, match="mu_x must be positive"):
-        vamp.lmmse_step(dense_vamp_operator(np.eye(4), np.zeros(4)), np.zeros(4), bad)
+        vamp.lmmse_step(dense_vamp_operator(np.eye(4)), np.zeros(4), np.zeros(4), bad)
     with pytest.raises(FloatingPointError, match="mu_z must be positive"):
         vamp.denoise_step(prox.identity_prox(), np.zeros(4), bad, np.zeros(4), 1.0)
