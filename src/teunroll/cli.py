@@ -18,7 +18,7 @@ from . import ktn, metrics
 from .config import ConfigError, echo_config, load_config
 from .nn import TrainableEngine, TrainingError, save_checkpoint, load_checkpoint, train
 from .pngout import write_png
-from .prox import identity_prox, soft_threshold_prox, tikhonov_prox
+from .prox import AnalyticProx
 from .signal_model import (
     ComplexImage,
     CoilSensitivities,
@@ -108,15 +108,6 @@ def _measure(E, image, cfg, index):
     return add_noise(E.forward(image), sigma, seed, mask=E.mask)
 
 
-def _analytic_prox(cfg):
-    model = cfg["model"]
-    if model["prox"] == "identity":
-        return identity_prox()
-    if model["prox"] == "soft_threshold":
-        return soft_threshold_prox(model["theta"])
-    return tikhonov_prox(model["gamma"])
-
-
 def _load_engine(cfg):
     """The configured TrainableEngine, with model.checkpoint's parameters
     when the key is set."""
@@ -153,10 +144,10 @@ def _reconstructor(cfg, E):
     depends on E alone: it runs once, here, and each slice brings only its
     own E^H y.  A VAMP config has an analytic prox
     (``_scan_for_reconstruction``)."""
-    un = cfg["unroll"]
-    if cfg["model"]["prox"] in NETWORK_PROXES:
+    un, model = cfg["unroll"], cfg["model"]
+    if model["prox"] in NETWORK_PROXES:
         return lambda y, reference=None: _load_engine(cfg).run(E, y, reference=reference)
-    p = _analytic_prox(cfg)
+    p = AnalyticProx(model["prox"], theta=model["theta"], gamma=model["gamma"])
     if un["algorithm"] != "vamp":
         T = un["t"]
         return lambda y, reference=None: run_unrolled(
@@ -342,7 +333,11 @@ def build_parser():
         prog="teunroll",
         description="Time-embedded algorithm unrolling experiment runner.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override run seed")
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="phantom/mask: generator seed (their own --seed wins); recon: sets "
+             "data.noise_seed; train: sets train.seed; eval: ignored, its noise seeds "
+             "come from data.noise_seed only")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

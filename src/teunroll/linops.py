@@ -42,11 +42,15 @@ def to_dense(A, n):
 def cg_solve(A, b, max_iters=15, tol=1e-12):
     """Conjugate gradients for self-adjoint PSD A from a zero initial
     guess, on a right-hand side b of any shape.  Stops early once
-    ||r|| <= tol * ||b||.
+    ||r|| <= tol * ||b||, a test made before each iteration: a zero b
+    meets it at once and returns zeros and CgReport(0, 0.0, True) without
+    applying A.
 
-    Returns (x, CgReport).  Raises FloatingPointError on a non-finite
-    right-hand side, curvature or residual, which signal broken inputs or
-    an indefinite or broken operator; A itself need not check its values.
+    Returns (x, CgReport); the report's final_residual_norm is the
+    absolute ||r||, and ||r|| / ||b|| the relative residual.  Raises
+    FloatingPointError on a non-finite right-hand side, curvature or
+    residual, which signal broken inputs or an indefinite or broken
+    operator; A itself need not check its values.
     Raises ValueError if A(v) comes back in another shape or dtype than
     v's, which is b's (an integer b is taken as float64): a complex A
     needs a complex b.
@@ -60,8 +64,6 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
         raise FloatingPointError("CG right-hand side is not finite")
     r = b.astype(np.result_type(b, 1.0))
     x = np.zeros_like(r)
-    if b_norm == 0.0:
-        return x, CgReport(0, 0.0, True)
     p = r.copy()
     rs = np.vdot(r, r).real
     it = 0

@@ -1,11 +1,13 @@
 """Analytic proximal operators with exact divergence terms.
 
 These serve as verification oracles for the unrolled engines and as
-pluggable denoisers for the message-passing loop.  Divergences follow the
-real-coordinate convention: the average of d Re(out)/d Re(u) and
-d Im(out)/d Im(u) over every real coordinate present (N for real arrays,
-2N for complex ones), which matches the 2-channel real view the networks
-use.
+pluggable denoisers for the message-passing loop.  An analytic prox has
+one spelling, ``AnalyticProx(kind, theta=..., gamma=...)``, whose kinds
+are the analytic values of the config key ``model.prox``.  Divergences
+follow the real-coordinate convention: the average of d Re(out)/d Re(u)
+and d Im(out)/d Im(u) over every real coordinate present (N for real
+arrays, 2N for complex ones), which matches the 2-channel real view the
+networks use.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def soft_threshold_divergence(u, theta):
 
 @dataclass(frozen=True)
 class AnalyticProx:
-    """One of {soft_threshold(theta), tikhonov(gamma), identity}.
+    """One of {soft_threshold(theta), tikhonov(gamma), identity}; a kind
+    ignores the weight it does not use.
 
     tikhonov models a Gaussian prior of variance 1/gamma: under noise
     precision mu the denoiser is the linear gain (mu/gamma)/(mu/gamma + 1).
@@ -75,18 +78,6 @@ class AnalyticProx:
             return 1.0
         sigma2 = 1.0 / self.gamma
         return noise_precision * sigma2 / (noise_precision * sigma2 + 1.0)
-
-
-def identity_prox():
-    return AnalyticProx("identity")
-
-
-def soft_threshold_prox(theta):
-    return AnalyticProx("soft_threshold", theta=theta)
-
-
-def tikhonov_prox(gamma):
-    return AnalyticProx("tikhonov", gamma=gamma)
 
 
 def mc_divergence(p, u, noise_precision, epsilon, seed):

@@ -113,7 +113,8 @@ def reference_array(reference):
     return None if reference is None else np.asarray(reference)
 
 
-UNROLL_COLUMNS = ("unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref")
+UNROLL_COLUMNS = ("unroll_index", "mu_t", "rho_t", "cg_residual", "x_u_nmse", "nmse_vs_ref",
+                  "cg_iters", "cg_converged", "cg_rel_residual")
 
 
 def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=None,
@@ -125,10 +126,12 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     unroll in lam.  prox(image, t) is unroll t's proximal map on a 2-D
     complex image.
 
-    Returns (ComplexImage, Diagnostics).  The diagnostics carry the
-    per-unroll CG residual, the normalized gap ||x - u||^2 / ||x||^2 of the
-    Onsager-corrected estimate (alg1 only) and NMSE against an optional
-    reference.
+    Returns (ComplexImage, Diagnostics).  The diagnostics carry, per
+    unroll, the CG solve's absolute residual ||r||, the normalized gap
+    ||x - u||^2 / ||x||^2 of the Onsager-corrected estimate (alg1 only),
+    NMSE against an optional reference, then the solve's CgReport: the
+    iterations run, whether ||r|| reached the tolerance and ||r|| / ||b||
+    (0 for a zero b).
 
     The CG solves run on the image and apply the unchecked Gram
     ``E.normal_array``; a non-finite prox output reaches the next solve's
@@ -145,17 +148,20 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     ref = reference_array(reference)
 
     def solve(t, b):
-        return cg_solve(shifted(E.normal_array, mu[t]), b, max_iters=cg_iters, tol=1e-12)
+        x, rep = cg_solve(shifted(E.normal_array, mu[t]), b, max_iters=cg_iters, tol=1e-12)
+        b_norm = np.linalg.norm(b)
+        return x, (rep, rep.final_residual_norm / b_norm if b_norm > 0 else 0.0)
 
     diags = Diagnostics(UNROLL_COLUMNS)
-    for t, x, u, rep in unroll_steps(family, T, rhs0, np.zeros_like(rhs0), solve,
-                                     prox, mu, steps, steps):
+    for t, x, u, (rep, rel_residual) in unroll_steps(family, T, rhs0, np.zeros_like(rhs0),
+                                                     solve, prox, mu, steps, steps):
         x_u_nmse = None
         if family == "alg1":
             x_u_nmse = float(
                 np.linalg.norm(x - u) ** 2 / max(np.linalg.norm(x) ** 2, 1e-300)
             )
         diags.record(t, mu[t], steps[t] if steps else None, rep.final_residual_norm,
-                     x_u_nmse, None if ref is None else nmse(ref, x))
+                     x_u_nmse, None if ref is None else nmse(ref, x),
+                     rep.iterations_run, rep.converged, rel_residual)
 
     return ComplexImage(x), diags

@@ -165,6 +165,9 @@ def run_vamp(op: VampOperator, rhs, prox, config: VampConfig | None = None, refe
 
     Returns (x, diagnostics), x in the shape of rhs.  Never aborts on clamp
     events; the diagnostics count them, summed over the iterations so far.
+    Every x comes from ``cg_solve``, which raises FloatingPointError on a
+    non-finite right-hand side, so a denoiser output that is not finite
+    stops the run at the next LMMSE half-step.
     """
     config = config or VampConfig()
     r, mu_x = np.zeros_like(rhs), 1.0
@@ -180,7 +183,5 @@ def run_vamp(op: VampOperator, rhs, prox, config: VampConfig | None = None, refe
         # precision identity 1/v_x = mu_x + mu_z reads off directly
         diags.record(it, mu_x, mu_z, upsilon_x, upsilon_z,
                      None if ref is None else nmse(ref, x), clamps)
-        if not np.all(np.isfinite(x)):
-            break
         r, mu_x = r_next, mu_x_next
     return x, diags

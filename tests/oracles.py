@@ -39,6 +39,15 @@ def dense_row_blocks(E):
     return dense.reshape(h, w, h, w)[rows, :, rows, :]
 
 
+def exact_shifted_solve(E, b, mu):
+    """(E^H E + mu I)^{-1} b for an H x W image b: one dense
+    ``np.linalg.solve`` of (A_h + mu I) x_h = b_h per row block A_h of
+    ``dense_row_blocks(E)``."""
+    eye = np.eye(E.shape[1])
+    return np.stack([np.linalg.solve(a + mu * eye, row)
+                     for a, row in zip(dense_row_blocks(E), b)])
+
+
 def stacked_forward(E, x):
     """E x with every coil image in one (C, H, W) stack and one 2-D FFT
     over it."""

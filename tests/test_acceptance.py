@@ -102,8 +102,8 @@ def test_criterion_3_vamp_gaussian_prior_equivalence():
             gamma = float(rng.uniform(0.3, 1.5))
             ridge = np.linalg.solve(E.T @ E + gamma * np.eye(n), E.T @ y)
             cfg = vamp.VampConfig(max_iters=20, damping=1.0)
-            xh, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(gamma),
-                                      cfg)
+            xh, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y,
+                                      prox.AnalyticProx("tikhonov", gamma=gamma), cfg)
             rel = np.linalg.norm(xh - ridge) / np.linalg.norm(ridge)
             assert rel <= 1e-6
             worst = max(worst, rel)
@@ -171,7 +171,7 @@ def test_criterion_5_fixed_point_equivalences():
     E, y, G, rhs = _fixed_point_problem()
     gamma = 0.8
     T = 200
-    p = prox.tikhonov_prox(gamma)
+    p = prox.AnalyticProx("tikhonov", gamma=gamma)
     results = []
 
     mu = 0.4
@@ -228,7 +228,8 @@ def test_criterion_6_reduction_lattice():
     mu_const, lam_const = [0.07] * T, [0.1] * T
 
     # alg1 with rho = 0 vs vsqp_te, trajectory equality through prox inputs
-    pa, pv = _Capture(prox.tikhonov_prox(0.8)), _Capture(prox.tikhonov_prox(0.8))
+    pa, pv = (_Capture(prox.AnalyticProx("tikhonov", gamma=0.8)),
+              _Capture(prox.AnalyticProx("tikhonov", gamma=0.8)))
     img_a, _ = run_unrolled("alg1", E, y, mu_varying, pa, rho=[0.0] * T)
     img_v, _ = run_unrolled("vsqp_te", E, y, mu_varying, pv)
     assert np.array_equal(img_a.data, img_v.data)
@@ -238,7 +239,8 @@ def test_criterion_6_reduction_lattice():
 
     # te engines with constant schedules vs static baselines
     for te_name, st_name in (("vsqp_te", "vsqp"), ("admm_te", "admm")):
-        pt, ps = _Capture(prox.tikhonov_prox(1.1)), _Capture(prox.tikhonov_prox(1.1))
+        pt, ps = (_Capture(prox.AnalyticProx("tikhonov", gamma=1.1)),
+                  _Capture(prox.AnalyticProx("tikhonov", gamma=1.1)))
         img_t, _ = run_unrolled(te_name, E, y, mu_const, pt, lam=lam_const)
         img_s, _ = run_unrolled(st_name, E, y, mu_const, ps, lam=lam_const)
         assert np.array_equal(img_t.data, img_s.data)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import math
 import os
@@ -13,7 +14,7 @@ from teunroll import cli, ktn
 from teunroll import signal_model as sm
 from teunroll.config import SCHEMA, ConfigError, _path, load_config
 from teunroll.nn.networks import load_checkpoint, save_checkpoint
-from teunroll.unroll import Diagnostics
+from teunroll.unroll import UNROLL_COLUMNS, Diagnostics
 
 from oracles import dense_from_probes, flat_gram
 
@@ -91,6 +92,57 @@ out = out_recon
     assert (out / "recon.ktn").exists()
     assert (out / "recon.png").read_bytes().startswith(b"\x89PNG")
     assert (out / "diagnostics.csv").read_text().startswith("unroll_index,")
+
+
+def test_recon_runs_each_analytic_prox(tmp_path, dataset):
+    # model.prox names the AnalyticProx kind; theta and gamma reach every
+    # kind, and each kind reads only its own weight
+    recons = {}
+    for prox in ("identity", "soft_threshold", "tikhonov"):
+        cfg = write_cfg(tmp_path, f"[data]\ndir = data\n[model]\nprox = {prox}\ngamma = 0\n"
+                                  f"[unroll]\nalgorithm = alg1\nsharing = shared\nout = {prox}\n")
+        assert run_cli("recon", "--config", cfg) == cli.EXIT_OK
+        recons[prox] = ktn.read_ktn(tmp_path / prox / "recon.ktn")
+        assert recons[prox].shape == (32, 32) and np.all(np.isfinite(recons[prox]))
+    # tikhonov at gamma = 0 has gain 1, so it reconstructs as identity does
+    assert np.array_equal(recons["tikhonov"], recons["identity"])
+    assert not np.array_equal(recons["soft_threshold"], recons["identity"])
+
+
+def _diagnostics(out):
+    with open(out / "diagnostics.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == UNROLL_COLUMNS
+        return list(reader)
+
+
+def test_cg_columns_show_a_solve_that_reaches_its_tolerance(tmp_path, dataset):
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[model]\nprox = tikhonov\n"
+                              "[unroll]\nalgorithm = alg1\nsharing = shared\ncg_iters = 200\n")
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_OK
+    rows = _diagnostics(tmp_path / "runs" / "recon")
+    assert len(rows) == 5
+    for row in rows:
+        assert row["cg_converged"] == "True"
+        assert 0 < int(row["cg_iters"]) < 200
+        assert float(row["cg_rel_residual"]) <= 1e-12
+
+
+def test_cg_columns_show_a_diverging_run_whose_cg15_stops_short(tmp_path, dataset):
+    # rho = 50 makes alg1 diverge: the run still exits 0, but every CG-15
+    # stops at its budget, short of its 1e-12 tolerance
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[model]\nprox = soft_threshold\n"
+                              "[unroll]\nalgorithm = alg1\nsharing = shared\nrho = 50\n")
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_OK
+    out = tmp_path / "runs" / "recon"
+    psnr = float((out / "metrics.csv").read_text().split("\n")[1].split(",")[1])
+    assert psnr < -80
+    rows = _diagnostics(out)
+    assert [row["cg_iters"] for row in rows] == ["15"] * 5
+    assert [row["cg_converged"] for row in rows] == ["False"] * 5
+    assert all(float(row["cg_rel_residual"]) > 1e-6 for row in rows)
+    # the absolute residual grows with the iterates
+    assert float(rows[-1]["cg_residual"]) > 1e4 * float(rows[0]["cg_residual"])
 
 
 def test_recon_vamp_matches_dense_ridge(tmp_path):
@@ -294,6 +346,39 @@ def test_negative_seed_flag_is_config_error(tmp_path, dataset, capsys, command):
     assert run_cli("phantom", "--out", tmp_path / "p", "--seed", "-2") == cli.EXIT_CONFIG
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+def test_seed_flag_sets_the_recon_noise_seed(tmp_path, dataset):
+    body = ("[data]\ndir = data\nnoise_seed = {seed}\n[model]\nprox = tikhonov\n"
+            "[unroll]\nalgorithm = vsqp\nt = 2\nout = {out}\n")
+    for out, seed, flag in (("flag", 0, ["--seed", "7"]), ("key", 7, []), ("base", 0, [])):
+        cfg = write_cfg(tmp_path, body.format(seed=seed, out=out), name=f"{out}.ini")
+        assert run_cli(*flag, "recon", "--config", cfg) == cli.EXIT_OK
+    for name in ("recon.ktn", "diagnostics.csv", "metrics.csv"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+    assert (tmp_path / "flag" / "recon.ktn").read_bytes() != (
+        tmp_path / "base" / "recon.ktn").read_bytes()
+    assert load_config(tmp_path / "flag" / "config.echo.ini")["data"]["noise_seed"] == 7
+
+
+def test_seed_flag_sets_the_train_seed(tmp_path):
+    assert run_cli("phantom", "--out", tmp_path / "data", "--size", "16", "--coils", "2",
+                   "--count", "4") == 0
+    body = ("[data]\ndir = data\n[mask]\naccel = 2\n[model]\nprox = resnet\nblocks = 1\n"
+            "channels = 4\n[unroll]\nalgorithm = alg1\nt = 2\ncg_iters = 5\n"
+            "[train]\nepochs = 1\nseed = {seed}\nout = {out}\n")
+    for out, seed, flag in (("flag", 0, ["--seed", "7"]), ("key", 7, []), ("base", 0, [])):
+        cfg = write_cfg(tmp_path, body.format(seed=seed, out=out), name=f"{out}.ini")
+        assert run_cli(*flag, "train", "--config", cfg) == cli.EXIT_OK
+
+    def artifacts(out):
+        ckpt = tmp_path / out / "checkpoint"
+        return [(tmp_path / out / "loss.csv").read_bytes()] + [
+            f.read_bytes() for f in sorted(ckpt.iterdir())]
+
+    assert artifacts("flag") == artifacts("key")
+    assert artifacts("flag") != artifacts("base")
+    assert load_config(tmp_path / "flag" / "config.echo.ini")["train"]["seed"] == 7
 
 
 def test_zero_learning_rate_is_legal(tmp_path):
@@ -715,6 +800,48 @@ def test_image_shape_differing_from_sens_is_config_error(tmp_path, dataset, caps
         err = capsys.readouterr().err
         assert "data.dir" in err and "img_0001.ktn" in err, err
         assert "(24, 24)" in err and "(32, 32)" in err, err
+    assert not (tmp_path / "runs").exists()
+
+
+# (what breaks the run, the text its message must hold); each case is set
+# up by _break below on a fresh 32x32 dataset and config
+BROKEN_INPUTS = [
+    ("unparsed_value", "unroll.t"),
+    ("missing_config", "absent.ini"),
+    ("no_section_headers", "exp.ini"),
+    ("no_sens", "sens.ktn"),
+    ("sens_2d", "sens.ktn"),
+    ("dtype_code_9", "img_0001.ktn"),
+]
+
+
+def _break(case, tmp_path, data):
+    """The config path of one broken setup."""
+    if case == "missing_config":
+        return tmp_path / "absent.ini"
+    if case == "unparsed_value":
+        return write_cfg(tmp_path, "[data]\ndir = data\n[unroll]\nt = five\n")
+    if case == "no_section_headers":
+        return write_cfg(tmp_path, "dir = data\n")
+    if case == "no_sens":
+        (data / "sens.ktn").unlink()
+    elif case == "sens_2d":
+        ktn.write_ktn(data / "sens.ktn", np.ones((32, 32), dtype=np.complex128))
+    else:
+        img = data / "img_0001.ktn"
+        raw = bytearray(img.read_bytes())
+        raw[4:8] = (9).to_bytes(4, "little")  # the u32 dtype code after the magic
+        img.write_bytes(bytes(raw))
+    return write_cfg(tmp_path, "[data]\ndir = data\n")
+
+
+@pytest.mark.parametrize("case, named", BROKEN_INPUTS)
+def test_broken_config_or_data_exits_2_naming_the_key_or_file(tmp_path, dataset, capsys,
+                                                               case, named):
+    cfg = _break(case, tmp_path, dataset)
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
     assert not (tmp_path / "runs").exists()
 
 

@@ -21,10 +21,13 @@ hold to 1e-12 relative.
 Command line: every row of the CSVs that ``recon``, ``eval`` and
 ``train`` write at 16x16, recorded before ``run_unrolled`` took
 per-unroll scalars and one prox; they hold to 1e-12 relative, the
-training loss curve to 1e-10.  The checkpoint of a 1-epoch ``train`` at
-16x16: its manifest's names and shapes exactly, and each parameter's norm
-to 1e-10 relative, recorded before inference stopped making the last
-unroll's network call and checking every CG Gram apply.
+training loss curve to 1e-10.  The last three columns of each unrolled
+``diagnostics.csv`` (``cg_iters``, ``cg_converged``, ``cg_rel_residual``)
+were recorded when those columns were added; the first six columns kept
+their values.  The checkpoint of a 1-epoch ``train`` at 16x16: its
+manifest's names and shapes exactly, and each parameter's norm to 1e-10
+relative, recorded before inference stopped making the last unroll's
+network call and checking every CG Gram apply.
 """
 
 import numpy as np
@@ -138,7 +141,7 @@ def test_recon_gram_counts_match_the_traced_benchmark():
     y = sm.add_noise(E.forward(truth), 0.01, seed=0, mask=mask)
     counts = dict.fromkeys(("normal", "normal_array", "cg_calls", "cg_iters", "prox"), 0)
     solve = linops.cg_solve
-    soft = prox.soft_threshold_prox(0.05)
+    soft = prox.AnalyticProx("soft_threshold", theta=0.05)
 
     def counted(name):
         method = getattr(sm.EncodingOperator, name)
@@ -433,13 +436,15 @@ def _vamp_runs():
     cfg = vamp.VampConfig(max_iters=8, cg_iters=50)
     E, y, truth = _problem(16, 24)
     yield "encoding", vamp.run_vamp(vamp.as_vamp_operator(E), E.adjoint(y).data,
-                                    prox.soft_threshold_prox(0.05), cfg, reference=truth)
+                                    prox.AnalyticProx("soft_threshold", theta=0.05), cfg,
+                                    reference=truth)
     rng = np.random.default_rng(5)
     A = rng.standard_normal((40, 64)) / np.sqrt(40)
     x0 = np.where(rng.random(64) < 0.2, rng.standard_normal(64), 0.0)
     b = A @ x0 + 0.01 * rng.standard_normal(40)
-    yield "dense", vamp.run_vamp(dense_vamp_operator(A), A.T @ b, prox.soft_threshold_prox(0.1),
-                                 cfg, reference=x0)
+    yield "dense", vamp.run_vamp(dense_vamp_operator(A), A.T @ b,
+                                 prox.AnalyticProx("soft_threshold", theta=0.1), cfg,
+                                 reference=x0)
 
 
 def test_vamp_diagnostics_match_recorded():
@@ -486,9 +491,12 @@ CLI_CSVS = {
         ['zero_filled', 28.553723725991045, 0.9505712224742157, 0.020963026197852338],
     ],
     ('recon_alg1_soft', 'diagnostics.csv'): [
-        [0.0, 0.015, 0.1, 0.0003679610837309628, 0.00021527252743949496, 0.0009947408203496396],
-        [1.0, 0.015, 0.1, 0.00037155606250141354, 2.8512943905585425e-05, 0.00095178915549036],
-        [2.0, 0.015, 0.1, 0.0003714288204998552, 2.5064927115427336e-05, 0.0009510163898627319],
+        [0.0, 0.015, 0.1, 0.0003679610837309628, 0.00021527252743949496, 0.0009947408203496396,
+         10.0, 'False', 3.508694096104631e-05],
+        [1.0, 0.015, 0.1, 0.00037155606250141354, 2.8512943905585425e-05, 0.00095178915549036,
+         10.0, 'False', 3.54432273966404e-05],
+        [2.0, 0.015, 0.1, 0.0003714288204998552, 2.5064927115427336e-05, 0.0009510163898627319,
+         10.0, 'False', 3.542986065552745e-05],
     ],
     ('recon_vamp', 'metrics.csv'): [
         ['recon', 41.725886523433516, 0.9990784255048852, 0.001009805419882549],
@@ -507,9 +515,12 @@ CLI_CSVS = {
         ['zero_filled', 28.553723725991045, 0.9505712224742157, 0.020963026197852338],
     ],
     ('recon_learned', 'diagnostics.csv'): [
-        [0.0, 0.015, 0.1, 0.0003679610837309628, 0.00021527252743949496, 0.0009947408203496396],
-        [1.0, 0.015, 0.1, 0.0004308215161713206, 0.07403682899276091, 0.0034739601124555816],
-        [2.0, 0.015, 0.1, 0.00043213131030718884, 0.09428599618317654, 0.0037006840784152826],
+        [0.0, 0.015, 0.1, 0.0003679610837309628, 0.00021527252743949496, 0.0009947408203496396,
+         10.0, 'False', 3.508694096104631e-05],
+        [1.0, 0.015, 0.1, 0.0004308215161713206, 0.07403682899276091, 0.0034739601124555816,
+         10.0, 'False', 4.25262420175956e-05],
+        [2.0, 0.015, 0.1, 0.00043213131030718884, 0.09428599618317654, 0.0037006840784152826,
+         10.0, 'False', 4.288043270871783e-05],
     ],
     ('eval_learned', 'metrics.csv'): [
         [0.0, 25.10238144646589, 0.9326886709891213, 0.04640750338607033],

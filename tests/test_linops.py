@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from teunroll import linops
 from teunroll import signal_model as sm
 
-from oracles import (cg_out_of_place_reference, dense_from_probes, encodings, flat_gram,
-                     from_dense, identity_map, power_iteration_norm, spd_with_clusters)
+from oracles import (cg_out_of_place_reference, dense_from_probes, encodings,
+                     exact_shifted_solve, flat_gram, from_dense, identity_map, power_iteration_norm, spd_with_clusters)
 
 
 def test_cg_identity_one_iteration():
@@ -54,6 +54,59 @@ def test_cg_on_an_image_is_cg_on_its_ravel_bit_for_bit(E, mu, seed):
     assert x.shape == E.shape
     assert np.array_equal(x, x_flat.reshape(E.shape))
     assert report == report_flat
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_cg_on_a_zero_rhs_returns_zeros_without_applying_the_map(dtype):
+    # the stopping test before the first iteration, ||r|| <= tol * ||b||,
+    # holds at 0 <= 0: no shortcut is needed for a zero b
+    applied = []
+
+    def A(v):
+        applied.append(v)
+        return v.copy()
+
+    x, report = linops.cg_solve(A, np.zeros((3, 4), dtype=dtype))
+    assert x.dtype == dtype and x.shape == (3, 4) and not x.any()
+    assert report == linops.CgReport(0, 0.0, True)
+    assert applied == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(E=encodings(), mu=st.floats(1e-2, 2.0), seed=st.integers(0, 2**16))
+def test_cg_run_to_its_tolerance_matches_the_exact_row_block_solve(E, mu, seed):
+    # mu >= 1e-2 bounds the condition number near 1/mu, so a relative
+    # residual of 1e-12 leaves an error of at most about 1e-10
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(E.shape) + 1j * rng.standard_normal(E.shape)
+    x, report = linops.cg_solve(linops.shifted(E.normal_array, mu), b, max_iters=2000)
+    assert report.converged
+    expected = exact_shifted_solve(E, b, mu)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+# The worst relative error of CG-15 over the six problems below, measured
+# per mu (3.1e-3 at 1.5e-2 and 1.1e-4 at 5e-2), with about 30 % headroom:
+# the error falls by more than an order of magnitude between the two.
+CG15_BOUNDS = {1.5e-2: 4e-3, 5e-2: 1.5e-4}
+
+
+@pytest.mark.parametrize("mu", sorted(CG15_BOUNDS))
+def test_cg15_on_the_desk_problem_is_within_the_bound_measured_for_its_mu(mu):
+    # 32x32, 4 coils, R = 4: the data-consistency solve of an unroll, with
+    # b = E^H y of a noisy phantom
+    for kind in ("equispaced", "random"):
+        for seed in range(3):
+            mask = (sm.make_equispaced_mask(32, 32, 4, 4) if kind == "equispaced"
+                    else sm.make_random_mask(32, 32, 4, 4, seed))
+            E = sm.EncodingOperator(mask, sm.make_smooth_sensitivities(32, 32, 4, seed=seed))
+            truth = sm.make_phantom(32, 32, 6, seed=seed)
+            b = E.adjoint(sm.add_noise(E.forward(truth), 0.01, seed=seed, mask=mask)).data
+            x, report = linops.cg_solve(linops.shifted(E.normal_array, mu), b, max_iters=15)
+            assert report.iterations_run == 15 and not report.converged
+            expected = exact_shifted_solve(E, b, mu)
+            err = np.linalg.norm(x - expected) / np.linalg.norm(expected)
+            assert err <= CG15_BOUNDS[mu], (kind, seed, err)
 
 
 def test_cg_rejects_bad_rhs_and_indefinite_operator():

@@ -61,7 +61,7 @@ class FixedProx:
 
 def test_vsqp_identity_prox_reaches_normal_equations():
     E, truth, y = _problem()
-    x, _ = unroll.run_unrolled("vsqp", E, y, [0.05] * 50, _prox_of(prox.identity_prox()))
+    x, _ = unroll.run_unrolled("vsqp", E, y, [0.05] * 50, _prox_of(prox.AnalyticProx("identity")))
     rhs = E.adjoint(y).data
     residual = np.linalg.norm(E.normal_array(x.data) - rhs)
     assert residual <= 1e-6 * np.linalg.norm(rhs)
@@ -71,7 +71,8 @@ def test_vsqp_tikhonov_fixed_point_effective_lambda():
     E, truth, y = _problem()
     mu, gamma = 0.4, 1.5
     lam_eff = mu * gamma / (1 + gamma)  # prox gain 1/(1+gamma)
-    img, _ = unroll.run_unrolled("vsqp", E, y, [mu] * 200, _prox_of(prox.tikhonov_prox(gamma)))
+    img, _ = unroll.run_unrolled("vsqp", E, y, [mu] * 200,
+                                 _prox_of(prox.AnalyticProx("tikhonov", gamma=gamma)))
     expected = _dense_ridge(E, y, lam_eff)
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
 
@@ -87,7 +88,8 @@ def test_admm_tikhonov_matches_ridge_at_unit_mu():
     E, truth, y = _problem()
     gamma = 0.7
     T = 200
-    img, _ = unroll.run_unrolled("admm", E, y, [1.0] * T, _prox_of(prox.tikhonov_prox(gamma)),
+    img, _ = unroll.run_unrolled("admm", E, y, [1.0] * T,
+                                 _prox_of(prox.AnalyticProx("tikhonov", gamma=gamma)),
                                  lam=[1.0] * T)
     expected = _dense_ridge(E, y, gamma)
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
@@ -97,7 +99,8 @@ def test_admm_general_mu_fixed_point_is_mu_gamma():
     E, truth, y = _problem()
     mu, gamma = 0.3, 0.7
     T = 300
-    img, _ = unroll.run_unrolled("admm", E, y, [mu] * T, _prox_of(prox.tikhonov_prox(gamma)),
+    img, _ = unroll.run_unrolled("admm", E, y, [mu] * T,
+                                 _prox_of(prox.AnalyticProx("tikhonov", gamma=gamma)),
                                  lam=[mu] * T)
     expected = _dense_ridge(E, y, mu * gamma)
     assert np.linalg.norm(img.data.ravel() - expected) <= 1e-6 * np.linalg.norm(expected)
@@ -117,8 +120,8 @@ def _assert_same_prox_calls(p, q):
 def test_admm_lambda_zero_reduces_to_vsqp(problem, mu):
     E, y = problem
     T = len(mu)
-    p_admm = CapturingProx(prox.tikhonov_prox(1.0))
-    p_vsqp = CapturingProx(prox.tikhonov_prox(1.0))
+    p_admm = CapturingProx(prox.AnalyticProx("tikhonov", gamma=1.0))
+    p_vsqp = CapturingProx(prox.AnalyticProx("tikhonov", gamma=1.0))
     img_admm, _ = unroll.run_unrolled("admm", E, y, mu, p_admm, lam=[0.0] * T)
     img_vsqp, _ = unroll.run_unrolled("vsqp", E, y, mu, p_vsqp)
     np.testing.assert_array_equal(img_admm.data, img_vsqp.data)
@@ -129,7 +132,7 @@ def test_admm_lambda_zero_reduces_to_vsqp(problem, mu):
 def test_admm_identity_prox_freezes_dual():
     E, truth, y = _problem()
     mu = 0.5
-    p = CapturingProx(prox.identity_prox())
+    p = CapturingProx(prox.AnalyticProx("identity"))
     img, _ = unroll.run_unrolled("admm", E, y, [mu] * 3, p, lam=[0.3] * 3)
     A = shifted(E.normal_array, mu)
     rhs0 = E.adjoint(y).data
@@ -185,7 +188,7 @@ def test_tikhonov_fixed_points_are_ridge_solutions_at_any_size(E, mu, gamma, rho
     truth = sm.make_phantom(*E.shape, 5, seed=seed)
     y = sm.add_noise(E.forward(truth), 0.01, seed=seed + 1, mask=E.mask)
     rhs = E.adjoint(y).data
-    tikhonov = prox.tikhonov_prox(gamma)
+    tikhonov = prox.AnalyticProx("tikhonov", gamma=gamma)
     cases = (("vsqp", mu * gamma / (1 + gamma), 1 / (1 + gamma), None),
              ("alg1", mu * gamma / (1 + gamma + rho), (1 + rho) / (1 + gamma + rho), [rho] * 2))
     for algorithm, lam, prox_gain, rhos in cases:
@@ -209,7 +212,7 @@ def test_tikhonov_fixed_points_are_ridge_solutions_at_any_size(E, mu, gamma, rho
 
 def test_run_unrolled_single_step_unwind():
     E, truth, y = _problem()
-    img, _ = unroll.run_unrolled("alg1", E, y, [0.05], _prox_of(prox.identity_prox()),
+    img, _ = unroll.run_unrolled("alg1", E, y, [0.05], _prox_of(prox.AnalyticProx("identity")),
                                  rho=[0.0])
     rhs0 = E.adjoint(y).data
     direct, _ = cg_solve(shifted(E.normal_array, 0.05), rhs0 + 0.05 * rhs0,
@@ -222,8 +225,8 @@ def test_run_unrolled_single_step_unwind():
 def test_reduction_alg1_rho_zero_equals_vsqp_te(problem, mu):
     E, y = problem
     T = len(mu)
-    p_a = CapturingProx(prox.tikhonov_prox(0.8))
-    p_v = CapturingProx(prox.tikhonov_prox(0.8))
+    p_a = CapturingProx(prox.AnalyticProx("tikhonov", gamma=0.8))
+    p_v = CapturingProx(prox.AnalyticProx("tikhonov", gamma=0.8))
     img_a, _ = unroll.run_unrolled("alg1", E, y, mu, p_a, rho=[0.0] * T)
     img_v, _ = unroll.run_unrolled("vsqp_te", E, y, mu, p_v)
     np.testing.assert_array_equal(img_a.data, img_v.data)
@@ -234,7 +237,7 @@ def test_reduction_alg1_rho_zero_equals_vsqp_te(problem, mu):
 def test_reduction_te_constant_schedule_equals_static():
     E, truth, y = _problem(coils=2, seeds=(9, 10, 11))
     T = 10
-    p = _prox_of(prox.tikhonov_prox(1.2))
+    p = _prox_of(prox.AnalyticProx("tikhonov", gamma=1.2))
     for te, static in (("vsqp_te", "vsqp"), ("admm_te", "admm")):
         img_te, d_te = unroll.run_unrolled(te, E, y, [0.07] * T, p, lam=[0.1] * T)
         img_st, d_st = unroll.run_unrolled(static, E, y, [0.07] * T, p, lam=[0.1] * T)
@@ -245,7 +248,8 @@ def test_reduction_te_constant_schedule_equals_static():
 def test_onsager_gap_statistic_small_once_converged():
     E, truth, y = _problem()
     T = 20
-    _, diags = unroll.run_unrolled("alg1", E, y, [0.5] * T, _prox_of(prox.tikhonov_prox(1.0)),
+    _, diags = unroll.run_unrolled("alg1", E, y, [0.5] * T,
+                                   _prox_of(prox.AnalyticProx("tikhonov", gamma=1.0)),
                                    rho=[0.1] * T)
     gaps = [row["x_u_nmse"] for row in diags.rows]
     assert all(np.isfinite(g) for g in gaps)
@@ -256,7 +260,8 @@ def test_data_consistency_monotonicity():
     # multi-coil so E E^H is not a projector and the zero-filled image has
     # a genuine residual at sampled locations
     E, truth, y = _problem(coils=3, seeds=(12, 13, 14))
-    img, _ = unroll.run_unrolled("vsqp", E, y, [0.1] * 50, _prox_of(prox.tikhonov_prox(0.2)))
+    img, _ = unroll.run_unrolled("vsqp", E, y, [0.1] * 50,
+                                 _prox_of(prox.AnalyticProx("tikhonov", gamma=0.2)))
     mask = E.mask.pattern
     x0 = E.adjoint(y)
 
@@ -269,7 +274,7 @@ def test_data_consistency_monotonicity():
 
 def test_run_unrolled_deterministic_and_validated():
     E, truth, y = _problem()
-    p = _prox_of(prox.tikhonov_prox(1.0))
+    p = _prox_of(prox.AnalyticProx("tikhonov", gamma=1.0))
     a, _ = unroll.run_unrolled("alg1", E, y, [0.05] * 4, p, rho=[0.1] * 4)
     b, _ = unroll.run_unrolled("alg1", E, y, [0.05] * 4, p, rho=[0.1] * 4)
     np.testing.assert_array_equal(a.data, b.data)
@@ -312,9 +317,35 @@ def test_non_finite_prox_output_is_a_numeric_failure(algorithm, bad):
 
 def test_nmse_vs_reference_recorded():
     E, truth, y = _problem()
-    _, diags = unroll.run_unrolled("vsqp", E, y, [0.05] * 5, _prox_of(prox.tikhonov_prox(0.3)),
+    _, diags = unroll.run_unrolled("vsqp", E, y, [0.05] * 5,
+                                   _prox_of(prox.AnalyticProx("tikhonov", gamma=0.3)),
                                    reference=truth)
     vals = [row["nmse_vs_ref"] for row in diags.rows]
     assert all(v is not None and np.isfinite(v) for v in vals)
     csv = diags.to_csv()
     assert csv.startswith("unroll_index,mu_t,rho_t,cg_residual,x_u_nmse,nmse_vs_ref")
+
+
+@pytest.mark.parametrize("algorithm", ["vsqp", "admm", "alg1"])
+def test_cg_columns_read_each_solves_report(monkeypatch, algorithm):
+    # cg_rel_residual is the final residual over the norm of the solve's
+    # right-hand side, as the traced benchmark defines it
+    solves = []
+
+    def recording(A, b, **kwargs):
+        x, report = cg_solve(A, b, **kwargs)
+        solves.append((report, np.linalg.norm(b)))
+        return x, report
+
+    monkeypatch.setattr(unroll, "cg_solve", recording)
+    E, truth, y = _problem(coils=4, R=4)
+    _, diags = unroll.run_unrolled(algorithm, E, y, [0.05] * 3,
+                                   _prox_of(prox.AnalyticProx("tikhonov", gamma=0.3)),
+                                   rho=[0.1] * 3, lam=[0.1] * 3)
+    assert len(solves) == len(diags.rows) == 3
+    for row, (report, b_norm) in zip(diags.rows, solves):
+        assert row["cg_residual"] == report.final_residual_norm
+        assert row["cg_iters"] == report.iterations_run
+        assert row["cg_converged"] == report.converged
+        assert row["cg_rel_residual"] == report.final_residual_norm / b_norm
+    assert diags.to_csv().split("\n")[0].endswith(",cg_iters,cg_converged,cg_rel_residual")

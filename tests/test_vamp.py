@@ -66,7 +66,8 @@ def test_half_steps_leave_their_inputs_untouched():
     cfg = vamp.VampConfig(damping=0.6)  # damping reads the previous r
     x, _, u, mu_z, _ = vamp.lmmse_step(dense_vamp_operator(E), rhs, r, 0.8, cfg)
     u.setflags(write=False)
-    r_next, _, z, _, _ = vamp.denoise_step(prox.soft_threshold_prox(0.3), u, mu_z, r, 0.8, cfg)
+    r_next, _, z, _, _ = vamp.denoise_step(prox.AnalyticProx("soft_threshold", theta=0.3), u,
+                                           mu_z, r, 0.8, cfg)
     for out in (x, u, r_next, z):
         for given_array in (r, rhs):
             assert not np.shares_memory(out, given_array)
@@ -78,7 +79,7 @@ def test_denoise_identity_clamp_path():
     n = 8
     u = rng.standard_normal(n)
     _, mu_x, _, upsilon_z, clamps = vamp.denoise_step(
-        prox.identity_prox(), u, 2.0, np.zeros(n), 1.0, vamp.VampConfig(damping=1.0))
+        prox.AnalyticProx("identity"), u, 2.0, np.zeros(n), 1.0, vamp.VampConfig(damping=1.0))
     assert upsilon_z == pytest.approx(0.5)
     assert clamps >= 1
     assert mu_x == pytest.approx(1e-8)  # clamped at the floor
@@ -89,7 +90,8 @@ def test_denoise_tikhonov_closed_form():
     n = 8
     u = rng.standard_normal(n)
     r, mu_x, z, upsilon_z, _ = vamp.denoise_step(
-        prox.tikhonov_prox(1.0), u, 1.0, np.zeros(n), 1.0, vamp.VampConfig(damping=1.0))
+        prox.AnalyticProx("tikhonov", gamma=1.0), u, 1.0, np.zeros(n), 1.0,
+        vamp.VampConfig(damping=1.0))
     np.testing.assert_allclose(z, u / 2, atol=1e-12)
     assert upsilon_z == pytest.approx(0.5)
     assert mu_x == pytest.approx(1.0)
@@ -106,7 +108,8 @@ def test_gaussian_prior_fixed_point_equals_ridge():
     gamma = 0.8
     ridge = np.linalg.solve(E.T @ E + gamma * np.eye(n), E.T @ y)
     cfg = vamp.VampConfig(max_iters=20, damping=1.0)
-    xh, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(gamma), cfg)
+    xh, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y,
+                              prox.AnalyticProx("tikhonov", gamma=gamma), cfg)
     assert np.linalg.norm(xh - ridge) <= 1e-6 * np.linalg.norm(ridge)
     for row in diags.rows:
         assert row["clamps"] == 0
@@ -126,7 +129,8 @@ def test_orthonormal_rows_noiseless_recovery():
     pinv_solution = np.linalg.pinv(E) @ y
     np.testing.assert_allclose(pinv_solution, x0, atol=1e-12)
     cfg = vamp.VampConfig(max_iters=40, damping=1.0, mu_floor=1e-14)
-    xh, _ = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(1e-9), cfg)
+    xh, _ = vamp.run_vamp(dense_vamp_operator(E), E.T @ y,
+                          prox.AnalyticProx("tikhonov", gamma=1e-9), cfg)
     assert np.linalg.norm(xh - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
@@ -142,7 +146,8 @@ def test_damped_linear_iteration_is_affine():
 
     def one_iteration(r):
         _, _, u, mu_z, _ = vamp.lmmse_step(op, E.T @ y, r, mu0, cfg)
-        return vamp.denoise_step(prox.tikhonov_prox(gamma), u, mu_z, r, mu0, cfg)[0]
+        return vamp.denoise_step(prox.AnalyticProx("tikhonov", gamma=gamma), u, mu_z, r, mu0,
+                                 cfg)[0]
 
     # affine map r -> M r + c probed column by column
     c = one_iteration(np.zeros(n))
@@ -164,7 +169,8 @@ def test_run_vamp_on_encoding_operator_matches_ridge():
     y = sm.add_noise(E.forward(truth), 0.02, seed=2, mask=mask)
     gamma = 0.3
     rhs = E.adjoint(y).data
-    xh, diags = vamp.run_vamp(vamp.as_vamp_operator(E), rhs, prox.tikhonov_prox(gamma),
+    xh, diags = vamp.run_vamp(vamp.as_vamp_operator(E), rhs,
+                              prox.AnalyticProx("tikhonov", gamma=gamma),
                               vamp.VampConfig(max_iters=25), reference=truth)
     G = dense_from_probes(flat_gram(E), 256)
     ridge = np.linalg.solve(G + gamma * np.eye(256), rhs.ravel())
@@ -253,7 +259,8 @@ def test_above_the_exact_limit_the_trace_is_estimated():
         exact = np.mean(1.0 / (eigs + mu))
         got = op.trace_inverse_mean(mu, vamp.VampConfig())
         assert abs(got - exact) <= 0.01 * exact, (mu, got, exact)
-    x, diags = vamp.run_vamp(op, E.adjoint(y).data, prox.soft_threshold_prox(0.05),
+    x, diags = vamp.run_vamp(op, E.adjoint(y).data,
+                             prox.AnalyticProx("soft_threshold", theta=0.05),
                              vamp.VampConfig(max_iters=2), reference=truth)
     assert x.shape == (h, w) and np.all(np.isfinite(x))
     assert all(np.isfinite(v) for row in diags.rows for v in row.values()
@@ -264,7 +271,8 @@ def test_diagnostics_csv_shape():
     rng = np.random.default_rng(8)
     E = rng.standard_normal((8, 12))
     y = rng.standard_normal(8)
-    _, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(1.0),
+    _, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y,
+                             prox.AnalyticProx("tikhonov", gamma=1.0),
                              vamp.VampConfig(max_iters=3))
     csv = diags.to_csv()
     lines = csv.strip().split("\n")
@@ -289,12 +297,39 @@ def test_clamps_column_is_the_running_sum_of_the_half_steps_counts(monkeypatch):
     rng = np.random.default_rng(9)
     E = rng.standard_normal((10, 16)) / np.sqrt(10)
     y = rng.standard_normal(10)
-    _, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.identity_prox(),
+    _, diags = vamp.run_vamp(dense_vamp_operator(E), E.T @ y, prox.AnalyticProx("identity"),
                              vamp.VampConfig(max_iters=5))
     assert len(diags.rows) == 5 and len(counts) == 10
     per_iteration = [a + b for a, b in zip(counts[::2], counts[1::2])]
     assert all(c >= 1 for c in counts[1::2])
     assert [row["clamps"] for row in diags.rows] == list(np.cumsum(per_iteration))
+
+
+class _NanFromCall:
+    """An analytic prox whose apply returns NaN from its ``first``-th call on."""
+
+    def __init__(self, inner, first):
+        self.inner, self.first, self.calls = inner, first, 0
+
+    def apply(self, u, noise_precision):
+        self.calls += 1
+        out = self.inner.apply(u, noise_precision)
+        return out * np.nan if self.calls >= self.first else out
+
+    def divergence(self, u, noise_precision):
+        return self.inner.divergence(u, noise_precision)
+
+
+def test_a_non_finite_denoiser_output_fails_at_the_next_lmmse_half_step():
+    # iteration 3 of 5 sends a NaN message; iteration 4's CG raises on its
+    # right-hand side before the denoiser runs again
+    rng = np.random.default_rng(10)
+    E = rng.standard_normal((12, 16)) / np.sqrt(12)
+    y = rng.standard_normal(12)
+    p = _NanFromCall(prox.AnalyticProx("tikhonov", gamma=0.5), first=3)
+    with pytest.raises(FloatingPointError, match="right-hand side is not finite"):
+        vamp.run_vamp(dense_vamp_operator(E), E.T @ y, p, vamp.VampConfig(max_iters=5))
+    assert p.calls == 3
 
 
 def test_all_diagnostics_finite_over_seeds():
@@ -304,7 +339,7 @@ def test_all_diagnostics_finite_over_seeds():
         E = rng.standard_normal((m, n)) / np.sqrt(m)
         y = E @ rng.standard_normal(n) + 0.05 * rng.standard_normal(m)
         _, diags = vamp.run_vamp(
-            dense_vamp_operator(E), E.T @ y, prox.tikhonov_prox(0.5),
+            dense_vamp_operator(E), E.T @ y, prox.AnalyticProx("tikhonov", gamma=0.5),
             vamp.VampConfig(max_iters=10)
         )
         for row in diags.rows:
@@ -331,4 +366,4 @@ def test_half_steps_fail_numerically_on_a_non_positive_precision(bad):
     with pytest.raises(FloatingPointError, match="mu_x must be positive"):
         vamp.lmmse_step(dense_vamp_operator(np.eye(4)), np.zeros(4), np.zeros(4), bad)
     with pytest.raises(FloatingPointError, match="mu_z must be positive"):
-        vamp.denoise_step(prox.identity_prox(), np.zeros(4), bad, np.zeros(4), 1.0)
+        vamp.denoise_step(prox.AnalyticProx("identity"), np.zeros(4), bad, np.zeros(4), 1.0)
