@@ -1,7 +1,7 @@
-"""Experiment runner: phantom/mask generation, reconstruction, training and
+"""Experiment runner: phantom generation, reconstruction, training and
 evaluation, all driven by an INI config (see config.SCHEMA for defaults).
 
-Subcommands: phantom | mask | recon | train | eval.
+Subcommands: phantom | recon | train | eval.
 Exit codes: 0 ok, 2 config error, 3 numeric failure.
 """
 
@@ -200,34 +200,14 @@ def _check_seeds(args):
             raise ConfigError(f"--seed: {seed} is not a non-negative integer")
 
 
-def _run_seed(args):
-    """phantom's and mask's seed: their own --seed, else the global one, else 0."""
-    seed = args.sub_seed if args.sub_seed is not None else args.seed
-    return 0 if seed is None else seed
-
-
 def cmd_phantom(args):
-    seed = _run_seed(args)
+    seed = args.sub_seed if args.sub_seed is not None else (args.seed or 0)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
-        img = make_phantom(args.size, args.size, args.ellipses, seed=seed + i)
+        img = make_phantom(args.size, args.size, 6, seed=seed + i)
         ktn.write_ktn(os.path.join(args.out, f"img_{i:04d}.ktn"), img.data)
     sens = make_smooth_sensitivities(args.size, args.size, args.coils, seed=seed)
     ktn.write_ktn(os.path.join(args.out, "sens.ktn"), sens.maps)
-    if args.verbose:
-        print(f"wrote {args.count} phantom(s) + sens.ktn to {args.out}")
-    return EXIT_OK
-
-
-def cmd_mask(args):
-    seed = _run_seed(args)
-    if args.kind == "equispaced":
-        mask = make_equispaced_mask(args.rows, args.cols, args.accel, args.acs)
-    else:
-        mask = make_random_mask(args.rows, args.cols, args.accel, args.acs, seed)
-    ktn.write_ktn(args.out, mask.pattern.astype(np.float32))
-    if args.verbose:
-        print(f"wrote {mask.pattern.shape} mask ({mask.sampled_columns().size} columns) to {args.out}")
     return EXIT_OK
 
 
@@ -257,9 +237,6 @@ def cmd_recon(args):
         table.record(which, *_metric_row(truth, img, cfg["eval"]["crop"]))
     _write_csv(os.path.join(out, "metrics.csv"), table)
     echo_config(cfg, os.path.join(out, "config.echo.ini"))
-    if args.verbose:
-        row = table.rows[0]
-        print(f"recon written to {out} (psnr {row['psnr_db']:.2f} dB, nmse {row['nmse']:.3e})")
     return EXIT_OK
 
 
@@ -288,9 +265,6 @@ def cmd_train(args):
         loss.record(i, v)
     _write_csv(os.path.join(out, "loss.csv"), loss)
     echo_config(cfg, os.path.join(out, "config.echo.ini"))
-    if args.verbose:
-        tail = f"final loss {curve[-1]:.4e}" if curve else "no epochs run"
-        print(f"checkpoint written to {out}/checkpoint ({tail})")
     return EXIT_OK
 
 
@@ -318,11 +292,8 @@ def cmd_eval(args):
                  float(np.mean(arr[:, 1])), float(np.mean(arr[:, 2])))
     table.record("std", float(np.std(arr[finite, 0])) if finite.any() else 0.0,
                  float(np.std(arr[:, 1])), float(np.std(arr[:, 2])))
-    csv_path = os.path.join(out, "metrics.csv")
-    _write_csv(csv_path, table)
+    _write_csv(os.path.join(out, "metrics.csv"), table)
     echo_config(cfg, os.path.join(out, "config.echo.ini"))
-    if args.verbose:
-        print(f"metrics for {len(rows)} slice(s) written to {csv_path}")
     return EXIT_OK
 
 
@@ -335,10 +306,9 @@ def build_parser():
     )
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="phantom/mask: generator seed (their own --seed wins); recon: sets "
+        help="phantom: generator seed (its own --seed wins); recon: sets "
              "data.noise_seed; train: sets train.seed; eval: ignored, its noise seeds "
              "come from data.noise_seed only")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate phantom images + coil maps")
@@ -346,19 +316,8 @@ def build_parser():
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--coils", type=int, default=4)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--ellipses", type=int, default=6)
     p.add_argument("--seed", type=int, default=None, dest="sub_seed")
     p.set_defaults(fn=cmd_phantom)
-
-    p = sub.add_parser("mask", help="generate a sampling mask")
-    p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--accel", type=int, default=4)
-    p.add_argument("--acs", type=int, default=4)
-    p.add_argument("--kind", choices=("equispaced", "random"), default="equispaced")
-    p.add_argument("--seed", type=int, default=None, dest="sub_seed")
-    p.set_defaults(fn=cmd_mask)
 
     p = sub.add_parser("recon", help="reconstruct one slice per the config")
     p.add_argument("--config", required=True)

@@ -8,7 +8,9 @@ ndim x u64 dims, then the row-major payload.  Dtype codes:
     2 = float32
     3 = float64
 
-Sampling masks are stored as code 2 with values {0.0, 1.0}.
+All four codes are read, since a dataset file may come from outside the
+program; the program itself writes complex128 images and maps and float64
+checkpoint tensors.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ def write_ktn(path, array):
     """Serialize ``array`` to ``path`` in KTN1 format.
 
     Only the four supported dtypes are accepted; ints and bools must be
-    converted by the caller (masks go out as float32 zeros/ones).  A
-    C-contiguous little-endian array is written from its own buffer,
-    without a copy.
+    converted by the caller.  A C-contiguous little-endian array is
+    written from its own buffer, without a copy.
     """
     arr = np.asarray(array)
     if arr.dtype not in _DTYPE_TO_CODE:

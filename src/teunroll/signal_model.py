@@ -75,9 +75,6 @@ class SamplingMask:
         if not (self.pattern == self.pattern[:1]).all():
             raise ValueError("mask must sample whole columns")
 
-    def sampled_columns(self):
-        return np.flatnonzero(self.pattern[0])
-
 
 @dataclass
 class CoilSensitivities:

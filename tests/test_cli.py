@@ -57,14 +57,29 @@ def test_phantom_seed_flag_positions(tmp_path):
     assert (a / "img_0000.ktn").read_bytes() != (c / "img_0000.ktn").read_bytes()
 
 
-def test_mask_command_header(tmp_path):
-    out = tmp_path / "m.ktn"
-    assert run_cli("mask", "--out", out, "--rows", "8", "--cols", "16",
-                   "--accel", "4", "--acs", "4") == 0
-    pattern = ktn.read_ktn(out)
-    assert pattern.dtype == np.dtype("<f4") and pattern.shape == (8, 16)
-    cols = np.flatnonzero(pattern.all(axis=0))
-    assert set(cols.tolist()) == set(range(0, 16, 4)) | {6, 7, 8, 9}
+def test_phantom_writes_the_library_phantom_and_maps(tmp_path):
+    # image i is drawn with seed + i and six ellipses, the maps with seed
+    out = tmp_path / "p"
+    assert run_cli("phantom", "--size", "16", "--coils", "3", "--count", "2", "--seed", "3",
+                   "--out", out) == 0
+    for name, array in (("img_0001.ktn", sm.make_phantom(16, 16, 6, seed=4).data),
+                        ("sens.ktn", sm.make_smooth_sensitivities(16, 16, 3, seed=3).maps)):
+        expected = tmp_path / name
+        ktn.write_ktn(expected, array)
+        assert (out / name).read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mask", "--out", "m.ktn", "--rows", "8", "--cols", "16"],
+    ["--verbose", "phantom", "--out", "p"],
+    ["phantom", "--out", "p", "--ellipses", "3"],
+], ids=["mask", "verbose", "ellipses"])
+def test_removed_commands_and_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_recon_beats_zero_filled(tmp_path, dataset):
