@@ -3,6 +3,9 @@ evaluation, all driven by an INI config (see config.SCHEMA for defaults).
 
 Subcommands: phantom | recon | train | eval.
 Exit codes: 0 ok, 2 config error, 3 numeric failure.
+
+recon, train and eval read and measure dataset slices through ``_problem``
+alone: y = E x + n, with E from [mask] and sens.ktn.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _scan_dataset(dirpath):
     """(image paths, sens.ktn path, image shape) of a data dir, checked from
     the KTN headers alone: every file must be valid KTN1 and every image
     must have the maps' H x W shape.  No payload is read."""
-    files = sorted(glob.glob(os.path.join(dirpath, "img_*.ktn")))
+    files = sorted(glob.glob(os.path.join(glob.escape(dirpath), "img_*.ktn")))
     if not files:
         raise ConfigError(f"data.dir: no img_*.ktn files in {dirpath}")
     sens_path = os.path.join(dirpath, "sens.ktn")
@@ -62,11 +65,6 @@ def _scan_dataset(dirpath):
                 f"data.dir: {f} holds a {shape} image but sens.ktn maps "
                 f"are {sens_shape[1:]}")
     return files, sens_path, sens_shape[1:]
-
-
-def _read_dataset(files, sens_path):
-    images = [ComplexImage(ktn.read_ktn(f)) for f in files]
-    return images, CoilSensitivities(ktn.read_ktn(sens_path))
 
 
 def _scan_for_reconstruction(cfg):
@@ -102,10 +100,21 @@ def _build_mask(cfg, shape):
             f"mask.acs: {exc} (mask.accel = {mask_cfg['accel']}, {cols} columns)") from None
 
 
-def _measure(E, image, cfg, index):
-    sigma = cfg["data"]["noise_sigma"]
-    seed = cfg["data"]["noise_seed"] + index
-    return add_noise(E.forward(image), sigma, seed, mask=E.mask)
+def _problem(cfg, files, sens_path, indices):
+    """E, from sens.ktn and [mask], and an iterator over (truth, y = E x + n)
+    of each index, with noise seed data.noise_seed + index; it reads a
+    slice's payload only when it reaches that slice."""
+    sens = CoilSensitivities(ktn.read_ktn(sens_path))
+    E = EncodingOperator(_build_mask(cfg, sens.maps.shape[1:]), sens)
+    data = cfg["data"]
+
+    def slices():
+        for i in indices:
+            truth = ComplexImage(ktn.read_ktn(files[i]))
+            yield truth, add_noise(E.forward(truth), data["noise_sigma"],
+                                   data["noise_seed"] + i, mask=E.mask)
+
+    return E, slices()
 
 
 def _load_engine(cfg):
@@ -201,6 +210,10 @@ def _check_seeds(args):
 
 
 def cmd_phantom(args):
+    for flag, value, least in (("--size", args.size, 8), ("--coils", args.coils, 1),
+                               ("--count", args.count, 1)):
+        if value < least:
+            raise ConfigError(f"{flag}: must be at least {least}, not {value}")
     seed = args.sub_seed if args.sub_seed is not None else (args.seed or 0)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
@@ -220,11 +233,8 @@ def cmd_recon(args):
     index = cfg["data"]["index"]
     if not 0 <= index < len(files):
         raise ConfigError(f"data.index: {index} out of range (0..{len(files) - 1})")
-    truth = ComplexImage(ktn.read_ktn(files[index]))
-    sens = CoilSensitivities(ktn.read_ktn(sens_path))
-    mask = _build_mask(cfg, truth.data.shape)
-    E = EncodingOperator(mask, sens)
-    y = _measure(E, truth, cfg, index)
+    E, slices = _problem(cfg, files, sens_path, [index])
+    [(truth, y)] = slices
     recon, diags = _reconstructor(cfg, E)(y, reference=truth)
 
     out = cfg["unroll"]["out"]
@@ -250,10 +260,8 @@ def cmd_train(args):
     if cfg["model"]["prox"] not in NETWORK_PROXES:
         raise ConfigError("model.prox: training needs a network prox (resnet or unet)")
     files, sens_path, _ = _scan_dataset(cfg["data"]["dir"])
-    images, sens = _read_dataset(files, sens_path)
-    mask = _build_mask(cfg, images[0].data.shape)
-    E = EncodingOperator(mask, sens)
-    dataset = [(E, _measure(E, img, cfg, i), img) for i, img in enumerate(images)]
+    E, slices = _problem(cfg, files, sens_path, range(len(files)))
+    dataset = [(E, y, truth) for truth, y in slices]
     engine = _load_engine(cfg)
     curve = train(engine, dataset, cfg["train"]["epochs"], cfg["train"]["lr"],
                   seed=cfg["train"]["seed"])
@@ -270,16 +278,12 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    images, sens = _read_dataset(*_scan_for_reconstruction(cfg))
-    mask = _build_mask(cfg, images[0].data.shape)
-    E = EncodingOperator(mask, sens)
-    crop = cfg["eval"]["crop"]
+    files, sens_path = _scan_for_reconstruction(cfg)
+    E, slices = _problem(cfg, files, sens_path, range(len(files)))
     reconstruct = _reconstructor(cfg, E)
-
-    rows = []
-    for i, truth in enumerate(images):
-        recon, _ = reconstruct(_measure(E, truth, cfg, i))
-        rows.append(_metric_row(truth, recon, crop))
+    # one slice is held at a time; nothing is written unless every slice scores
+    rows = [_metric_row(truth, reconstruct(y)[0], cfg["eval"]["crop"])
+            for truth, y in slices]
 
     out = cfg["eval"]["out"]
     os.makedirs(out, exist_ok=True)

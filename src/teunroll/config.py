@@ -121,6 +121,12 @@ SCHEMA = {
 }
 
 
+def _ini():
+    """The INI parser of both directions: values are literal (no ``%``
+    interpolation) and ``;`` after whitespace starts an inline comment."""
+    return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+
+
 def load_config(path):
     """Parse and validate an experiment config file.
 
@@ -129,7 +135,7 @@ def load_config(path):
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = _ini()
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -164,7 +170,7 @@ def load_config(path):
 
 def echo_config(config, path):
     """Write the fully resolved config so the run can be reproduced from it."""
-    parser = configparser.ConfigParser()
+    parser = _ini()
     for section, keys in config.items():
         parser[section] = {}
         for key, value in keys.items():

@@ -66,18 +66,22 @@ def _read_exactly(fh, size, part, path):
 def _read_header(fh, path):
     """(dtype, shape) of an open KTN1 file, leaving ``fh`` at the payload.
     Checks the magic bytes and the dtype code, and compares the claimed
-    payload size with the bytes left in the file before anything of that
-    size is allocated."""
+    dims and payload sizes with the bytes left in the file before anything
+    of either size is allocated."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise KtnError(f"bad magic bytes {magic!r} in {path}")
     code, ndim = struct.unpack("<II", _read_exactly(fh, 8, "header", path))
     if code not in _CODE_TO_DTYPE:
         raise KtnError(f"unknown dtype code {code} in {path}")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 8 * ndim > left:
+        raise KtnError(
+            f"truncated header in {path}: {ndim} dims need {8 * ndim} bytes, {left} follow")
     dims = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim, "header", path))
     dtype = _CODE_TO_DTYPE[code]
     size = math.prod(dims) * dtype.itemsize
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    left -= 8 * ndim
     if size > left:
         raise KtnError(
             f"truncated payload in {path}: the header claims {size} bytes, {left} follow")

@@ -82,6 +82,16 @@ def test_removed_commands_and_flags_are_usage_errors(tmp_path, monkeypatch, argv
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--size", "7"), ("--coils", "0"), ("--count", "0"), ("--count", "-1"),
+])
+def test_phantom_checks_its_flags_before_writing_anything(tmp_path, capsys, flag, value):
+    out = tmp_path / "p"
+    assert run_cli("phantom", "--out", out, flag, value) == cli.EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recon_beats_zero_filled(tmp_path, dataset):
     cfg = write_cfg(tmp_path, """
 [data]
@@ -486,6 +496,53 @@ out = out_a
     assert (tmp_path / "out_a" / "recon.ktn").read_bytes() == first
 
 
+@pytest.mark.parametrize("name", ["d%x", "run[1]"], ids=["percent", "brackets"])
+def test_data_dir_name_is_taken_literally(tmp_path, name):
+    # no % interpolation in a config value, no glob pattern in a dir name
+    assert run_cli("phantom", "--out", tmp_path / name, "--size", "16") == cli.EXIT_OK
+    cfg = write_cfg(tmp_path, f"[data]\ndir = {name}\n")
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_OK
+    out = tmp_path / "runs" / "recon"
+    first = (out / "recon.ktn").read_bytes()
+    echo = out / "config.echo.ini"
+    assert load_config(echo)["data"]["dir"] == str(tmp_path / name)
+    (out / "recon.ktn").unlink()
+    assert run_cli("recon", "--config", echo) == cli.EXIT_OK
+    assert (out / "recon.ktn").read_bytes() == first
+
+
+def test_eval_reads_each_slice_when_it_reaches_it(tmp_path, dataset, monkeypatch):
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[unroll]\nalgorithm = vsqp\nt = 1\n")
+    reads = _count_payload_reads(monkeypatch)
+    seen = []
+    reconstructor = cli._reconstructor
+
+    def recording(cfg_, E):
+        reconstruct = reconstructor(cfg_, E)
+
+        def run(y, reference=None):
+            seen.append(list(reads))  # the payloads read before this slice's reconstruction
+            return reconstruct(y)
+
+        return run
+
+    monkeypatch.setattr(cli, "_reconstructor", recording)
+    assert run_cli("eval", "--config", cfg) == cli.EXIT_OK
+    images = [f"img_{i:04d}.ktn" for i in range(3)]
+    assert seen == [["sens.ktn"] + images[:i + 1] for i in range(3)]
+
+
+def test_eval_whose_last_slice_is_not_finite_exits_2_and_writes_nothing(tmp_path, dataset,
+                                                                         capsys):
+    image = sm.make_phantom(32, 32, 6, seed=2).data.copy()
+    image[16, 16] = np.nan
+    ktn.write_ktn(dataset / "img_0002.ktn", image)
+    cfg = write_cfg(tmp_path, "[data]\ndir = data\n[unroll]\nalgorithm = vsqp\nt = 1\n")
+    assert run_cli("eval", "--config", cfg) == cli.EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_ground_truth_sentinel(tmp_path, dataset, monkeypatch):
     cfg = write_cfg(tmp_path, """
 [data]
@@ -506,7 +563,8 @@ out = out_eval
         return lambda y, reference=None: (next(slices), None)
 
     files, sens_path, _ = cli._scan_dataset(config["data"]["dir"])
-    images, _ = cli._read_dataset(files, sens_path)
+    _, slices = cli._problem(config, files, sens_path, range(len(files)))
+    images = [truth for truth, _ in slices]
     monkeypatch.setattr(cli, "_reconstructor", fake_reconstructor)
     assert run_cli("eval", "--config", cfg) == 0
     lines = (tmp_path / "out_eval" / "metrics.csv").read_text().strip().split("\n")
@@ -576,14 +634,14 @@ out = out_vamp
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "mean", "std"]
 
     cfg = load_config(path)
-    images, sens = cli._read_dataset(*cli._scan_for_reconstruction(cfg))
-    E = sm.EncodingOperator(cli._build_mask(cfg, images[0].data.shape), sens)
-    for i, truth in enumerate(images):
-        recon, _ = cli._reconstructor(cfg, E)(cli._measure(E, truth, cfg, i))
+    files, sens_path = cli._scan_for_reconstruction(cfg)
+    E, slices = cli._problem(cfg, files, sens_path, range(len(files)))
+    for i, (truth, y) in enumerate(slices):
+        recon, _ = cli._reconstructor(cfg, E)(y)
         row = Diagnostics(("slice",) + cli.METRIC_COLUMNS)
         row.record(i, *cli._metric_row(truth, recon, cfg["eval"]["crop"]))
         assert row.to_csv().splitlines()[1] == lines[1 + i]
-    assert len(setups) == 1 + len(images)
+    assert len(setups) == 1 + len(files)
 
 
 def test_train_cli_round_trip(tmp_path):

@@ -107,6 +107,20 @@ def test_claimed_size_is_checked_before_allocating(tmp_path, count):
     assert peak <= 2**20
 
 
+def test_claimed_ndim_is_checked_before_allocating(tmp_path):
+    # a 12-byte file whose header claims 2**22 dims, 32 MiB of u64 dims
+    path = tmp_path / "liar.ktn"
+    path.write_bytes(b"KTN1" + struct.pack("<II", 3, 2**22))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ktn.KtnError, match="truncated header"):
+            ktn.read_header(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def _tobytes_writer_bytes(arr):
     """The file a writer that copies the payload with ``tobytes`` makes."""
     arr = np.asarray(arr)

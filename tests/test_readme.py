@@ -1,6 +1,6 @@
-"""README's ``python`` blocks run as written and its ``bash`` block's
-commands parse, so the examples keep step with the API and the CLI they
-show."""
+"""README's ``python`` blocks run as written, its ``bash`` block's
+commands parse and its ``ini`` block loads, so the examples keep step with
+the API, the CLI and the config schema they show."""
 
 import pathlib
 import re
@@ -9,6 +9,7 @@ import shlex
 import numpy as np
 
 from teunroll import cli
+from teunroll.config import load_config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +35,12 @@ def test_readme_cli_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.fn.__name__ == "cmd_" + args.command
+
+
+def test_readme_config_block_loads_to_the_defaults(tmp_path):
+    # its inline "; comments" are comments, not parts of the values
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    (tmp_path / "readme.ini").write_text(blocks[0])
+    (tmp_path / "empty.ini").write_text("")
+    assert load_config(tmp_path / "readme.ini") == load_config(tmp_path / "empty.ini")
