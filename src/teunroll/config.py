@@ -9,7 +9,8 @@ zero widths, unroll counts and iteration budgets, and a non-positive
 ``unroll.mu`` other than its -1 default sentinel.  Relative paths resolve
 against the directory containing the config file, and the fully resolved
 document can be echoed back out so a run is reproducible from its own
-artifacts.
+artifacts; a resolved path holding whitespace before ``;``, which the echo
+would read back as an inline comment, is rejected.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import re
 
 from .metrics import SSIM_WINDOW
 from .nn.training import SHARING_MODES, default_mu
@@ -127,6 +129,11 @@ def _ini():
     return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
 
 
+# What _ini() cuts off as an inline comment; INI has no escape for it, so a
+# resolved path holding it could not be echoed.
+_INLINE_COMMENT = re.compile(r"\s;")
+
+
 def load_config(path):
     """Parse and validate an experiment config file.
 
@@ -157,6 +164,11 @@ def load_config(path):
             value = parse(raw, f"{section}.{key}")
             if parse is _path and value:
                 value = os.path.normpath(os.path.join(base, value))
+                if _INLINE_COMMENT.search(value):
+                    raise ConfigError(
+                        f"{section}.{key}: resolved path {value!r} holds whitespace before "
+                        "';', which the echoed config would read as a comment"
+                    )
             out[section][key] = value
     if 0 < out["eval"]["crop"] < SSIM_WINDOW:
         raise ConfigError(

@@ -6,10 +6,13 @@ shape, such as ``EncodingOperator.normal_array`` on an H x W image; inner
 products and norms read the array in C order, as they would its ravel.
 All inner products are conjugate-linear in the first argument.  Maps must
 not keep or change what they are given; every routine here is pure.
+CG keeps its scalars as Python floats and allocates only its iterates
+and one step buffer, so an iteration costs little beyond its map apply.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +58,27 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
     v's, which is b's (an integer b is taken as float64): a complex A
     needs a complex b.
 
-    x, r and p are updated in place: all three are allocated here, and
-    nothing returned by A is written to.
+    The scalars (||b||, the squared residual norms, the curvature p^H A p
+    and the step length) are Python floats, double precision for any b,
+    so the loop's bookkeeping costs no numpy scalar operations.  x, r, p and one step buffer, which
+    holds alpha * p and then alpha * A p, are the only arrays allocated
+    here; they are updated in place, and nothing returned by A is written
+    to.
     """
     b = np.asarray(b)
-    b_norm = np.linalg.norm(b)
-    if not np.isfinite(b_norm):
+    b_norm = float(np.linalg.norm(b))
+    if not math.isfinite(b_norm):
         raise FloatingPointError("CG right-hand side is not finite")
+    goal = tol * b_norm
+    goal_sq = goal * goal
     r = b.astype(np.result_type(b, 1.0))
     x = np.zeros_like(r)
     p = r.copy()
-    rs = np.vdot(r, r).real
+    step = np.empty_like(r)
+    rs = float(np.vdot(r, r).real)
     it = 0
     for it in range(1, max_iters + 1):
-        if np.sqrt(rs) <= tol * b_norm:
+        if math.sqrt(rs) <= goal:
             it -= 1
             break
         Ap = A(p)
@@ -76,22 +86,24 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
             raise ValueError(f"operator maps shape {p.shape} to {Ap.shape}")
         if Ap.dtype != p.dtype:
             raise ValueError(f"operator maps dtype {p.dtype} to {Ap.dtype}")
-        pAp = np.vdot(p, Ap).real
-        if not np.isfinite(pAp) or pAp <= 0.0:
-            if rs <= (tol * b_norm) ** 2 or pAp == 0.0:
+        pAp = float(np.vdot(p, Ap).real)
+        if not math.isfinite(pAp) or pAp <= 0.0:
+            if rs <= goal_sq or pAp == 0.0:
                 break
             raise FloatingPointError(f"CG hit non-positive curvature ({pAp})")
         alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = np.vdot(r, r).real
-        if not np.isfinite(rs_new):
+        np.multiply(p, alpha, out=step)
+        x += step
+        np.multiply(Ap, alpha, out=step)
+        r -= step
+        rs_new = float(np.vdot(r, r).real)
+        if not math.isfinite(rs_new):
             raise FloatingPointError("CG residual became non-finite")
         p *= rs_new / rs
         p += r
         rs = rs_new
-    resid = float(np.sqrt(rs))
-    return x, CgReport(it, resid, resid <= tol * b_norm or resid == 0.0)
+    resid = math.sqrt(rs)
+    return x, CgReport(it, resid, resid <= goal or resid == 0.0)
 
 
 def estimate_trace_inverse(A, shape, mu, num_probes, seed, cg_iters=100):

@@ -33,7 +33,7 @@ def _complex_array(values, ndim, what):
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{what} needs a non-empty {ndim}-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite samples")
     return arr
 

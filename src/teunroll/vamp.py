@@ -74,16 +74,19 @@ def gram_row_blocks(E: EncodingOperator):
     """The H diagonal W x W blocks of E^H E as an (H, W, W) array.  Masks
     sample whole columns (checked in SamplingMask), so rows do not couple.
     Block h is probed one row at a time: ``to_dense`` of the W-dimensional
-    map that puts its vector into row h of an otherwise zero image, applies
-    the checked ``E.normal`` and reads row h back, so the set-up holds
-    H*W^2 entries and never the N x N Gram."""
+    map that puts its vector into row h of the set-up's one zero H x W
+    probe image, applies the checked ``E.normal``, reads row h back and
+    zeroes it again, so the image is all zero between probes.  The set-up
+    holds H*W^2 entries and never the N x N Gram."""
     h, w = E.shape
     blocks = np.empty((h, w, w), dtype=np.complex128)
+    img = np.zeros((h, w), dtype=np.complex128)
     for row in range(h):
         def probe(v, row=row):
-            img = np.zeros((h, w), dtype=np.complex128)
             img[row] = v
-            return E.normal(ComplexImage(img)).data[row]
+            out = E.normal(ComplexImage(img)).data[row]
+            img[row] = 0.0
+            return out
 
         blocks[row] = to_dense(probe, w)
     return blocks

@@ -13,6 +13,7 @@ from teunroll import signal_model as sm
 from teunroll import vamp
 from teunroll.nn import engine as en
 from teunroll.nn.engine import Tensor
+from teunroll.linops import CgReport
 from teunroll.nn.networks import ResNetProx, UNetProx
 from teunroll.prox import soft_threshold, soft_threshold_divergence
 
@@ -191,6 +192,28 @@ def power_iteration_norm(A, dim, iters, seed):
         lam = np.vdot(v, w).real
         v = w / norm
     return float(lam)
+
+
+@st.composite
+def hermitian_maps(draw, max_n=24):
+    """(A, shape): the map A that applies an n x n Hermitian matrix M,
+    n <= max_n, to the C-order ravel of an array of ``shape``, 1-D or 2-D
+    with n entries.  M is real symmetric or complex Hermitian with
+    eigenvalues log-uniform in [1, cond], cond one of 1, 1e2, 1e4 and 1e8;
+    in about half the draws random eigenvalues change sign, so that CG can
+    meet non-positive curvature."""
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from([(n,)] + [(h, n // h) for h in range(1, n + 1) if n % h == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.exp(rng.uniform(0.0, np.log(draw(st.sampled_from([1.0, 1e2, 1e4, 1e8]))), n))
+    if not draw(st.booleans()):
+        lam *= rng.choice([-1.0, 1.0], size=n)
+    g = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    m = (q * lam) @ q.conj().T
+    return (lambda v: (m @ v.ravel()).reshape(v.shape)), shape
 
 
 def haar_orthogonal(n, rng):
@@ -418,3 +441,44 @@ def cg_out_of_place_reference(apply_A, b, iters):
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x
+
+
+def cg_reference(A, b, max_iters=15, tol=1e-12):
+    """``linops.cg_solve`` as it was with numpy scalars and a fresh
+    alpha * p and alpha * A p for every update: same arguments, results,
+    exceptions and messages, which the Python-float loop must reproduce
+    bit for bit."""
+    b = np.asarray(b)
+    b_norm = np.linalg.norm(b)
+    if not np.isfinite(b_norm):
+        raise FloatingPointError("CG right-hand side is not finite")
+    r = b.astype(np.result_type(b, 1.0))
+    x = np.zeros_like(r)
+    p = r.copy()
+    rs = np.vdot(r, r).real
+    it = 0
+    for it in range(1, max_iters + 1):
+        if np.sqrt(rs) <= tol * b_norm:
+            it -= 1
+            break
+        Ap = A(p)
+        if Ap.shape != p.shape:
+            raise ValueError(f"operator maps shape {p.shape} to {Ap.shape}")
+        if Ap.dtype != p.dtype:
+            raise ValueError(f"operator maps dtype {p.dtype} to {Ap.dtype}")
+        pAp = np.vdot(p, Ap).real
+        if not np.isfinite(pAp) or pAp <= 0.0:
+            if rs <= (tol * b_norm) ** 2 or pAp == 0.0:
+                break
+            raise FloatingPointError(f"CG hit non-positive curvature ({pAp})")
+        alpha = rs / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = np.vdot(r, r).real
+        if not np.isfinite(rs_new):
+            raise FloatingPointError("CG residual became non-finite")
+        p *= rs_new / rs
+        p += r
+        rs = rs_new
+    resid = float(np.sqrt(rs))
+    return x, CgReport(it, resid, resid <= tol * b_norm or resid == 0.0)

@@ -496,9 +496,11 @@ out = out_a
     assert (tmp_path / "out_a" / "recon.ktn").read_bytes() == first
 
 
-@pytest.mark.parametrize("name", ["d%x", "run[1]"], ids=["percent", "brackets"])
+@pytest.mark.parametrize("name", ["d%x", "run[1]", "semi;x"],
+                         ids=["percent", "brackets", "semicolon"])
 def test_data_dir_name_is_taken_literally(tmp_path, name):
-    # no % interpolation in a config value, no glob pattern in a dir name
+    # no % interpolation in a config value, no glob pattern in a dir name,
+    # and a ';' with no whitespace before it starts no inline comment
     assert run_cli("phantom", "--out", tmp_path / name, "--size", "16") == cli.EXIT_OK
     cfg = write_cfg(tmp_path, f"[data]\ndir = {name}\n")
     assert run_cli("recon", "--config", cfg) == cli.EXIT_OK
@@ -509,6 +511,23 @@ def test_data_dir_name_is_taken_literally(tmp_path, name):
     (out / "recon.ktn").unlink()
     assert run_cli("recon", "--config", echo) == cli.EXIT_OK
     assert (out / "recon.ktn").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["recon", "train", "eval"])
+def test_path_that_the_echo_would_cut_at_a_comment_is_config_error(tmp_path, monkeypatch,
+                                                                   capsys, command):
+    # the echo writes dir = .../semi ;x/data, which INI reads back as
+    # .../semi, so the run is refused before it reads or writes anything
+    home = tmp_path / "semi ;x"
+    assert run_cli("phantom", "--out", home / "data", "--size", "16") == cli.EXIT_OK
+    cfg = write_cfg(home, "[data]\ndir = data\n[model]\nprox = resnet\n")
+    before = sorted(tmp_path.rglob("*"))
+    reads = _count_payload_reads(monkeypatch)
+    capsys.readouterr()
+    assert run_cli(command, "--config", cfg) == cli.EXIT_CONFIG
+    assert "data.dir" in capsys.readouterr().err
+    assert reads == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_eval_reads_each_slice_when_it_reaches_it(tmp_path, dataset, monkeypatch):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from teunroll import linops
 from teunroll import signal_model as sm
 
-from oracles import (cg_out_of_place_reference, dense_from_probes, encodings,
-                     exact_shifted_solve, flat_gram, from_dense, identity_map, power_iteration_norm, spd_with_clusters)
+from oracles import (cg_out_of_place_reference, cg_reference, dense_from_probes, encodings,
+                     exact_shifted_solve, flat_gram, from_dense, hermitian_maps, identity_map,
+                     power_iteration_norm, spd_with_clusters)
 
 
 def test_cg_identity_one_iteration():
@@ -173,6 +174,58 @@ def test_cg_in_place_updates_match_out_of_place_bits_and_leave_inputs_alone():
     assert b.tobytes() == b_before.tobytes()
     # nothing the operator returned was written to
     assert all(out.tobytes() == kept.tobytes() for out, kept in applied)
+
+
+def _cg_outcome(solve, A, b, max_iters, tol):
+    """(x, report) of a solve, or the type and message of what it raised."""
+    try:
+        return solve(A, b, max_iters=max_iters, tol=tol)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(problem=hermitian_maps(),
+       b_kind=st.sampled_from(["real", "complex", "integer", "zero", "non-finite"]),
+       apply_kind=st.sampled_from(["matrix"] * 6 + ["new axis", "complex64"]),
+       max_iters=st.integers(1, 60), tol=st.sampled_from([0.0, 1e-6, 1e-12]),
+       seed=st.integers(0, 2**16))
+def test_cg_matches_the_numpy_scalar_loop_bit_for_bit(problem, b_kind, apply_kind, max_iters,
+                                                      tol, seed):
+    # the Python-float bookkeeping and the step buffer compute every array
+    # from the same operands in the same order as the reference loop
+    A, shape = problem
+    rng = np.random.default_rng(seed)
+    complex_b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = {
+        "real": complex_b.real,
+        "complex": complex_b,
+        "integer": rng.integers(-5, 6, size=shape),
+        "zero": np.zeros(shape, dtype=rng.choice([np.float64, np.complex128])),
+        "non-finite": complex_b,
+    }[b_kind]
+    if b_kind == "non-finite":
+        b.flat[rng.integers(b.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    apply = {
+        "matrix": A,
+        "new axis": lambda v: A(v)[None],
+        "complex64": lambda v: A(v).astype(np.complex64),
+    }[apply_kind]
+    b_before = b.copy()
+    got = _cg_outcome(linops.cg_solve, apply, b, max_iters, tol)
+    want = _cg_outcome(cg_reference, apply, b, max_iters, tol)
+    assert np.array_equal(b, b_before, equal_nan=True)
+    if isinstance(want[0], type):
+        event(want[1].split(" (")[0])
+        assert got == want
+        return
+    event(f"converged: {want[1].converged}")
+    (x, report), (x_ref, report_ref) = got, want
+    assert x.dtype == x_ref.dtype and x.shape == x_ref.shape
+    assert np.array_equal(x, x_ref)
+    assert report.iterations_run == report_ref.iterations_run
+    assert report.final_residual_norm == report_ref.final_residual_norm
+    assert report.converged == report_ref.converged
 
 
 def test_cg_rejects_a_non_finite_rhs():

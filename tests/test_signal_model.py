@@ -250,6 +250,44 @@ def test_dimension_mismatch_errors():
                             sm.make_smooth_sensitivities(8, 8, 2, seed=0))
 
 
+# (class, attribute holding the array, its number of axes)
+CHECKED_ARRAYS = [(sm.ComplexImage, "data", 2), (sm.KSpaceData, "data", 3),
+                  (sm.CoilSensitivities, "maps", 3)]
+# contiguous, transposed and strided views of a finite complex array
+LAYOUTS = {
+    "contiguous": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[..., ::2],
+}
+
+
+def _finite_base(ndim):
+    rng = np.random.default_rng(ndim)
+    shape = (3, 5, 8)[-ndim:]
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("cls, attr, ndim", CHECKED_ARRAYS,
+                         ids=[c.__name__ for c, _, _ in CHECKED_ARRAYS])
+def test_finite_arrays_are_accepted_as_complex128(cls, attr, ndim, layout):
+    values = LAYOUTS[layout](_finite_base(ndim))
+    held = getattr(cls(values), attr)
+    assert held.dtype == np.complex128 and np.array_equal(held, values)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("cls, attr, ndim", CHECKED_ARRAYS,
+                         ids=[c.__name__ for c, _, _ in CHECKED_ARRAYS])
+def test_a_non_finite_sample_is_rejected(cls, attr, ndim, bad, part, layout):
+    values = LAYOUTS[layout](_finite_base(ndim))
+    getattr(values, part)[(-1,) * ndim] = bad
+    with pytest.raises(ValueError, match=f"{cls.__name__} contains non-finite samples"):
+        cls(values)
+
+
 # -- masks --------------------------------------------------------------
 
 def test_equispaced_mask_enumeration():

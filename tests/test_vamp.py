@@ -229,6 +229,40 @@ def test_row_blocks_equal_the_dense_extraction_bit_for_bit(E):
     assert np.array_equal(op.eigvals, np.linalg.eigvalsh(expected).ravel())
 
 
+@settings(max_examples=20, deadline=None)
+@given(E=encodings())
+def test_probed_row_blocks_equal_the_cached_gram_blocks_bit_for_bit(E):
+    # at a cached size the probes only reread the blocks the Gram already
+    # holds (a unit probe adds exact zeros to one column), so the set-up
+    # could take them directly; a second set-up on the same E reads them
+    # again, so the first left nothing behind
+    assert E._gram_blocks is not None
+    blocks = vamp.gram_row_blocks(E)
+    assert np.array_equal(blocks, E._gram_blocks)
+    assert np.array_equal(vamp.gram_row_blocks(E), blocks)
+
+
+def test_each_row_block_probe_is_one_unit_image(monkeypatch):
+    # the set-up's one probe image is zeroed after each probe, so every
+    # checked Gram call sees exactly the probed entry and nothing else
+    E = sm.EncodingOperator(sm.make_random_mask(6, 10, 2, 2, 0),
+                            sm.make_smooth_sensitivities(6, 10, 2, seed=1))
+    seen = []
+    normal = E.normal
+
+    def recording(x):
+        seen.append(x.data.copy())
+        return normal(x)
+
+    monkeypatch.setattr(E, "normal", recording)
+    vamp.gram_row_blocks(E)
+    assert len(seen) == 6 * 10
+    for i, img in enumerate(seen):
+        unit = np.zeros((6, 10), dtype=complex)
+        unit[divmod(i, 10)] = 1.0
+        assert np.array_equal(img, unit), i
+
+
 def test_exact_set_up_never_holds_the_dense_gram():
     # at 32x32 the dense Gram alone is 16 MiB, the 32 row blocks 0.5 MiB
     E = sm.EncodingOperator(sm.make_equispaced_mask(32, 32, 4, 4),
