@@ -96,8 +96,10 @@ def _build_mask(cfg, shape):
         return make_random_mask(rows, cols, mask_cfg["accel"], mask_cfg["acs"],
                                 mask_cfg["seed"])
     except ValueError as exc:
+        # with no ACS columns only a random mask's zero budget, set by accel, fails
+        key = "mask.accel" if mask_cfg["acs"] == 0 else "mask.acs"
         raise ConfigError(
-            f"mask.acs: {exc} (mask.accel = {mask_cfg['accel']}, {cols} columns)") from None
+            f"{key}: {exc} (mask.accel = {mask_cfg['accel']}, {cols} columns)") from None
 
 
 def _problem(cfg, files, sens_path, indices):

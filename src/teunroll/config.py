@@ -9,8 +9,8 @@ zero widths, unroll counts and iteration budgets, and a non-positive
 ``unroll.mu`` other than its -1 default sentinel.  Relative paths resolve
 against the directory containing the config file, and the fully resolved
 document can be echoed back out so a run is reproducible from its own
-artifacts; a resolved path holding whitespace before ``;``, which the echo
-would read back as an inline comment, is rejected.
+artifacts; a resolved path holding whitespace before ``;`` or at its end,
+which the echo would cut or strip, is rejected.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _ini():
     return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
 
 
-# What _ini() cuts off as an inline comment; INI has no escape for it, so a
-# resolved path holding it could not be echoed.
-_INLINE_COMMENT = re.compile(r"\s;")
+# What _ini() cuts off as an inline comment or strips from a value's end; INI
+# has no escape for either, so a resolved path holding one cannot be echoed.
+_UNECHOABLE = re.compile(r"\s;|\s\Z")
 
 
 def load_config(path):
@@ -164,10 +164,10 @@ def load_config(path):
             value = parse(raw, f"{section}.{key}")
             if parse is _path and value:
                 value = os.path.normpath(os.path.join(base, value))
-                if _INLINE_COMMENT.search(value):
+                if _UNECHOABLE.search(value):
                     raise ConfigError(
                         f"{section}.{key}: resolved path {value!r} holds whitespace before "
-                        "';', which the echoed config would read as a comment"
+                        "';' or at its end, which the echoed config would cut off"
                     )
             out[section][key] = value
     if 0 < out["eval"]["crop"] < SSIM_WINDOW:

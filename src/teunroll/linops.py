@@ -6,8 +6,9 @@ shape, such as ``EncodingOperator.normal_array`` on an H x W image; inner
 products and norms read the array in C order, as they would its ravel.
 All inner products are conjugate-linear in the first argument.  Maps must
 not keep or change what they are given; every routine here is pure.
-CG keeps its scalars as Python floats and allocates only its iterates
-and one step buffer, so an iteration costs little beyond its map apply.
+CG solves (A + mu I) x = b with the shift mu given apart from A (mu = 0
+is A x = b), keeps its scalars as Python floats and allocates only its
+iterates and two buffers, so an iteration costs little beyond A's apply.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ class CgReport:
     converged: bool
 
 
-def shifted(A, mu):
-    """The map v -> A v + mu v."""
-    return lambda v: A(v) + mu * v
-
-
 def to_dense(A, n):
     """Materialize the n x n matrix of a map on length-n vectors by probing
     with unit basis vectors."""
@@ -42,9 +38,10 @@ def to_dense(A, n):
     return out
 
 
-def cg_solve(A, b, max_iters=15, tol=1e-12):
-    """Conjugate gradients for self-adjoint PSD A from a zero initial
-    guess, on a right-hand side b of any shape.  Stops early once
+def cg_solve(A, b, mu, max_iters=15, tol=1e-12):
+    """Conjugate gradients on (A + mu I) x = b for self-adjoint PSD A and a
+    real shift mu >= 0 (mu = 0 is the plain system A x = b), from a zero
+    initial guess, on a right-hand side b of any shape.  Stops early once
     ||r|| <= tol * ||b||, a test made before each iteration: a zero b
     meets it at once and returns zeros and CgReport(0, 0.0, True) without
     applying A.
@@ -54,16 +51,14 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
     FloatingPointError on a non-finite right-hand side, curvature or
     residual, which signal broken inputs or an indefinite or broken
     operator; A itself need not check its values.
-    Raises ValueError if A(v) comes back in another shape or dtype than
-    v's, which is b's (an integer b is taken as float64): a complex A
-    needs a complex b.
+    Raises ValueError if A(v) itself, before mu v is added, comes back in
+    another shape or dtype than v's, which is b's (an integer b is taken
+    as float64): a complex A needs a complex b.
 
-    The scalars (||b||, the squared residual norms, the curvature p^H A p
-    and the step length) are Python floats, double precision for any b,
-    so the loop's bookkeeping costs no numpy scalar operations.  x, r, p and one step buffer, which
-    holds alpha * p and then alpha * A p, are the only arrays allocated
-    here; they are updated in place, and nothing returned by A is written
-    to.
+    The scalars (||b||, squared residual norms, curvature, step length)
+    are Python floats.  Besides x, r and p, one buffer holds mu p and then
+    A p + mu p, another alpha p and then alpha (A p + mu p); all are
+    updated in place, and nothing returned by A is written to.
     """
     b = np.asarray(b)
     b_norm = float(np.linalg.norm(b))
@@ -74,6 +69,7 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
     r = b.astype(np.result_type(b, 1.0))
     x = np.zeros_like(r)
     p = r.copy()
+    Mp = np.empty_like(r)
     step = np.empty_like(r)
     rs = float(np.vdot(r, r).real)
     it = 0
@@ -86,15 +82,17 @@ def cg_solve(A, b, max_iters=15, tol=1e-12):
             raise ValueError(f"operator maps shape {p.shape} to {Ap.shape}")
         if Ap.dtype != p.dtype:
             raise ValueError(f"operator maps dtype {p.dtype} to {Ap.dtype}")
-        pAp = float(np.vdot(p, Ap).real)
-        if not math.isfinite(pAp) or pAp <= 0.0:
-            if rs <= goal_sq or pAp == 0.0:
+        np.multiply(mu, p, out=Mp)
+        np.add(Ap, Mp, out=Mp)
+        pMp = float(np.vdot(p, Mp).real)
+        if not math.isfinite(pMp) or pMp <= 0.0:
+            if rs <= goal_sq or pMp == 0.0:
                 break
-            raise FloatingPointError(f"CG hit non-positive curvature ({pAp})")
-        alpha = rs / pAp
+            raise FloatingPointError(f"CG hit non-positive curvature ({pMp})")
+        alpha = rs / pMp
         np.multiply(p, alpha, out=step)
         x += step
-        np.multiply(Ap, alpha, out=step)
+        np.multiply(Mp, alpha, out=step)
         r -= step
         rs_new = float(np.vdot(r, r).real)
         if not math.isfinite(rs_new):
@@ -113,11 +111,10 @@ def estimate_trace_inverse(A, shape, mu, num_probes, seed, cg_iters=100):
     if num_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
-    shifted_A = shifted(A, mu)
     total = 0.0
     for _ in range(num_probes):
         v = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-        sol, _ = cg_solve(shifted_A, v.astype(np.complex128), max_iters=cg_iters)
+        sol, _ = cg_solve(A, v.astype(np.complex128), mu, max_iters=cg_iters)
         total += np.vdot(v, sol).real
     return float(total / (num_probes * v.size))
 

@@ -36,20 +36,21 @@ def normal_fn(E: EncodingOperator):
     return fn
 
 
-def cg_tape(apply_A, b, iters):
-    """Differentiable CG with a fixed iteration budget and zero start.
+def cg_tape(gram, b, mu, iters):
+    """Differentiable CG on (gram + mu I) x = b, fixed budget, zero start.
 
-    apply_A maps Tensor -> Tensor and must be self-adjoint PSD.  The inner
-    products and the x and p updates are single ``dot``/``axpy`` nodes.
-    The tiny denominator guard only matters once the residual is at
-    round-off.
+    gram is a self-adjoint PSD ndarray -> ndarray function and mu a scalar
+    (a Tensor to train it).  (gram + mu I) p is a ``linear_selfadjoint`` and
+    an ``axpy`` node; the inner products and x and p updates are single
+    ``dot``/``axpy`` nodes.  The tiny denominator guard only matters once
+    the residual is at round-off.
     """
     x = Tensor(np.zeros_like(b.data))
     r = b
     p = r
     rs = en.dot(r, r)
     for _ in range(iters):
-        Ap = apply_A(p)
+        Ap = en.axpy(mu, p, en.linear_selfadjoint(p, gram))
         alpha = en.div(rs, en.add(en.dot(p, Ap), Tensor(_DENOM_GUARD)))
         x = en.axpy(alpha, p, x)
         r = en.sub(r, en.mul(alpha, Ap))
@@ -174,10 +175,7 @@ class TrainableEngine:
         rhs0 = Tensor(complex_to_channels(E.adjoint(y).data))
 
         def solve(t, b):
-            def apply_A(v):
-                return en.axpy(self.mu_t[t], v, en.linear_selfadjoint(v, fn))
-
-            return cg_tape(apply_A, b, self.cg_iters), None
+            return cg_tape(fn, b, self.mu_t[t], self.cg_iters), None
 
         prox = self._prox(lambda net, v, t: net.forward(v, t))
         for _, x, _, _ in unroll_steps(self.family, self.T, rhs0,

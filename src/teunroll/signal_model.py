@@ -122,6 +122,8 @@ def make_random_mask(rows, cols, R, acs, seed):
     budget = int(round(cols / R))
     if budget < acs:
         raise ValueError(f"budget {budget} cannot cover {acs} ACS columns")
+    if budget == 0:
+        raise ValueError("budget 0 samples no column")
     acs_cols = _acs_columns(cols, acs)
     rng = np.random.default_rng(seed)
     free = np.setdiff1d(np.arange(cols), acs_cols)

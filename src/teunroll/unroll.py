@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import cg_solve, shifted
+from .linops import cg_solve
 from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator, KSpaceData
 
@@ -151,7 +151,7 @@ def run_unrolled(algorithm, E: EncodingOperator, y: KSpaceData, mu, prox, rho=No
     ref = reference_array(reference)
 
     def solve(t, b):
-        x, rep = cg_solve(shifted(E.normal_array, mu[t]), b, max_iters=cg_iters, tol=1e-12)
+        x, rep = cg_solve(E.normal_array, b, mu[t], max_iters=cg_iters, tol=1e-12)
         b_norm = np.linalg.norm(b)
         return x, (rep, rep.final_residual_norm / b_norm if b_norm > 0 else 0.0)
 

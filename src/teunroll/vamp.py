@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linops import cg_solve, estimate_trace_inverse, shifted, to_dense
+from .linops import cg_solve, estimate_trace_inverse, to_dense
 from .metrics import nmse
 from .signal_model import ComplexImage, EncodingOperator
 from .unroll import Diagnostics, reference_array
@@ -118,7 +118,7 @@ def lmmse_step(op: VampOperator, rhs, r, mu_x, config: VampConfig | None = None,
     if not mu_x > 0:
         raise FloatingPointError("mu_x must be positive")
     b = rhs + mu_x * r
-    x, _ = cg_solve(shifted(op.gram, mu_x), b, max_iters=config.cg_iters)
+    x, _ = cg_solve(op.gram, b, mu_x, max_iters=config.cg_iters)
     upsilon_x = op.trace_inverse_mean(mu_x, config, seed=seed)
     mu_z = 1.0 / upsilon_x - mu_x
     clamps = 0

@@ -99,6 +99,13 @@ def from_dense(matrix):
     return lambda v: m @ v
 
 
+def shifted(A, mu):
+    """The map v -> A v + mu v, which ``linops.cg_solve(A, b, mu)`` solves
+    with; a test adapter for maps that take no shift, such as
+    ``cg_reference``."""
+    return lambda v: A(v) + mu * v
+
+
 def flat_gram(E):
     """E^H E of an EncodingOperator on flat image vectors, for dense
     probing: ``dense_from_probes(flat_gram(E), H * W)`` is its matrix."""

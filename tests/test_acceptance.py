@@ -81,7 +81,7 @@ def test_criterion_2_cg_against_dense_solves():
         n = int(rng.integers(16, 65))
         A = spd_with_clusters(n, 12, 100.0, rng)
         b = rng.standard_normal(n)
-        x, rep = cg_solve(from_dense(A), b.astype(complex), max_iters=15)
+        x, rep = cg_solve(from_dense(A), b.astype(complex), 0.0, max_iters=15)
         expected = np.linalg.solve(A, b)
         rel = np.linalg.norm(x - expected) / np.linalg.norm(expected)
         assert rel <= 1e-8

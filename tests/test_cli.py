@@ -518,9 +518,26 @@ def test_path_that_the_echo_would_cut_at_a_comment_is_config_error(tmp_path, mon
                                                                    capsys, command):
     # the echo writes dir = .../semi ;x/data, which INI reads back as
     # .../semi, so the run is refused before it reads or writes anything
-    home = tmp_path / "semi ;x"
-    assert run_cli("phantom", "--out", home / "data", "--size", "16") == cli.EXIT_OK
-    cfg = write_cfg(home, "[data]\ndir = data\n[model]\nprox = resnet\n")
+    _assert_data_dir_refused_unread(tmp_path, tmp_path / "semi ;x", "data", monkeypatch,
+                                    capsys, command)
+
+
+@pytest.mark.parametrize("command", ["recon", "train", "eval"])
+def test_path_that_the_echo_would_strip_is_config_error(tmp_path, monkeypatch, capsys,
+                                                        command):
+    # the echo writes dir = .../trail  with its trailing space, which INI
+    # strips on reading it back, so the run is refused as above
+    _assert_data_dir_refused_unread(tmp_path, tmp_path / "trail ", ".", monkeypatch, capsys,
+                                    command)
+
+
+def _assert_data_dir_refused_unread(tmp_path, home, dir_value, monkeypatch, capsys, command):
+    """A config in ``home`` whose data.dir resolves to a path the echo
+    could not write back exits 2 naming data.dir, reading and writing
+    nothing."""
+    data = home / dir_value
+    assert run_cli("phantom", "--out", data, "--size", "16") == cli.EXIT_OK
+    cfg = write_cfg(home, f"[data]\ndir = {dir_value}\n[model]\nprox = resnet\n")
     before = sorted(tmp_path.rglob("*"))
     reads = _count_payload_reads(monkeypatch)
     capsys.readouterr()
@@ -528,6 +545,17 @@ def test_path_that_the_echo_would_cut_at_a_comment_is_config_error(tmp_path, mon
     assert "data.dir" in capsys.readouterr().err
     assert reads == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_random_mask_with_a_zero_column_budget_names_accel(tmp_path, small_dataset, capsys):
+    # round(16 / 100) = 0 columns with no ACS block: the fault is mask.accel
+    cfg = write_cfg(tmp_path, f"[data]\ndir = {small_dataset}\n"
+                              "[mask]\nkind = random\naccel = 100\nacs = 0\n")
+    assert run_cli("recon", "--config", cfg) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mask.accel: budget 0 samples no column" in err
+    assert "mask.acs" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_eval_reads_each_slice_when_it_reaches_it(tmp_path, dataset, monkeypatch):

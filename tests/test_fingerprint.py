@@ -152,8 +152,8 @@ def test_recon_gram_counts_match_the_traced_benchmark():
 
         return call
 
-    def counted_cg(A, b, **kwargs):
-        x, report = solve(A, b, **kwargs)
+    def counted_cg(A, b, mu, **kwargs):
+        x, report = solve(A, b, mu, **kwargs)
         counts["cg_calls"] += 1
         counts["cg_iters"] += report.iterations_run
         return x, report

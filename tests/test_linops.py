@@ -8,13 +8,13 @@ from teunroll import signal_model as sm
 
 from oracles import (cg_out_of_place_reference, cg_reference, dense_from_probes, encodings,
                      exact_shifted_solve, flat_gram, from_dense, hermitian_maps, identity_map,
-                     power_iteration_norm, spd_with_clusters)
+                     power_iteration_norm, shifted, spd_with_clusters)
 
 
 def test_cg_identity_one_iteration():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x, report = linops.cg_solve(identity_map(), b)
+    x, report = linops.cg_solve(identity_map(), b, 0.0)
     np.testing.assert_allclose(x, b, atol=1e-14)
     assert report.iterations_run == 1
     assert report.converged
@@ -24,7 +24,7 @@ def test_cg_two_by_two_exact():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, 1.0], dtype=complex)
     expected = np.linalg.solve(A, b)  # [1/3, 1/3]
-    x, report = linops.cg_solve(from_dense(A), b, max_iters=2)
+    x, report = linops.cg_solve(from_dense(A), b, 0.0, max_iters=2)
     np.testing.assert_allclose(x, expected, atol=1e-12)
     np.testing.assert_allclose(expected.real, [1 / 3, 1 / 3])
     assert report.iterations_run <= 2
@@ -37,8 +37,8 @@ def test_cg_matches_dense_solve_on_mri_normal_system():
     mu = 0.05
     rng = np.random.default_rng(1)
     b = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    x, _ = linops.cg_solve(linops.shifted(E.normal_array, mu), b, max_iters=15)
-    dense = dense_from_probes(linops.shifted(flat_gram(E), mu), 256)
+    x, _ = linops.cg_solve(E.normal_array, b, mu, max_iters=15)
+    dense = dense_from_probes(shifted(flat_gram(E), mu), 256)
     expected = np.linalg.solve(dense, b.ravel()).reshape(16, 16)
     assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -50,8 +50,8 @@ def test_cg_on_an_image_is_cg_on_its_ravel_bit_for_bit(E, mu, seed):
     # every other CG step is elementwise, so the layout cannot move a bit
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(E.shape) + 1j * rng.standard_normal(E.shape)
-    x, report = linops.cg_solve(linops.shifted(E.normal_array, mu), b)
-    x_flat, report_flat = linops.cg_solve(linops.shifted(flat_gram(E), mu), b.ravel())
+    x, report = linops.cg_solve(E.normal_array, b, mu)
+    x_flat, report_flat = linops.cg_solve(flat_gram(E), b.ravel(), mu)
     assert x.shape == E.shape
     assert np.array_equal(x, x_flat.reshape(E.shape))
     assert report == report_flat
@@ -67,7 +67,7 @@ def test_cg_on_a_zero_rhs_returns_zeros_without_applying_the_map(dtype):
         applied.append(v)
         return v.copy()
 
-    x, report = linops.cg_solve(A, np.zeros((3, 4), dtype=dtype))
+    x, report = linops.cg_solve(A, np.zeros((3, 4), dtype=dtype), 0.0)
     assert x.dtype == dtype and x.shape == (3, 4) and not x.any()
     assert report == linops.CgReport(0, 0.0, True)
     assert applied == []
@@ -80,7 +80,7 @@ def test_cg_run_to_its_tolerance_matches_the_exact_row_block_solve(E, mu, seed):
     # residual of 1e-12 leaves an error of at most about 1e-10
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(E.shape) + 1j * rng.standard_normal(E.shape)
-    x, report = linops.cg_solve(linops.shifted(E.normal_array, mu), b, max_iters=2000)
+    x, report = linops.cg_solve(E.normal_array, b, mu, max_iters=2000)
     assert report.converged
     expected = exact_shifted_solve(E, b, mu)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -103,7 +103,7 @@ def test_cg15_on_the_desk_problem_is_within_the_bound_measured_for_its_mu(mu):
             E = sm.EncodingOperator(mask, sm.make_smooth_sensitivities(32, 32, 4, seed=seed))
             truth = sm.make_phantom(32, 32, 6, seed=seed)
             b = E.adjoint(sm.add_noise(E.forward(truth), 0.01, seed=seed, mask=mask)).data
-            x, report = linops.cg_solve(linops.shifted(E.normal_array, mu), b, max_iters=15)
+            x, report = linops.cg_solve(E.normal_array, b, mu, max_iters=15)
             assert report.iterations_run == 15 and not report.converged
             expected = exact_shifted_solve(E, b, mu)
             err = np.linalg.norm(x - expected) / np.linalg.norm(expected)
@@ -112,16 +112,27 @@ def test_cg15_on_the_desk_problem_is_within_the_bound_measured_for_its_mu(mu):
 
 def test_cg_rejects_bad_rhs_and_indefinite_operator():
     with pytest.raises(ValueError, match="maps shape"):
-        linops.cg_solve(lambda v: v.ravel(), np.ones((2, 3), dtype=complex))
+        linops.cg_solve(lambda v: v.ravel(), np.ones((2, 3), dtype=complex), 0.0)
     # the iterates keep b's dtype: a complex operator needs a complex b
     with pytest.raises(ValueError, match="maps dtype float64 to complex128"):
-        linops.cg_solve(from_dense(np.eye(3) + 0j), np.ones(3))
+        linops.cg_solve(from_dense(np.eye(3) + 0j), np.ones(3), 0.0)
     # a dense map of another size fails in its own matrix product
     with pytest.raises(ValueError):
-        linops.cg_solve(from_dense(np.eye(6)), np.ones(3, dtype=complex))
+        linops.cg_solve(from_dense(np.eye(6)), np.ones(3, dtype=complex), 0.0)
     indefinite = from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(FloatingPointError):
-        linops.cg_solve(indefinite, np.array([0.1, 1.0], dtype=complex), max_iters=5)
+        linops.cg_solve(indefinite, np.array([0.1, 1.0], dtype=complex), 0.0, max_iters=5)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_cg_checks_the_maps_own_output_before_the_shift(mu):
+    # A(v) + mu v would broadcast a (1, W) output to (H, W) and promote a
+    # real output to complex, so the check must see what A returned
+    b = np.ones((4, 5), dtype=complex)
+    with pytest.raises(ValueError, match=r"maps shape \(4, 5\) to \(1, 5\)"):
+        linops.cg_solve(lambda v: v.sum(0, keepdims=True), b, mu)
+    with pytest.raises(ValueError, match="maps dtype complex128 to float64"):
+        linops.cg_solve(lambda v: v.real.copy(), b, mu)
 
 
 def test_cg_error_monotone_in_a_norm():
@@ -132,7 +143,7 @@ def test_cg_error_monotone_in_a_norm():
     lm = from_dense(A)
     prev = None
     for k in range(1, 16):
-        xk, _ = linops.cg_solve(lm, b, max_iters=k)
+        xk, _ = linops.cg_solve(lm, b, 0.0, max_iters=k)
         err = xk - exact
         a_norm = float(np.vdot(err, A @ err).real)
         if prev is not None:
@@ -148,7 +159,7 @@ def test_cg_exactness_within_n_iterations():
         M = rng.standard_normal((n, n))
         A = M @ M.T / n + np.eye(n)
         b = rng.standard_normal(n).astype(complex)
-        x, report = linops.cg_solve(from_dense(A), b, max_iters=n, tol=1e-14)
+        x, report = linops.cg_solve(from_dense(A), b, 0.0, max_iters=n, tol=1e-14)
         residual = np.linalg.norm(b - A @ x)
         assert residual <= 1e-8 * np.linalg.norm(b)
         expected = np.linalg.solve(A, b)
@@ -161,25 +172,27 @@ def test_cg_in_place_updates_match_out_of_place_bits_and_leave_inputs_alone():
     applied = []
 
     def apply(v):
-        out = E.normal_array(v) + 0.03 * v
+        out = E.normal_array(v)
         applied.append((out, out.copy()))
         return out
 
     rng = np.random.default_rng(1)
     b = rng.standard_normal((16, 24)) + 1j * rng.standard_normal((16, 24))
     b_before = b.copy()
-    x, report = linops.cg_solve(apply, b, max_iters=15, tol=0.0)
+    x, report = linops.cg_solve(apply, b, 0.03, max_iters=15, tol=0.0)
     assert report.iterations_run == 15
-    assert x.tobytes() == cg_out_of_place_reference(apply, b, 15).tobytes()
-    assert b.tobytes() == b_before.tobytes()
-    # nothing the operator returned was written to
+    # nothing the operator returned was written to, though CG adds the
+    # shift to each output in its own buffer
+    assert len(applied) == 15
     assert all(out.tobytes() == kept.tobytes() for out, kept in applied)
+    assert x.tobytes() == cg_out_of_place_reference(shifted(apply, 0.03), b, 15).tobytes()
+    assert b.tobytes() == b_before.tobytes()
 
 
-def _cg_outcome(solve, A, b, max_iters, tol):
+def _cg_outcome(solve, *args, **kwargs):
     """(x, report) of a solve, or the type and message of what it raised."""
     try:
-        return solve(A, b, max_iters=max_iters, tol=tol)
+        return solve(*args, **kwargs)
     except (ValueError, FloatingPointError) as exc:
         return type(exc), str(exc)
 
@@ -188,12 +201,13 @@ def _cg_outcome(solve, A, b, max_iters, tol):
 @given(problem=hermitian_maps(),
        b_kind=st.sampled_from(["real", "complex", "integer", "zero", "non-finite"]),
        apply_kind=st.sampled_from(["matrix"] * 6 + ["new axis", "complex64"]),
-       max_iters=st.integers(1, 60), tol=st.sampled_from([0.0, 1e-6, 1e-12]),
-       seed=st.integers(0, 2**16))
-def test_cg_matches_the_numpy_scalar_loop_bit_for_bit(problem, b_kind, apply_kind, max_iters,
-                                                      tol, seed):
-    # the Python-float bookkeeping and the step buffer compute every array
-    # from the same operands in the same order as the reference loop
+       mu=st.just(0.0) | st.floats(0.0, 10.0), max_iters=st.integers(1, 60),
+       tol=st.sampled_from([0.0, 1e-6, 1e-12]), seed=st.integers(0, 2**16))
+def test_cg_matches_the_numpy_scalar_loop_bit_for_bit(problem, b_kind, apply_kind, mu,
+                                                      max_iters, tol, seed):
+    # the Python-float bookkeeping and the two buffers compute every array
+    # from the same operands in the same order as the reference loop on
+    # the map v -> A v + mu v
     A, shape = problem
     rng = np.random.default_rng(seed)
     complex_b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -211,9 +225,12 @@ def test_cg_matches_the_numpy_scalar_loop_bit_for_bit(problem, b_kind, apply_kin
         "new axis": lambda v: A(v)[None],
         "complex64": lambda v: A(v).astype(np.complex64),
     }[apply_kind]
+    # a malformed map fails at its first apply, where CG checks A's own
+    # output: the shifted sum would broadcast or promote it
+    reference_map = shifted(apply, mu) if apply_kind == "matrix" else apply
     b_before = b.copy()
-    got = _cg_outcome(linops.cg_solve, apply, b, max_iters, tol)
-    want = _cg_outcome(cg_reference, apply, b, max_iters, tol)
+    got = _cg_outcome(linops.cg_solve, apply, b, mu, max_iters=max_iters, tol=tol)
+    want = _cg_outcome(cg_reference, reference_map, b, max_iters=max_iters, tol=tol)
     assert np.array_equal(b, b_before, equal_nan=True)
     if isinstance(want[0], type):
         event(want[1].split(" (")[0])
@@ -233,7 +250,7 @@ def test_cg_rejects_a_non_finite_rhs():
         b = np.ones(4, dtype=complex)
         b[2] = bad
         with pytest.raises(FloatingPointError, match="right-hand side"):
-            linops.cg_solve(identity_map(), b)
+            linops.cg_solve(identity_map(), b, 0.0)
 
 
 def test_to_dense_recovers_a_non_hermitian_matrix():

@@ -31,9 +31,8 @@ def test_cg_tape_matches_plain_cg():
     rng = np.random.default_rng(0)
     A = spd_with_clusters(20, 8, 30.0, rng)
     b = rng.standard_normal(20)
-    x_tape = cg_tape(lambda v: en.linear_selfadjoint(v, lambda d: A @ d),
-                     Tensor(b), iters=20)
-    x_ref, _ = cg_solve(from_dense(A), b.astype(complex), max_iters=20, tol=0.0)
+    x_tape = cg_tape(lambda d: A @ d, Tensor(b), 0.0, iters=20)
+    x_ref, _ = cg_solve(from_dense(A), b.astype(complex), 0.0, max_iters=20, tol=0.0)
     assert np.linalg.norm(x_tape.data - x_ref.real) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -46,7 +45,8 @@ def test_cg_tape_matches_plain_cg():
     seed=st.integers(0, 10_000),
 )
 def test_cg_tape_matches_composed_reference(h, w, mu, iters, seed):
-    """The fused dot/axpy CG reproduces the primitive-composed one: the
+    """The fused dot/axpy CG, which tapes (gram + mu I) p itself,
+    reproduces the primitive-composed one on a closure that does: the
     same output bits, and gradients for b and mu to rounding."""
     rng = np.random.default_rng(seed)
     n = 2 * h * w
@@ -57,22 +57,24 @@ def test_cg_tape_matches_composed_reference(h, w, mu, iters, seed):
     def gram(d):
         return (A @ d.ravel()).reshape(d.shape)
 
-    def run(solver, apply_A_of):
+    def run(solve):
         b = Tensor(b0.copy(), requires_grad=True)
         m = Tensor(np.float64(mu), requires_grad=True)
         with en.Tape() as tape:
-            x = solver(apply_A_of(m), b, iters)
+            x = solve(b, m)
             loss = sum_all(en.mul(x, Tensor(probe)))
         tape.backward(loss)
         return x.data, b.grad, m.grad
 
-    # the training engine's operator and the one it replaced
-    fused = run(cg_tape, lambda m: lambda v: en.axpy(m, v, en.linear_selfadjoint(v, gram)))
-    composed = run(cg_tape_reference,
-                   lambda m: lambda v: en.add(en.linear_selfadjoint(v, gram), en.mul(m, v)))
-    assert fused[0].tobytes() == composed[0].tobytes()
-    for got, want in zip(fused[1:], composed[1:]):
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    fused = run(lambda b, m: cg_tape(gram, b, m, iters))
+    # the closure the training engine passed before cg_tape took mu, and
+    # the one that closure replaced
+    for apply_A in (lambda m: lambda v: en.axpy(m, v, en.linear_selfadjoint(v, gram)),
+                    lambda m: lambda v: en.add(en.linear_selfadjoint(v, gram), en.mul(m, v))):
+        composed = run(lambda b, m: cg_tape_reference(apply_A(m), b, iters))
+        assert fused[0].tobytes() == composed[0].tobytes()
+        for got, want in zip(fused[1:], composed[1:]):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 # The gradient checks below compare a taped derivative with a central
@@ -160,7 +162,7 @@ def test_cg_mu_gradient_matches_central_difference(problem, mu, iters, seed):
     target = Tensor(complex_to_channels(sm.make_phantom(*E.shape, 5, seed=seed).data))
 
     def loss_of(m):
-        x = cg_tape(lambda v: en.axpy(m, v, en.linear_selfadjoint(v, fn)), rhs, iters)
+        x = cg_tape(fn, rhs, m, iters)
         return en.mse(x, target)
 
     m = Tensor(np.float64(mu), requires_grad=True)

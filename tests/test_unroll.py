@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from teunroll import prox, unroll, vamp
 from teunroll import signal_model as sm
-from teunroll.linops import cg_solve, shifted
+from teunroll.linops import cg_solve
 
 from oracles import dense_from_probes, encodings, flat_gram, problems, ridge_by_rows
 
@@ -134,13 +134,12 @@ def test_admm_identity_prox_freezes_dual():
     mu = 0.5
     p = CapturingProx(prox.AnalyticProx("identity"))
     img, _ = unroll.run_unrolled("admm", E, y, [mu] * 3, p, lam=[0.3] * 3)
-    A = shifted(E.normal_array, mu)
     rhs0 = E.adjoint(y).data
-    x0, _ = cg_solve(A, rhs0 + mu * rhs0, max_iters=15, tol=1e-12)
+    x0, _ = cg_solve(E.normal_array, rhs0 + mu * rhs0, mu, max_iters=15, tol=1e-12)
     # unroll 0 sees x0 + u0 with u0 = 0, so z0 = prox(x0 + u0) = x0
     np.testing.assert_array_equal(p.seen[0], x0)
     np.testing.assert_array_equal(p.out[0], x0)
-    x1, _ = cg_solve(A, rhs0 + mu * p.out[0], max_iters=15, tol=1e-12)
+    x1, _ = cg_solve(E.normal_array, rhs0 + mu * p.out[0], mu, max_iters=15, tol=1e-12)
     u_after_one = p.seen[1] - x1  # unroll 1 sees x1 + u1
     u_after_two = p.seen[2] - img.data  # unroll 2 sees x2 + u2
     np.testing.assert_array_equal(u_after_two, u_after_one)
@@ -215,8 +214,7 @@ def test_run_unrolled_single_step_unwind():
     img, _ = unroll.run_unrolled("alg1", E, y, [0.05], _prox_of(prox.AnalyticProx("identity")),
                                  rho=[0.0])
     rhs0 = E.adjoint(y).data
-    direct, _ = cg_solve(shifted(E.normal_array, 0.05), rhs0 + 0.05 * rhs0,
-                         max_iters=15, tol=1e-12)
+    direct, _ = cg_solve(E.normal_array, rhs0 + 0.05 * rhs0, 0.05, max_iters=15, tol=1e-12)
     np.testing.assert_array_equal(img.data, direct)
 
 
@@ -332,8 +330,8 @@ def test_cg_columns_read_each_solves_report(monkeypatch, algorithm):
     # right-hand side, as the traced benchmark defines it
     solves = []
 
-    def recording(A, b, **kwargs):
-        x, report = cg_solve(A, b, **kwargs)
+    def recording(A, b, mu, **kwargs):
+        x, report = cg_solve(A, b, mu, **kwargs)
         solves.append((report, np.linalg.norm(b)))
         return x, report
 
